@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"wlan80211/internal/dot11"
 	"wlan80211/internal/phy"
 )
@@ -35,6 +37,9 @@ type medium struct {
 	// deterministic delivery gates during one sparse completion's
 	// interference accumulation; consumed before any callback runs.
 	eligScratch []spCand
+	// bracketScratch holds the per-candidate [lo, hi] interference
+	// bounds of one sparse completion, parallel to eligScratch.
+	bracketScratch [][2]float64
 }
 
 // transmission is one in-flight frame on the medium. Transmissions
@@ -152,8 +157,9 @@ func (m *medium) cachedCands(row *linkRow, owner *Node) []spCand {
 }
 
 // interfFor returns the per-receiver interference scratch sized for n
-// node IDs. Entries are not cleared here: the sparse path zeroes only
-// its candidates' slots, the dense path zeroes the whole span.
+// node IDs. Entries are not cleared here: the sparse path writes only
+// its candidates' slots (settleCapture), the dense path zeroes the
+// whole span.
 func (m *medium) interfFor(n int) []float64 {
 	if cap(m.interfScratch) < n {
 		m.interfScratch = make([]float64, n)
@@ -281,10 +287,12 @@ func (m *medium) complete(tx *transmission) {
 	// Batched pre-pass: one walk of the overlap list per event pop,
 	// instead of one per receiver. Half-duplex senders are stamped with
 	// a completion-unique token (seqnos are unique, so stale stamps from
-	// earlier completions can never match), and per-receiver
-	// interference is accumulated interferer-outer — each receiver's
-	// slot adds the identical terms in the identical seqno order the
-	// old per-receiver walk used, so the float sums are bit-identical.
+	// earlier completions can never match). Dense rows accumulate
+	// per-receiver interference interferer-outer — each receiver's slot
+	// adds the identical terms in the identical seqno order a
+	// per-receiver walk would, so the float sums are bit-identical;
+	// sparse rows settle each receiver's capture test from an
+	// interference bracket first (settleCapture).
 	// The FER decision context (table column bracket) is fetched once
 	// per transmission rather than once per receiver.
 	deaf := tx.seqno + 1
@@ -306,8 +314,8 @@ func (m *medium) complete(tx *transmission) {
 		m.candScratch = append(m.candScratch[:0], m.cachedCands(tx.row, tx.from)...)
 		cands := m.candScratch
 		if len(tx.overlapped) > 0 {
-			// Accumulate only for candidates that will reach the SINR
-			// test: deliverable's earlier gates (decode floor, OFDM
+			// Settle capture only for candidates that will reach the
+			// SINR test: deliverable's earlier gates (decode floor, OFDM
 			// capability, half-duplex) are all deterministic in sparse
 			// mode — no shadowing, so no RNG draw is skipped — and a
 			// gated-out receiver never reads its interference slot.
@@ -329,16 +337,8 @@ func (m *medium) complete(tx *transmission) {
 					continue
 				}
 				elig = append(elig, c)
-				interf[c.o.ID] = 0
 			}
-			for _, it := range tx.overlapped {
-				// An interferer's pinned row may have culled a receiver;
-				// its sub-floor power still belongs in the sum (mwTo
-				// recomputes from the row's pinned transmitter position).
-				for _, c := range elig {
-					interf[c.o.ID] += m.net.mwTo(it.row, c.o)
-				}
-			}
+			m.settleCapture(tx, elig, interf)
 			m.eligScratch = elig[:0]
 		}
 		for _, c := range cands {
@@ -398,16 +398,17 @@ func (m *medium) complete(tx *transmission) {
 			})
 		}
 		obs := TxObservation{
-			Time:       tx.start,
-			End:        tx.end,
-			Channel:    m.channel,
-			Rate:       tx.rate,
-			Frame:      tx.frame,
-			WireLen:    tx.wireLen,
-			FromID:     tx.from.ID,
-			FromPos:    tx.from.Pos,
-			TxPowerDBm: tx.from.TxPower,
-			Overlapped: m.obsScratch,
+			Time:               tx.start,
+			End:                tx.end,
+			Channel:            m.channel,
+			Rate:               tx.rate,
+			Frame:              tx.frame,
+			WireLen:            tx.wireLen,
+			FromID:             tx.from.ID,
+			FromPos:            tx.from.Pos,
+			TxPowerDBm:         tx.from.TxPower,
+			Overlapped:         m.obsScratch,
+			CaptureThresholdDB: m.net.cfg.CaptureThresholdDB,
 		}
 		for _, t := range m.net.taps {
 			t.ObserveTransmission(obs)
@@ -431,6 +432,74 @@ func (m *medium) complete(tx *transmission) {
 	}
 }
 
+// captureGuardDB keeps bracket capture decisions clear of the
+// threshold by far more than the few-ulp error of the dB conversion.
+const captureGuardDB = 1e-9
+
+// settleCapture fills interf for a sparse completion's eligible
+// receivers so that deliverable's SINR test reaches the decision the
+// exact interference sum would. The exact sum adds, in seqno order,
+// each interferer's stored link power, or for a pair its row culled,
+// the sub-floor power recomputed from the row's pinned transmitter
+// position. Recomputing costs a Hypot, Log10 and Pow per culled pair,
+// and on a campus most pairs are culled. So each receiver first gets
+// a bracket: stored terms enter both ends exactly, culled terms enter
+// as farTable bounds from the squared distance. Both sums are widened
+// by the float-summation error bound, so the exact float sum lies
+// inside. A receiver whose SINR clears the threshold at the upper end
+// gets 0, the no-overlap value, and one that misses it at the lower
+// end gets +Inf, a certain collision; both with captureGuardDB to
+// spare. Only the rest fall back to the exact sum.
+func (m *medium) settleCapture(tx *transmission, elig []spCand, interf []float64) {
+	if cap(m.bracketScratch) < len(elig) {
+		m.bracketScratch = make([][2]float64, len(elig))
+	}
+	br := m.bracketScratch[:len(elig)]
+	for j := range br {
+		br[j] = [2]float64{}
+	}
+	for _, it := range tx.overlapped {
+		row := it.row
+		far := m.net.farFor(row.power)
+		for j, c := range elig {
+			if l, ok := row.linkTo(c.o); ok {
+				br[j][0] += l.mw
+				br[j][1] += l.mw
+				continue
+			}
+			dx, dy := row.ownerPos.X-c.o.Pos.X, row.ownerPos.Y-c.o.Pos.Y
+			lo, hi := far.bracket(dx*dx + dy*dy)
+			br[j][0] += lo
+			br[j][1] += hi
+		}
+	}
+	// A float sum of k nonnegative terms is within a relative
+	// (k-1)·2⁻⁵³/(1-(k-1)·2⁻⁵³) of the real sum; 4(k+1)·2⁻⁵³ covers
+	// that for the exact sum and the bracket sums, plus the widening
+	// multiply's rounding.
+	slack := float64(len(tx.overlapped)+1) * 0x1p-51
+	noise := m.net.noiseMW
+	thr := CaptureThresholdFor(tx.rate, m.net.cfg.CaptureThresholdDB)
+	for j, c := range elig {
+		lo, hi := br[j][0]*(1-slack), br[j][1]*(1+slack)
+		switch {
+		case c.l.dBm-mwToDBm(hi+noise) >= thr+captureGuardDB:
+			interf[c.o.ID] = 0
+			m.net.capture.bracket++
+		case lo > 0 && c.l.dBm-mwToDBm(lo+noise) < thr-captureGuardDB:
+			interf[c.o.ID] = math.Inf(1)
+			m.net.capture.bracket++
+		default:
+			sum := 0.0
+			for _, it := range tx.overlapped {
+				sum += m.net.mwTo(it.row, c.o)
+			}
+			interf[c.o.ID] = sum
+			m.net.capture.exact++
+		}
+	}
+}
+
 // deliverable decides whether receiver o successfully decodes tx and
 // returns the effective SNR. Three loss mechanisms apply, the same
 // three the paper lists for unrecorded frames (Sec 4.4):
@@ -445,7 +514,9 @@ func (m *medium) complete(tx *transmission) {
 // node is not also counted as a collision victim. The per-transmission
 // batch context comes from complete(): deaf is the half-duplex stamp,
 // interf the per-receiver interference sums (nil when nothing
-// overlapped), lk the transmission's FER table bracket.
+// overlapped; on sparse completions, stand-ins with the same capture
+// decision, see settleCapture), lk the transmission's FER table
+// bracket.
 func (m *medium) deliverable(o *Node, tx *transmission, l link, deaf uint64, interf []float64, lk phy.FERLookup) (snrDB float64, ok bool) {
 	env := &m.net.cfg.Env
 	rxPower := l.dBm

@@ -126,6 +126,10 @@ type TxObservation struct {
 	// at any given observer). The slice is reused between
 	// observations: valid only during the call.
 	Overlapped []TxRef
+	// CaptureThresholdDB is the network's base capture threshold
+	// (Config.CaptureThresholdDB), so observers decide overlap losses
+	// as receivers do, via CaptureThresholdFor.
+	CaptureThresholdDB float64
 }
 
 // TxRef locates an interfering transmitter.
@@ -214,6 +218,13 @@ type Network struct {
 	// fer is the quantized FER table answering frame-error draws (nil
 	// when Config.FERQuantumDB is negative: analytic path).
 	fer *phy.FERTable
+	// farTables holds one culled-interference bracket table per
+	// transmit power (sparse mode; see farTable).
+	farTables map[float64]*farTable
+	// capture counts how sparse completions settled capture tests:
+	// from the interference bracket alone, or by the exact sum. Tests
+	// read it to show both paths ran; it is not a NetStats counter.
+	capture struct{ bracket, exact uint64 }
 
 	// Transmission pool (see medium.go).
 	txFree []*transmission

@@ -1,6 +1,10 @@
 package sim
 
-import "math"
+import (
+	"math"
+
+	"wlan80211/internal/phy"
+)
 
 // This file breaks the O(N²) link matrix with spatial interference
 // culling: a uniform cell grid over node positions (rebuilt lazily off
@@ -256,9 +260,84 @@ func (n *Network) mwTo(r *linkRow, o *Node) float64 {
 	if l, ok := r.linkTo(o); ok {
 		return l.mw
 	}
-	env := &n.cfg.Env
-	dBm := env.RxPowerDBm(r.power, r.ownerPos.Distance(o.Pos), nil)
-	return pow10(dBm / 10)
+	return culledMW(&n.cfg.Env, r.power, r.ownerPos.Distance(o.Pos))
+}
+
+// culledMW is the received power in milliwatts of a transmitter at
+// power dBm over d meters: the term an interference sum adds for a
+// pair its sparse row culled, and the value farTable samples.
+func culledMW(env *phy.Environment, power, d float64) float64 {
+	return pow10(env.RxPowerDBm(power, d, nil) / 10)
+}
+
+// farTable brackets culledMW from a squared distance without a log or
+// pow per pair. Received power is non-increasing in distance for any
+// path-loss exponent (flat below the 1 m clamp), so a pair whose
+// computed d² lies in [e_k, e_{k+1}) receives between culledMW at the
+// two edges. The edges are the float64 values whose bits below the top
+// farMantBits of the mantissa are zero, so a d² finds its bucket by a
+// shift of its bits. Entries are computed on first use, on the exact
+// path, one table per transmit power (the environment is fixed per
+// network).
+//
+// farGuard widens each edge value relatively. The computed pair value
+// differs from the real path-loss curve at the computed distance by a
+// few ulps of Hypot, Log10 and Pow, and the computed d² from the
+// true one by a few ulps: all below 1e-12 relative, so the widened
+// bracket always contains the value mwTo computes.
+type farTable struct {
+	env   *phy.Environment
+	power float64
+	mw    []float64 // culledMW at edge i; 0 = not computed yet
+}
+
+const (
+	farMantBits = 8
+	farShift    = 52 - farMantBits
+	// farBase is the bucket index of d² = 1 m², the clamp edge.
+	farBase = 0x3FF0000000000000 >> farShift
+	// farEdges spans d² from 1 to 2⁴⁰ m² (d up to ~1000 km).
+	farEdges = 40<<farMantBits + 1
+	farGuard = 1e-9
+)
+
+// farFor returns the bracket table for transmit power dBm.
+func (n *Network) farFor(power float64) *farTable {
+	f := n.farTables[power]
+	if f == nil {
+		f = &farTable{env: &n.cfg.Env, power: power, mw: make([]float64, farEdges)}
+		if n.farTables == nil {
+			n.farTables = make(map[float64]*farTable)
+		}
+		n.farTables[power] = f
+	}
+	return f
+}
+
+// edge returns culledMW at bucket edge i.
+func (t *farTable) edge(i int) float64 {
+	v := t.mw[i]
+	if v == 0 {
+		d2 := math.Float64frombits(uint64(i+farBase) << farShift)
+		v = culledMW(t.env, t.power, math.Sqrt(d2))
+		t.mw[i] = v
+	}
+	return v
+}
+
+// bracket returns lo ≤ culledMW(power, d) ≤ hi for a pair whose
+// computed squared distance is d2. Below 1 m² the clamp pins the value
+// to the d = 1 edge; past the table's end only the upper edge binds.
+func (t *farTable) bracket(d2 float64) (lo, hi float64) {
+	if d2 < 1 {
+		v := t.edge(0)
+		return v * (1 - farGuard), v * (1 + farGuard)
+	}
+	i := int(math.Float64bits(d2)>>farShift) - farBase
+	if i+1 >= farEdges {
+		return 0, t.edge(farEdges-1) * (1 + farGuard)
+	}
+	return t.edge(i+1) * (1 - farGuard), t.edge(i) * (1 + farGuard)
 }
 
 // snrTo returns the row's SNR toward o, recomputing the out-of-range

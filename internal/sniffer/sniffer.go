@@ -224,7 +224,7 @@ func (s *Sniffer) ObserveTransmission(o sim.TxObservation) {
 			interfMW += s.memoFor(it.FromID, it.TxPowerDBm, it.FromPos).mw
 		}
 		sinr := rx - mwToDBm(interfMW+s.noiseMW)
-		if sinr < sim.CaptureThresholdFor(o.Rate, 10) { // as at receivers
+		if sinr < sim.CaptureThresholdFor(o.Rate, o.CaptureThresholdDB) { // as at receivers
 			s.LostCollision++
 			return
 		}

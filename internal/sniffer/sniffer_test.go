@@ -1,6 +1,7 @@
 package sniffer
 
 import (
+	"math"
 	"testing"
 
 	"wlan80211/internal/dot11"
@@ -134,5 +135,38 @@ func TestSnifferDefaults(t *testing.T) {
 func TestClampDBm(t *testing.T) {
 	if clampDBm(300) != 127 || clampDBm(-300) != -128 || clampDBm(-55) != -55 {
 		t.Error("clamp broken")
+	}
+}
+
+// TestSnifferUsesNetworkCaptureThreshold decides the same overlapped
+// frame under two network capture thresholds: at ~7 dB SINR an 11 Mbps
+// frame collides against the default 10 dB base and is captured
+// against a 5 dB base.
+func TestSnifferUsesNetworkCaptureThreshold(t *testing.T) {
+	env := phy.DefaultEnvironment()
+	env.ShadowingSigmaDB = 0
+	from := sim.Position{X: 10, Y: 0}
+	frame := dot11.NewData(dot11.AddrFromUint64(1), dot11.AddrFromUint64(2), dot11.AddrFromUint64(1), 1, make([]byte, 100))
+	// The interferer sits where its power at the sniffer is 7 dB
+	// below the transmitter's: distance ratio 10^(7/(10·n)).
+	interfAt := sim.Position{X: 10 * math.Pow(10, 7/(10*env.PathLossExponent)), Y: 0}
+	observe := func(baseDB float64) *Sniffer {
+		sc := DefaultConfig("A", 1, sim.Position{}, phy.Channel1)
+		sc.Env = env
+		sn := New(sc)
+		sn.ObserveTransmission(sim.TxObservation{
+			Channel: phy.Channel1, Rate: phy.Rate11Mbps,
+			Frame: frame.AppendTo(nil), WireLen: frame.WireLen(),
+			FromID: 0, FromPos: from, TxPowerDBm: phy.DefaultTxPowerDBm,
+			Overlapped:         []sim.TxRef{{FromID: 1, FromPos: interfAt, TxPowerDBm: phy.DefaultTxPowerDBm}},
+			CaptureThresholdDB: baseDB,
+		})
+		return sn
+	}
+	if sn := observe(10); sn.LostCollision != 1 {
+		t.Fatalf("10 dB base: want a collision loss, got %+v", sn.CaptureState())
+	}
+	if sn := observe(5); sn.LostCollision != 0 || sn.Captured != 1 {
+		t.Fatalf("5 dB base: want the frame captured, got %+v", sn.CaptureState())
 	}
 }
