@@ -108,8 +108,13 @@ func main() {
 			Scenario: experiment.NewLadder("ladder", workload.DefaultLadder(*scale)),
 		})
 	}
-	eng := &experiment.Engine{Workers: *workers}
-	results := eng.Run(specs)
+	ex, err := (&experiment.Runner{}).Execute(context.Background(), experiment.RunSpecOpts{Specs: specs, Workers: *workers})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ietfrepro:", err)
+		profStop()
+		os.Exit(1)
+	}
+	results := ex.Results
 	for _, res := range results {
 		if res.Err != nil {
 			fmt.Fprintf(os.Stderr, "ietfrepro: %s: %v\n", res.Spec.Name, res.Err)
@@ -223,8 +228,13 @@ func runMatrix(nSeeds int, scale float64, workers int, grid bool, jsonOut string
 	// seeds it finished.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	eng := &experiment.Engine{Workers: workers}
-	results := eng.RunContext(ctx, specs)
+	ex, err := (&experiment.Runner{}).Execute(ctx, experiment.RunSpecOpts{Specs: specs, Workers: workers})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ietfrepro:", err)
+		profStop()
+		os.Exit(1)
+	}
+	results := ex.Results
 	failed, canceled := 0, 0
 	for _, res := range results {
 		switch {

@@ -18,12 +18,12 @@
 //	wlansweep -runs 8 -json matrix.json               # 8 seeds per cell + JSON archive
 //	wlansweep -list                                   # registered scenarios
 //
-// Crash-resumable campaigns journal every completed run and snapshot
-// in-flight runs, so a killed sweep resumes bit-identically:
+// Crash-resumable campaigns journal every completed run, so a killed
+// sweep resumes bit-identically:
 //
-//	wlansweep -campaign DIR -checkpoint 5             # journal + snapshot every 5 sim-s
-//	wlansweep -resume DIR                             # skip finished runs, replay-verify
-//	                                                  # interrupted ones, same aggregates
+//	wlansweep -campaign DIR                           # journal each completed run
+//	wlansweep -resume DIR                             # skip journaled runs, rerun the
+//	                                                  # interrupted ones from t=0
 //
 // Distributed sweeps shard one campaign across worker processes: a
 // coordinator leases spec ranges over HTTP (/api/v1) and folds the
@@ -52,7 +52,6 @@ import (
 
 	"wlan80211/internal/dispatch"
 	"wlan80211/internal/experiment"
-	"wlan80211/internal/phy"
 	"wlan80211/internal/prof"
 	"wlan80211/internal/snapshot"
 )
@@ -88,9 +87,8 @@ func main() {
 		metrics   = flag.String("metrics", "", "comma-separated analysis stages (default: all)")
 		jsonOut   = flag.String("json", "", "also write the full report as JSON to this path (- = stdout)")
 		reduce    = flag.Bool("reduce", false, "reduce as you go: retain only aggregate rows, not per-run results (for very large matrices; -json omits runs)")
-		campaign  = flag.String("campaign", "", "run as a crash-resumable campaign in this directory (journal + snapshots)")
+		campaign  = flag.String("campaign", "", "run as a crash-resumable campaign in this directory (journal of completed runs)")
 		resume    = flag.String("resume", "", "resume the campaign in this directory (matrix flags ignored; campaign.json is authoritative)")
-		checkp    = flag.Float64("checkpoint", 0, "with -campaign: mid-run snapshot interval in sim-seconds (0 = journal only)")
 		serve     = flag.String("serve", "", "run as a distributed-sweep coordinator listening on this address (host:port)")
 		dispatchD = flag.String("dispatch", "", "with -serve: coordinator state directory")
 		shardSize = flag.Int("shard-size", 1, "with -serve: specs per worker lease")
@@ -154,11 +152,10 @@ func main() {
 			return
 		}
 		cfg := dispatch.Config{
-			CheckpointMicros: int64(*checkp * float64(phy.MicrosPerSecond)),
-			Metrics:          splitList(*metrics),
-			ShardSize:        *shardSize,
-			LeaseTTL:         time.Duration(*leaseTTL * float64(time.Second)),
-			Logf:             logStderr,
+			Metrics:   splitList(*metrics),
+			ShardSize: *shardSize,
+			LeaseTTL:  time.Duration(*leaseTTL * float64(time.Second)),
+			Logf:      logStderr,
 		}
 		switch {
 		case *resume != "":
@@ -173,11 +170,7 @@ func main() {
 		return
 	}
 
-	specs, err := m.Expand()
-	if err != nil {
-		fatal(err)
-	}
-
+	opts := experiment.RunSpecOpts{Matrix: m, Workers: *workers, Metrics: splitList(*metrics)}
 	if *campaign != "" || *resume != "" {
 		if *campaign != "" && *resume != "" {
 			fatal(errors.New("-campaign and -resume are mutually exclusive"))
@@ -185,25 +178,29 @@ func main() {
 		if *reduce {
 			fatal(errors.New("-reduce does not apply to campaigns (the journal already bounds memory)"))
 		}
-		runCampaignMode(ctx, *campaign, *resume, m, experiment.CampaignOptions{
-			Workers:    *workers,
-			Metrics:    splitList(*metrics),
-			Checkpoint: phy.Micros(*checkp * float64(phy.MicrosPerSecond)),
-		}, *jsonOut)
+		opts.Mode = experiment.ModeCampaign
+		opts.CampaignDir = *campaign
+		if *resume != "" {
+			opts.CampaignDir, opts.Resume = *resume, true
+		}
+		runCampaignMode(ctx, opts, *jsonOut)
 		return
 	}
 
-	eng := &experiment.Engine{Workers: *workers, Metrics: splitList(*metrics)}
-	var results []experiment.RunResult
-	var aggs []experiment.Aggregated
-	failed, canceled := 0, 0
 	if *reduce {
 		// Reduce-as-you-go: per-run Results are dropped the moment
 		// their summary folds into the aggregates, so the matrix size
 		// no longer bounds memory.
-		var errs []error
-		aggs, errs = eng.RunReduceContext(ctx, specs)
-		for i, err := range errs {
+		opts.Mode = experiment.ModeReduce
+	}
+	ex, err := (&experiment.Runner{}).Execute(ctx, opts)
+	if err != nil {
+		fatal(err)
+	}
+	specs, results, aggs := ex.Specs, ex.Results, ex.Aggregates
+	failed, canceled := 0, 0
+	if *reduce {
+		for i, err := range ex.Errs {
 			switch {
 			case errors.Is(err, context.Canceled):
 				canceled++
@@ -214,8 +211,6 @@ func main() {
 			}
 		}
 	} else {
-		results = eng.RunContext(ctx, specs)
-		aggs = experiment.Aggregate(results)
 		for _, r := range results {
 			switch {
 			case errors.Is(r.Err, context.Canceled):
@@ -289,20 +284,14 @@ func main() {
 // runCampaignMode runs or resumes a crash-resumable campaign and
 // reports it. Exit statuses match the plain path: 130 when
 // interrupted (resume later with -resume), 2 on hard errors.
-func runCampaignMode(ctx context.Context, startDir, resumeDir string, m experiment.Matrix, opts experiment.CampaignOptions, jsonOut string) {
-	dir := startDir
-	var res *experiment.CampaignResult
-	var err error
-	if resumeDir != "" {
-		dir = resumeDir
-		res, err = experiment.ResumeCampaign(ctx, dir, opts)
-	} else {
-		res, err = experiment.RunCampaign(ctx, dir, m, opts)
-	}
+func runCampaignMode(ctx context.Context, opts experiment.RunSpecOpts, jsonOut string) {
+	dir := opts.CampaignDir
+	ex, err := (&experiment.Runner{}).Execute(ctx, opts)
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
 		fatal(err)
 	}
+	res := ex.Campaign
 
 	done := 0
 	for _, d := range res.Done {
@@ -313,9 +302,6 @@ func runCampaignMode(ctx context.Context, startDir, resumeDir string, m experime
 	title := fmt.Sprintf("Campaign %s (%d runs", dir, len(res.Specs))
 	if res.FromJournal > 0 {
 		title += fmt.Sprintf(", %d from journal", res.FromJournal)
-	}
-	if res.Verified > 0 {
-		title += fmt.Sprintf(", %d snapshot-verified", res.Verified)
 	}
 	title += ")"
 	if interrupted {

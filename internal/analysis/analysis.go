@@ -6,14 +6,13 @@
 // (Sec 4.4, Equation 1), the 16 size×rate frame categories (Sec 6),
 // and the per-figure aggregations for Figures 4–15.
 //
-// Unlike the batch core.Analyze of earlier revisions, the analysis is
-// a streaming pipeline: a shared single-pass decoder parses each
-// record once, tracks DCF exchange state, and fans annotated
-// FrameEvents out to independent Metric stages — one per paper figure
-// group — selected through Options.Metrics. Records arrive
-// incrementally via Feed (or straight from a pcap stream via Run), so
-// peak memory is bounded by per-second accumulator state and the
-// per-device exchange tables, not by trace length. Work is sharded
+// The analysis is a streaming pipeline: a shared single-pass decoder
+// parses each record once, tracks DCF exchange state, and fans
+// annotated FrameEvents out to independent Metric stages — one per
+// paper figure group — selected through Options.Metrics. Records
+// arrive incrementally via Feed (or straight from a pcap stream via
+// Run), so peak memory is bounded by per-second accumulator state and
+// the per-device exchange tables, not by trace length. Work is sharded
 // per channel — the unit at which the paper computes every metric —
 // and optionally spread across goroutines; shards merge in ascending
 // channel order, making the parallel path deterministic and

@@ -1,8 +1,14 @@
+// Package core holds the unit tests of the paper's core trace analysis
+// — Table 2 delays, the CBT and utilization equations, the missing-frame
+// estimators of Equation 1, size/rate categories and congestion classes —
+// written against package analysis, which implements them. It has no
+// non-test code.
 package core
 
 import (
 	"testing"
 
+	"wlan80211/internal/analysis"
 	"wlan80211/internal/capture"
 	"wlan80211/internal/dot11"
 	"wlan80211/internal/phy"
@@ -44,7 +50,7 @@ func beaconRec(t phy.Micros) capture.Record {
 }
 
 func TestAnalyzeEmptyTrace(t *testing.T) {
-	r := Analyze(nil)
+	r := analysis.Analyze(nil)
 	if r.TotalFrames != 0 || len(r.PerChannel) != 0 {
 		t.Error("empty trace must produce empty result")
 	}
@@ -58,7 +64,7 @@ func TestAnalyzeDataAckExchange(t *testing.T) {
 	recs = append(recs, beaconRec(1000)) // discover the AP
 	more, _ := dataAck(200_000, staAddr, 500, phy.Rate11Mbps, 7, false)
 	recs = append(recs, more...)
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 
 	if r.TotalFrames != 3 {
 		t.Fatalf("TotalFrames = %d", r.TotalFrames)
@@ -79,8 +85,8 @@ func TestAnalyzeDataAckExchange(t *testing.T) {
 		t.Errorf("counts: %+v", s)
 	}
 	// CBT = beacon (354) + data (50 + 192 + ceil(8*(34+528)/11)) + ack (314).
-	wantData := CBTData(528, phy.Rate11Mbps)
-	want := CBTBeacon() + wantData + CBTACK()
+	wantData := analysis.CBTData(528, phy.Rate11Mbps)
+	want := analysis.CBTBeacon() + wantData + analysis.CBTACK()
 	if s.CBT != want {
 		t.Errorf("CBT = %d, want %d", s.CBT, want)
 	}
@@ -94,7 +100,7 @@ func TestAnalyzeDataAckExchange(t *testing.T) {
 		t.Errorf("FirstAckPerRate[11] at u=%d: %v,%d", u, m, n)
 	}
 	// Acceptance delay present for S-11.
-	ci, _ := CategoryOf(528, phy.Rate11Mbps).Index()
+	ci, _ := analysis.CategoryOf(528, phy.Rate11Mbps).Index()
 	if _, n := r.AcceptDelay[ci].Mean(u); n != 1 {
 		t.Errorf("AcceptDelay missing for cat %d", ci)
 	}
@@ -113,8 +119,8 @@ func TestAcceptanceDelaySpansRetries(t *testing.T) {
 	end := phy.Micros(60_000) + phy.Airtime(d2.WireLen(), phy.Rate11Mbps)
 	recs = append(recs, rec(end+phy.SIFS, dot11.NewACK(staAddr), phy.Rate1Mbps))
 
-	r := Analyze(recs)
-	ci, _ := CategoryOf(d2.WireLen(), phy.Rate11Mbps).Index()
+	r := analysis.Analyze(recs)
+	ci, _ := analysis.CategoryOf(d2.WireLen(), phy.Rate11Mbps).Index()
 	var got float64
 	found := false
 	for u := 0; u <= 100; u++ {
@@ -144,7 +150,7 @@ func TestMissingDataEstimator(t *testing.T) {
 		beaconRec(100),
 		rec(500_000, dot11.NewACK(apAddr), phy.Rate1Mbps),
 	}
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	if r.Unrecorded.MissingData != 1 {
 		t.Errorf("MissingData = %d", r.Unrecorded.MissingData)
 	}
@@ -163,7 +169,7 @@ func TestMissingRTSEstimator(t *testing.T) {
 		beaconRec(100),
 		rec(500_000, dot11.NewCTS(apAddr, 1000), phy.Rate1Mbps),
 	}
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	if r.Unrecorded.MissingRTS != 1 {
 		t.Errorf("MissingRTS = %d", r.Unrecorded.MissingRTS)
 	}
@@ -179,7 +185,7 @@ func TestMissingCTSEstimator(t *testing.T) {
 		rec(500_000, rts, phy.Rate1Mbps),
 		rec(501_000, d, phy.Rate11Mbps),
 	}
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	if r.Unrecorded.MissingCTS != 1 {
 		t.Errorf("MissingCTS = %d", r.Unrecorded.MissingCTS)
 	}
@@ -206,7 +212,7 @@ func TestCompleteRTSCTSExchangeNotFlagged(t *testing.T) {
 		rec(dStart, d, phy.Rate11Mbps),
 		rec(dEnd+phy.SIFS, dot11.NewACK(staAddr), phy.Rate1Mbps),
 	}
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	if r.Unrecorded.Total() != 0 {
 		t.Errorf("complete exchange flagged unrecorded: %+v", r.Unrecorded)
 	}
@@ -233,7 +239,7 @@ func TestAPDiscoveryAndRanking(t *testing.T) {
 	d.FC.ToDS = true
 	recs = append(recs, rec(t0, d, phy.Rate11Mbps))
 
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	if r.APs.Count() != 2 {
 		t.Fatalf("APs = %d", r.APs.Count())
 	}
@@ -260,7 +266,7 @@ func TestUserCounting(t *testing.T) {
 	m2, _ := dataAck(2_000_000, sta2, 300, phy.Rate11Mbps, 1, false)
 	m3, _ := dataAck(31_000_000, staAddr, 300, phy.Rate11Mbps, 2, false)
 	recs = append(append(append(recs, m1...), m2...), m3...)
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	if len(r.Users) != 2 {
 		t.Fatalf("windows = %d", len(r.Users))
 	}
@@ -281,7 +287,7 @@ func TestGapFreeTimeSeries(t *testing.T) {
 	recs = append(recs, beaconRec(100))
 	more, _ := dataAck(3_200_000, staAddr, 300, phy.Rate11Mbps, 1, false)
 	recs = append(recs, more...)
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	secs := r.PerChannel[phy.Channel1]
 	if len(secs) != 4 {
 		t.Fatalf("series length = %d, want 4", len(secs))
@@ -306,7 +312,7 @@ func TestBusyTimeAndBytesPerRate(t *testing.T) {
 	recs = append(recs, m1...)
 	m2, _ := dataAck(next+1000, sta2, 1400, phy.Rate11Mbps, 1, false)
 	recs = append(recs, m2...)
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	u := r.PerChannel[phy.Channel1][0].Utilization
 	slow, _ := r.BusyTimePerRate[0].Mean(u)
 	fast, _ := r.BusyTimePerRate[3].Mean(u)
@@ -327,10 +333,10 @@ func TestTxPerCategory(t *testing.T) {
 	recs = append(recs, m1...)
 	m2, _ := dataAck(next+1000, sta2, 1400, phy.Rate1Mbps, 1, false) // XL-1
 	recs = append(recs, m2...)
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	u := r.PerChannel[phy.Channel1][0].Utilization
-	s11, _ := CategoryOf(128, phy.Rate11Mbps).Index()
-	xl1, _ := CategoryOf(1428, phy.Rate1Mbps).Index()
+	s11, _ := analysis.CategoryOf(128, phy.Rate11Mbps).Index()
+	xl1, _ := analysis.CategoryOf(1428, phy.Rate1Mbps).Index()
 	if m, n := r.TxPerCategory[s11].Mean(u); n != 1 || m != 1 {
 		t.Errorf("S-11 count: %v,%d", m, n)
 	}
@@ -344,14 +350,14 @@ func TestParseErrorsCounted(t *testing.T) {
 		beaconRec(100),
 		{Time: 200, Rate: phy.Rate1Mbps, Channel: phy.Channel1, OrigLen: 1, Frame: []byte{0xff}},
 	}
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	if r.ParseErrors != 1 {
 		t.Errorf("ParseErrors = %d", r.ParseErrors)
 	}
 }
 
 func TestFindKneeFromSyntheticCurve(t *testing.T) {
-	r := &Result{}
+	r := &analysis.Result{}
 	// Throughput rises to a peak at 84 then collapses.
 	for u := 30; u <= 99; u++ {
 		var v float64
@@ -376,7 +382,7 @@ func TestFindKneeFromSyntheticCurve(t *testing.T) {
 }
 
 func TestFindKneeFallback(t *testing.T) {
-	r := &Result{}
+	r := &analysis.Result{}
 	if knee := r.FindKnee(30, 99, 1); knee != 84 {
 		t.Errorf("empty-data knee = %d, want fallback 84", knee)
 	}
@@ -389,9 +395,9 @@ func TestClassShare(t *testing.T) {
 			h.Add(v)
 		}
 	}
-	r := &Result{UtilHist: h}
-	share := r.ClassShare(PaperClassifier())
-	if share[Uncongested] != 0.5 || share[Moderate] != 0.3 || share[High] != 0.2 {
+	r := &analysis.Result{UtilHist: h}
+	share := r.ClassShare(analysis.PaperClassifier())
+	if share[analysis.Uncongested] != 0.5 || share[analysis.Moderate] != 0.3 || share[analysis.High] != 0.2 {
 		t.Errorf("shares = %v", share)
 	}
 }
@@ -412,7 +418,7 @@ func TestAnalyzeMultiChannel(t *testing.T) {
 	}
 	recs = append(recs, m2...)
 
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	if len(r.PerChannel[phy.Channel1]) != 1 || len(r.PerChannel[phy.Channel6]) != 1 {
 		t.Fatalf("per-channel series: %d/%d",
 			len(r.PerChannel[phy.Channel1]), len(r.PerChannel[phy.Channel6]))
@@ -431,8 +437,8 @@ func TestAnalyzeOutOfOrderRecords(t *testing.T) {
 	m, _ := dataAck(200_000, staAddr, 500, phy.Rate11Mbps, 3, false)
 	recs = append(recs, m...)
 	shuffled := []capture.Record{recs[2], recs[0], recs[1]}
-	a := Analyze(recs)
-	b := Analyze(shuffled)
+	a := analysis.Analyze(recs)
+	b := analysis.Analyze(shuffled)
 	if a.Unrecorded != b.Unrecorded || a.TotalFrames != b.TotalFrames {
 		t.Error("order dependence detected")
 	}
@@ -453,7 +459,7 @@ func TestAckOutsideWindowNotMatched(t *testing.T) {
 		rec(200_000, d, phy.Rate11Mbps),
 		rec(900_000, dot11.NewACK(staAddr), phy.Rate1Mbps), // 700 ms later
 	}
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	if r.Unrecorded.MissingData != 1 {
 		t.Errorf("late ACK must count as orphan: %+v", r.Unrecorded)
 	}
@@ -474,7 +480,7 @@ func TestAckForDifferentStationNotMatched(t *testing.T) {
 		rec(200_000, d, phy.Rate11Mbps),
 		rec(end+phy.SIFS, dot11.NewACK(sta2), phy.Rate1Mbps),
 	}
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	if r.Unrecorded.MissingData != 1 {
 		t.Errorf("mismatched ACK must be orphan: %+v", r.Unrecorded)
 	}
@@ -484,7 +490,7 @@ func TestBroadcastDataIsGoodputWithoutAck(t *testing.T) {
 	d := dot11.NewData(dot11.Broadcast, apAddr, apAddr, 7, make([]byte, 200))
 	d.FC.FromDS = true
 	recs := []capture.Record{beaconRec(100), rec(200_000, d, phy.Rate11Mbps)}
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	s := r.PerChannel[phy.Channel1][0]
 	// Beacon + broadcast data both count fully toward goodput.
 	if s.GoodputMbps != s.ThroughputMbps {
@@ -506,7 +512,7 @@ func TestUtilizationClampAt100(t *testing.T) {
 		recs = append(recs, rec(t0, d, phy.Rate1Mbps))
 		t0 += 3000
 	}
-	r := Analyze(recs)
+	r := analysis.Analyze(recs)
 	if u := r.PerChannel[phy.Channel1][0].Utilization; u != 100 {
 		t.Errorf("utilization = %d, want clamp at 100", u)
 	}

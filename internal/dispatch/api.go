@@ -12,7 +12,7 @@ import (
 //
 //	GET  /healthz                       — liveness + progress counts
 //	GET  /api/v1/campaign               — the campaign manifest
-//	                                      (matrix, checkpoint, metrics)
+//	                                      (matrix, metrics)
 //	GET  /api/v1/status                 — shard/lease/run progress
 //	POST /api/v1/leases/claim           — claim a shard lease
 //	POST /api/v1/leases/{id}/heartbeat  — keep a lease alive (410 once

@@ -48,11 +48,8 @@ type Config struct {
 	// Dir is the coordinator state directory (created if needed).
 	Dir string
 	// Matrix is the campaign to shard. Empty Scenarios means resume:
-	// the matrix, checkpoint interval, and metrics come from the
-	// directory's manifest.
+	// the matrix and metrics come from the directory's manifest.
 	Matrix experiment.Matrix
-	// CheckpointMicros is the workers' mid-run snapshot interval.
-	CheckpointMicros int64
 	// Metrics selects analysis stages by name (empty = all).
 	Metrics []string
 	// ShardSize is specs per shard; <=0 means DefaultShardSize. Must
@@ -162,10 +159,9 @@ func (c *Coordinator) loadManifest() error {
 		return nil
 	}
 	c.man = experiment.Manifest{
-		Version:          1,
-		Matrix:           c.cfg.Matrix,
-		CheckpointMicros: c.cfg.CheckpointMicros,
-		Metrics:          c.cfg.Metrics,
+		Version: 1,
+		Matrix:  c.cfg.Matrix,
+		Metrics: c.cfg.Metrics,
 	}
 	if err == nil {
 		a, _ := json.Marshal(c.man)

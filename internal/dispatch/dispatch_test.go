@@ -30,10 +30,13 @@ func testMatrix() experiment.Matrix {
 func referenceReport(t *testing.T, m experiment.Matrix) []byte {
 	t.Helper()
 	dir := t.TempDir()
-	res, err := experiment.RunCampaign(context.Background(), dir, m, experiment.CampaignOptions{Workers: 2})
+	ex, err := (&experiment.Runner{}).Execute(context.Background(), experiment.RunSpecOpts{
+		Mode: experiment.ModeCampaign, Matrix: m, Workers: 2, CampaignDir: dir,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := ex.Campaign
 	man, err := experiment.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -142,13 +142,12 @@ func (w *Worker) runShard(ctx context.Context, man experiment.Manifest, ls *Leas
 	}()
 
 	ex, err := (&experiment.Runner{}).Execute(ctx, experiment.RunSpecOpts{
-		Mode:             experiment.ModeCampaign,
-		Matrix:           man.Matrix,
-		CampaignDir:      dir,
-		Workers:          w.Workers,
-		Metrics:          man.Metrics,
-		CheckpointMicros: man.CheckpointMicros,
-		Range:            &experiment.SpecRange{From: ls.From, To: ls.To},
+		Mode:        experiment.ModeCampaign,
+		Matrix:      man.Matrix,
+		CampaignDir: dir,
+		Workers:     w.Workers,
+		Metrics:     man.Metrics,
+		Range:       &experiment.SpecRange{From: ls.From, To: ls.To},
 	})
 	stopHB()
 	hbWG.Wait()

@@ -19,7 +19,7 @@ func BenchmarkGridMatrix(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results := (&Engine{}).Run(specs)
+		results := collect(b, 0, specs)
 		for _, r := range results {
 			if r.Err != nil {
 				b.Fatal(r.Err)
@@ -49,7 +49,7 @@ func BenchmarkGridReduce(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng := &Engine{}
-		aggs, errs := eng.RunReduce(specs)
+		aggs, errs := reduce(b, eng, specs)
 		for _, e := range errs {
 			if e != nil {
 				b.Fatal(e)

@@ -11,9 +11,7 @@ import (
 	"runtime"
 	"sync"
 
-	"wlan80211/internal/analysis"
 	"wlan80211/internal/experiment/faultinject"
-	"wlan80211/internal/phy"
 	"wlan80211/internal/snapshot"
 )
 
@@ -26,38 +24,31 @@ import (
 //	                  O_APPEND in a single write; each line carries a
 //	                  CRC32 of its record, so a torn tail from a crash
 //	                  mid-append is detected and truncated on resume
-//	snapshots/run-N.snap — the latest mid-run snapshot of each
-//	                  in-flight run (temp-file+rename, see snapshot)
 //
 // Determinism contract: a campaign that crashes at ANY instant and is
 // resumed produces aggregates and per-run trace hashes bit-identical
-// to one that never crashed. Completed runs come back from the
-// journal (JSON round-trips int64 and float64 values exactly, and
-// folding happens in spec order either way); interrupted runs are
-// deterministically replayed, and their mid-run snapshot is verified
-// byte-for-byte against the replayed state at the same sim instant —
-// proving the snapshot witnessed the exact state the resumed run
-// passes through (event callbacks are closures, so state cannot be
-// deserialized directly; the snapshot is the proof of equivalence,
-// the replay is the reconstruction).
+// to one that never crashed. The run is the unit of durability.
+// Completed runs come back from the journal (JSON round-trips int64
+// and float64 values exactly, and folding happens in spec order
+// either way). A run the crash interrupted left no record, so resume
+// reruns it from t=0; runs are deterministic, so the rerun journals
+// exactly the record the lost run would have. The journaled
+// trace_hash is the divergence check: every fold of records — a
+// resume's own journal, a dispatch coordinator's shard uploads —
+// rejects two records for one run that disagree.
 
 const (
 	manifestName = "campaign.json"
 	journalName  = "journal.jsonl"
-	snapshotsDir = "snapshots"
 )
 
-// CampaignOptions configures a campaign run.
-type CampaignOptions struct {
+// campaignOptions configures a campaign run.
+type campaignOptions struct {
 	// Workers bounds concurrent runs; <=0 means GOMAXPROCS. Forced to
 	// 1 when an Injector is armed, so crash instants are reproducible.
 	Workers int
 	// Metrics selects analysis stages by name (empty = all).
 	Metrics []string
-	// Checkpoint is the mid-run snapshot interval in sim time; 0
-	// disables mid-run snapshots (the journal alone still makes
-	// completed runs skippable).
-	Checkpoint phy.Micros
 	// Injector arms a deterministic crash point (tests and the CI
 	// kill-and-resume job).
 	Injector *faultinject.Injector
@@ -70,11 +61,10 @@ type CampaignOptions struct {
 
 // Manifest is the persisted campaign identity (campaign.json).
 type Manifest struct {
-	Version          int        `json:"version"`
-	Matrix           Matrix     `json:"matrix"`
-	CheckpointMicros int64      `json:"checkpoint_micros"`
-	Metrics          []string   `json:"metrics,omitempty"`
-	Range            *SpecRange `json:"range,omitempty"`
+	Version int        `json:"version"`
+	Matrix  Matrix     `json:"matrix"`
+	Metrics []string   `json:"metrics,omitempty"`
+	Range   *SpecRange `json:"range,omitempty"`
 }
 
 // RunRecord is one completed run as journaled.
@@ -94,21 +84,18 @@ type CampaignResult struct {
 	Done       []bool      // which Records are filled
 	Aggregates []Aggregated
 	// FromJournal counts runs skipped because the journal already had
-	// them; Verified counts interrupted runs whose snapshot was
-	// replay-verified on resume.
+	// them.
 	FromJournal int
-	Verified    int
 }
 
 // Report is the serializable campaign report (what wlansweep -json
 // writes and the CI kill-and-resume job diffs).
 func (r *CampaignResult) Report(man Manifest) CampaignReport {
 	rep := CampaignReport{
-		Scenarios:        man.Matrix.Scenarios,
-		Seeds:            man.Matrix.Seeds,
-		Scales:           man.Matrix.Scales,
-		CheckpointMicros: man.CheckpointMicros,
-		Aggregates:       r.Aggregates,
+		Scenarios:  man.Matrix.Scenarios,
+		Seeds:      man.Matrix.Seeds,
+		Scales:     man.Matrix.Scales,
+		Aggregates: r.Aggregates,
 	}
 	for i, rec := range r.Records {
 		if r.Done[i] {
@@ -120,12 +107,11 @@ func (r *CampaignResult) Report(man Manifest) CampaignReport {
 
 // CampaignReport is the JSON report shape.
 type CampaignReport struct {
-	Scenarios        []string     `json:"scenarios"`
-	Seeds            []int64      `json:"seeds,omitempty"`
-	Scales           []float64    `json:"scales,omitempty"`
-	CheckpointMicros int64        `json:"checkpoint_micros"`
-	Runs             []RunRecord  `json:"runs"`
-	Aggregates       []Aggregated `json:"aggregates"`
+	Scenarios  []string     `json:"scenarios"`
+	Seeds      []int64      `json:"seeds,omitempty"`
+	Scales     []float64    `json:"scales,omitempty"`
+	Runs       []RunRecord  `json:"runs"`
+	Aggregates []Aggregated `json:"aggregates"`
 }
 
 // WriteJSONAtomic marshals v and writes it to path via
@@ -264,50 +250,16 @@ func (j *journal) append(rec RunRecord, inj *faultinject.Injector) error {
 
 func (j *journal) close() error { return j.f.Close() }
 
-// RunCampaign starts (or continues — the journal makes it idempotent)
-// a campaign in dir. The directory is created if needed; an existing
-// campaign.json must describe the same matrix and options.
-//
-// Deprecated: RunCampaign is a thin compat wrapper over
-// Runner.Execute with ModeCampaign; new callers should use Runner.
-func RunCampaign(ctx context.Context, dir string, m Matrix, opts CampaignOptions) (*CampaignResult, error) {
-	ex, err := (&Runner{}).Execute(ctx, RunSpecOpts{
-		Mode: ModeCampaign, Matrix: m, CampaignDir: dir,
-		Workers: opts.Workers, Metrics: opts.Metrics,
-		CheckpointMicros: int64(opts.Checkpoint),
-		Range:            opts.Range, Injector: opts.Injector,
-	})
-	if ex == nil {
-		return nil, err
-	}
-	return ex.Campaign, err
-}
-
-// ResumeCampaign continues the campaign in dir, re-expanding the
-// matrix from campaign.json: finished runs are folded straight from
-// the journal, interrupted ones are deterministically replayed with
-// their latest snapshot verified byte-for-byte at its sim instant.
-//
-// Deprecated: ResumeCampaign is a thin compat wrapper over
-// Runner.Execute with ModeCampaign and Resume; new callers should use
-// Runner.
-func ResumeCampaign(ctx context.Context, dir string, opts CampaignOptions) (*CampaignResult, error) {
-	ex, err := (&Runner{}).Execute(ctx, RunSpecOpts{
-		Mode: ModeCampaign, CampaignDir: dir, Resume: true,
-		Workers: opts.Workers, Injector: opts.Injector,
-	})
-	if ex == nil {
-		return nil, err
-	}
-	return ex.Campaign, err
-}
-
 // startCampaignDir creates (or matches) the campaign manifest in dir
 // and runs the pending specs — Runner.Execute's ModeCampaign start
 // path.
-func startCampaignDir(ctx context.Context, dir string, m Matrix, opts CampaignOptions) (*CampaignResult, error) {
-	man := Manifest{Version: 1, Matrix: m, CheckpointMicros: int64(opts.Checkpoint), Metrics: opts.Metrics, Range: opts.Range}
-	if err := os.MkdirAll(filepath.Join(dir, snapshotsDir), 0o755); err != nil {
+func startCampaignDir(ctx context.Context, dir string, m Matrix, opts campaignOptions) (*CampaignResult, error) {
+	specs, err := m.Expand() // before touching dir: a bad matrix leaves no campaign behind
+	if err != nil {
+		return nil, err
+	}
+	man := Manifest{Version: 1, Matrix: m, Metrics: opts.Metrics, Range: opts.Range}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	manPath := filepath.Join(dir, manifestName)
@@ -322,23 +274,23 @@ func startCampaignDir(ctx context.Context, dir string, m Matrix, opts CampaignOp
 	} else if err := WriteJSONAtomic(manPath, man); err != nil {
 		return nil, err
 	}
-	return runCampaign(ctx, dir, man, opts)
+	return runCampaign(ctx, dir, specs, opts)
 }
 
 // resumeCampaignDir continues the campaign in dir with the on-disk
 // manifest authoritative — Runner.Execute's ModeCampaign resume path.
-func resumeCampaignDir(ctx context.Context, dir string, opts CampaignOptions) (*CampaignResult, error) {
+func resumeCampaignDir(ctx context.Context, dir string, opts campaignOptions) (*CampaignResult, error) {
 	man, err := readManifest(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: resume %s: %w", dir, err)
 	}
-	opts.Checkpoint = phy.Micros(man.CheckpointMicros)
-	opts.Metrics = man.Metrics
-	opts.Range = man.Range
-	if err := os.MkdirAll(filepath.Join(dir, snapshotsDir), 0o755); err != nil {
+	specs, err := man.Matrix.Expand()
+	if err != nil {
 		return nil, err
 	}
-	return runCampaign(ctx, dir, man, opts)
+	opts.Metrics = man.Metrics
+	opts.Range = man.Range
+	return runCampaign(ctx, dir, specs, opts)
 }
 
 // ReadManifest loads a campaign directory's manifest.
@@ -376,6 +328,19 @@ func FoldRecords(man Manifest, recs []RunRecord) (*CampaignResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	res, err := foldRecords(specs, recs)
+	if err != nil {
+		return nil, err
+	}
+	res.aggregate()
+	return res, nil
+}
+
+// foldRecords validates recs against the expanded matrix and places
+// each in its spec slot — FoldRecords' fold, which a campaign's own
+// journal goes through too, so conflicting records fail wherever they
+// are read. The result's Aggregates are left unset.
+func foldRecords(specs []Spec, recs []RunRecord) (*CampaignResult, error) {
 	res := &CampaignResult{
 		Specs:   specs,
 		Records: make([]RunRecord, len(specs)),
@@ -396,14 +361,19 @@ func FoldRecords(man Manifest, recs []RunRecord) (*CampaignResult, error) {
 		res.Done[rec.Index] = true
 		res.FromJournal++
 	}
+	return res, nil
+}
+
+// aggregate folds the done records in spec order — exactly the
+// uninterrupted Aggregate path.
+func (r *CampaignResult) aggregate() {
 	var rrs []RunResult
-	for i := range specs {
-		if res.Done[i] {
-			rrs = append(rrs, RunResult{Spec: specs[i], Summary: res.Records[i].Summary})
+	for i := range r.Specs {
+		if r.Done[i] {
+			rrs = append(rrs, RunResult{Spec: r.Specs[i], Summary: r.Records[i].Summary})
 		}
 	}
-	res.Aggregates = Aggregate(rrs)
-	return res, nil
+	r.Aggregates = Aggregate(rrs)
 }
 
 func readManifest(path string) (Manifest, error) {
@@ -421,31 +391,16 @@ func readManifest(path string) (Manifest, error) {
 	return man, nil
 }
 
-func runCampaign(ctx context.Context, dir string, man Manifest, opts CampaignOptions) (*CampaignResult, error) {
-	specs, err := man.Matrix.Expand()
-	if err != nil {
-		return nil, err
-	}
+func runCampaign(ctx context.Context, dir string, specs []Spec, opts campaignOptions) (*CampaignResult, error) {
 	j, journaled, err := openJournal(filepath.Join(dir, journalName))
 	if err != nil {
 		return nil, err
 	}
 	defer j.close()
 
-	res := &CampaignResult{
-		Specs:   specs,
-		Records: make([]RunRecord, len(specs)),
-		Done:    make([]bool, len(specs)),
-	}
-	for _, rec := range journaled {
-		if err := validateRecord(specs, rec); err != nil {
-			return nil, err
-		}
-		if !res.Done[rec.Index] {
-			res.FromJournal++
-		}
-		res.Records[rec.Index] = rec
-		res.Done[rec.Index] = true
+	res, err := foldRecords(specs, journaled)
+	if err != nil {
+		return nil, err
 	}
 
 	// A range-restricted campaign (a dispatch worker's shard) only
@@ -472,7 +427,6 @@ func runCampaign(ctx context.Context, dir string, man Manifest, opts CampaignOpt
 	var (
 		mu       sync.Mutex
 		firstErr error
-		verified int
 	)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -481,7 +435,7 @@ func runCampaign(ctx context.Context, dir string, man Manifest, opts CampaignOpt
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				rec, didVerify, err := runCellRecovered(eng, dir, specs[i], i, opts, j)
+				rec, err := runCampaignCell(eng, specs[i], i, opts.Injector, j)
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {
@@ -490,9 +444,6 @@ func runCampaign(ctx context.Context, dir string, man Manifest, opts CampaignOpt
 				} else {
 					res.Records[i] = rec
 					res.Done[i] = true
-					if didVerify {
-						verified++
-					}
 				}
 				mu.Unlock()
 			}
@@ -514,31 +465,24 @@ dispatch:
 	}
 	close(jobs)
 	wg.Wait()
-	res.Verified = verified
 	if firstErr != nil {
 		return res, firstErr
 	}
 
-	// Fold in spec order — exactly the uninterrupted Aggregate path.
-	var rrs []RunResult
-	for i := range specs {
-		if res.Done[i] {
-			rrs = append(rrs, RunResult{Spec: specs[i], Summary: res.Records[i].Summary})
-		}
-	}
-	res.Aggregates = Aggregate(rrs)
+	res.aggregate()
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
 	return res, nil
 }
 
-// runCellRecovered runs one cell, converting an injected crash
-// (faultinject.Crashed panic) into an error that aborts the campaign
-// with the on-disk state exactly as-at-crash — the in-process
-// equivalent of a SIGKILL at that instant, which is what the
-// kill-and-resume tests exercise. Real panics propagate.
-func runCellRecovered(eng *Engine, dir string, spec Spec, idx int, opts CampaignOptions, j *journal) (rec RunRecord, didVerify bool, err error) {
+// runCampaignCell runs one pending cell from t=0 through the hashed
+// pipeline and journals its record. An injected crash
+// (faultinject.Crashed panic) becomes an error that aborts the
+// campaign with the on-disk state exactly as-at-crash — the
+// in-process equivalent of a SIGKILL at that instant, which is what
+// the kill-and-resume tests exercise. Real panics propagate.
+func runCampaignCell(eng *Engine, spec Spec, idx int, inj *faultinject.Injector, j *journal) (rec RunRecord, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if c, ok := r.(faultinject.Crashed); ok {
@@ -548,204 +492,14 @@ func runCellRecovered(eng *Engine, dir string, spec Spec, idx int, opts Campaign
 			panic(r)
 		}
 	}()
-	return runCampaignCell(eng, dir, spec, idx, opts, j)
-}
-
-// runCampaignCell executes one pending run with checkpointing, then
-// journals its completion and retires its snapshot.
-func runCampaignCell(eng *Engine, dir string, spec Spec, idx int, opts CampaignOptions, j *journal) (RunRecord, bool, error) {
-	env := checkpointEnv{
-		interval: opts.Checkpoint,
-		runIdx:   idx,
-		inj:      opts.Injector,
+	rr, hash := eng.runOne(spec, true)
+	if rr.Err != nil {
+		return RunRecord{}, rr.Err
 	}
-	snapPath := filepath.Join(dir, snapshotsDir, fmt.Sprintf("run-%d.snap", idx))
-	if opts.Checkpoint > 0 {
-		env.snapPath = snapPath
+	rec = RunRecord{Index: idx, Name: spec.Name, Seed: spec.Seed, Scale: spec.Scale, Summary: rr.Summary, TraceHash: hash}
+	if err := j.append(rec, inj); err != nil {
+		return RunRecord{}, err
 	}
-	if f, err := snapshot.ReadFile(snapPath); err == nil {
-		meta, err := decodeMeta(f)
-		if err != nil {
-			return RunRecord{}, false, err
-		}
-		if meta.Name != spec.Name || meta.Seed != spec.Seed || meta.Scale != spec.Scale || meta.RunIdx != idx {
-			return RunRecord{}, false, fmt.Errorf("snapshot %s is for %s/seed=%d/scale=%g/run=%d, not this run", snapPath, meta.Name, meta.Seed, meta.Scale, meta.RunIdx)
-		}
-		env.verify = f
-		env.verifyT = meta.SimTime
-		env.interval = meta.Interval
-		if opts.Checkpoint > 0 {
-			env.snapPath = snapPath
-		}
-	} else if !os.IsNotExist(err) {
-		// A snapshot exists but does not validate: fail loud, never
-		// silently rerun over possibly-damaged campaign state.
-		return RunRecord{}, false, err
-	}
-
-	sum, hash, err := eng.runOneCheckpointed(spec, env)
-	if err != nil {
-		return RunRecord{}, false, err
-	}
-	rec := RunRecord{Index: idx, Name: spec.Name, Seed: spec.Seed, Scale: spec.Scale, Summary: sum, TraceHash: hash}
-	if err := j.append(rec, opts.Injector); err != nil {
-		return RunRecord{}, false, err
-	}
-	opts.Injector.AfterRun(idx)
-	os.Remove(snapPath) // completed: the journal is now the authority
-	return rec, env.verify != nil, nil
-}
-
-// snapMeta is the META section: which run a snapshot belongs to and
-// where in sim time it was taken.
-type snapMeta struct {
-	Name       string
-	Seed       int64
-	Scale      float64
-	RunIdx     int
-	Interval   phy.Micros
-	SimTime    phy.Micros
-	Checkpoint int
-}
-
-func encodeMeta(m snapMeta) []byte {
-	var e snapshot.Enc
-	e.Str(m.Name)
-	e.I64(m.Seed)
-	e.F64(m.Scale)
-	e.Int(m.RunIdx)
-	e.I64(m.Interval)
-	e.I64(m.SimTime)
-	e.Int(m.Checkpoint)
-	return e.Bytes()
-}
-
-func decodeMeta(f *snapshot.File) (snapMeta, error) {
-	p, err := f.MustSection(snapshot.TagMeta)
-	if err != nil {
-		return snapMeta{}, err
-	}
-	d := snapshot.NewDec(p)
-	m := snapMeta{
-		Name: d.Str(), Seed: d.I64(), Scale: d.F64(), RunIdx: d.Int(),
-		Interval: d.I64(), SimTime: d.I64(), Checkpoint: d.Int(),
-	}
-	return m, d.Finish()
-}
-
-// checkpointEnv parameterizes one checkpointed run.
-type checkpointEnv struct {
-	interval phy.Micros
-	snapPath string         // write mid-run snapshots here ("" = off)
-	verify   *snapshot.File // snapshot to replay-verify against
-	verifyT  phy.Micros     // sim instant the snapshot was taken at
-	runIdx   int
-	inj      *faultinject.Injector
-}
-
-// runOneCheckpointed is runOne with the campaign pipeline: a
-// TraceHasher between reorder and analyzer, periodic state snapshots,
-// and — on resume — byte-for-byte verification of the stored snapshot
-// against the deterministically replayed state at the same instant.
-func (e *Engine) runOneCheckpointed(spec Spec, env checkpointEnv) (Summary, string, error) {
-	run, err := spec.Scenario.Build()
-	if err != nil {
-		return Summary{}, "", err
-	}
-	a, err := analysis.New(analysis.Options{Metrics: e.Metrics})
-	if err != nil {
-		return Summary{}, "", err
-	}
-	th := NewTraceHasher(a.Feed)
-	ro := NewReorder(th.Add)
-	sink := ro.Add
-	var dd *Dedup
-	if ms, ok := run.(MultiSnifferRun); ok && ms.MultiSniffer() {
-		dd = NewDedup(ro.Add)
-		sink = dd.Add
-	}
-
-	cp, can := run.(Checkpointable)
-	switch {
-	case env.verify != nil && !can:
-		return Summary{}, "", fmt.Errorf("scenario is not checkpointable but snapshot exists")
-	case !can || (env.snapPath == "" && env.verify == nil):
-		// Run-to-completion fallback (non-checkpointable custom
-		// scenario, or checkpointing off): the journal still records
-		// the completion.
-		if err := run.Stream(sink); err != nil {
-			return Summary{}, "", err
-		}
-	default:
-		cpIdx := 0
-		verified := env.verify == nil
-		err := cp.StreamSlices(sink, env.interval, func(t phy.Micros) error {
-			if env.verify != nil && t == env.verifyT {
-				if err := verifySnapshot(env.verify, cp, th, a, ro, dd); err != nil {
-					return err
-				}
-				verified = true
-			}
-			if env.snapPath != "" {
-				data := buildRunSnapshot(spec, env.runIdx, t, env.interval, cpIdx, cp, th, a, ro, dd)
-				if err := snapshot.AtomicWriteFile(env.snapPath, data); err != nil {
-					return err
-				}
-				env.inj.AtCheckpoint(env.runIdx, cpIdx)
-				cpIdx++
-			}
-			return nil
-		})
-		if err != nil {
-			return Summary{}, "", err
-		}
-		if !verified {
-			return Summary{}, "", fmt.Errorf("replay never reached snapshot instant t=%dus (interval changed?)", env.verifyT)
-		}
-	}
-
-	ro.Flush()
-	return Summarize(a.Result()), th.Sum(), nil
-}
-
-// buildRunSnapshot assembles a run's checkpoint: identity, simulator
-// state, sniffer state, and pipeline position.
-func buildRunSnapshot(spec Spec, runIdx int, t, interval phy.Micros, cpIdx int, cp Checkpointable, th *TraceHasher, a *analysis.Analyzer, ro *Reorder, dd *Dedup) []byte {
-	net, sns := cp.CaptureState()
-	b := snapshot.NewBuilder()
-	b.Section(snapshot.TagMeta, encodeMeta(snapMeta{
-		Name: spec.Name, Seed: spec.Seed, Scale: spec.Scale,
-		RunIdx: runIdx, Interval: interval, SimTime: t, Checkpoint: cpIdx,
-	}))
-	b.Section(snapshot.TagNetwork, snapshot.EncodeNetworkState(net))
-	b.Section(snapshot.TagSniffers, snapshot.EncodeSnifferStates(sns))
-	b.Section(snapshot.TagPipeline, encodePipeline(th, a, ro, dd))
-	return b.Finish()
-}
-
-// verifySnapshot proves the replayed run passes through exactly the
-// state a stored snapshot witnessed: each state section, re-captured
-// now, must be byte-identical. Any divergence — version skew in the
-// simulator, nondeterminism, damage the checksum missed — fails the
-// resume loudly instead of continuing from a wrong state.
-func verifySnapshot(f *snapshot.File, cp Checkpointable, th *TraceHasher, a *analysis.Analyzer, ro *Reorder, dd *Dedup) error {
-	net, sns := cp.CaptureState()
-	sections := []struct {
-		tag  string
-		data []byte
-	}{
-		{snapshot.TagNetwork, snapshot.EncodeNetworkState(net)},
-		{snapshot.TagSniffers, snapshot.EncodeSnifferStates(sns)},
-		{snapshot.TagPipeline, encodePipeline(th, a, ro, dd)},
-	}
-	for _, s := range sections {
-		stored, err := f.MustSection(s.tag)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(stored, s.data) {
-			return fmt.Errorf("snapshot section %q does not match replayed state (%d vs %d bytes): refusing to resume from diverged state", s.tag, len(stored), len(s.data))
-		}
-	}
-	return nil
+	inj.AfterRun(idx)
+	return rec, nil
 }

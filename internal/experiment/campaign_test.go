@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,125 +13,54 @@ import (
 	"testing"
 
 	"wlan80211/internal/experiment/faultinject"
-	"wlan80211/internal/phy"
-	"wlan80211/internal/snapshot"
 )
 
-// traceHashOf runs one spec through the campaign pipeline with the
-// given checkpointing environment and returns (summary, trace hash).
-func traceHashOf(t *testing.T, name string, seed int64, scale float64, env checkpointEnv) (Summary, string) {
-	t.Helper()
-	sc, err := New(name, seed, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := &Engine{Workers: 1}
-	sum, hash, err := eng.runOneCheckpointed(Spec{Name: name, Seed: seed, Scale: scale, Scenario: sc}, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sum, hash
-}
-
-// TestCheckpointedTraceHashMatchesUninterrupted is the tentpole
-// acceptance criterion: for all four golden scenarios, a run that
-// snapshots at every interval — and a resumed run that restores
-// (replay-verifies) from a mid-run snapshot and continues to the end
-// — produce the same trace hash and summary as an uninterrupted run.
-// The -race CI matrix covers this test via the experiment package.
-func TestCheckpointedTraceHashMatchesUninterrupted(t *testing.T) {
+// TestRerunTraceHashIsDeterministic: resume reruns an interrupted
+// run from t=0, so the campaign cell must journal the same record
+// every time it runs a spec. Each scenario runs twice through the
+// cell, each time into its own journal, and the records must match —
+// trace hash and Summary. The goldens pin day, plenary, sweep, grid
+// and grid256 on their own; grid9 (multi-sniffer dedup) and ladder
+// (rung epochs) have only this.
+func TestRerunTraceHashIsDeterministic(t *testing.T) {
 	cases := []struct {
 		name  string
 		scale float64
 	}{
 		{"day", 0.1},
 		{"plenary", 0.1},
-		{"grid", 0.5},
-		{"grid9", 0.35},
-		// grid256 exercises the sparse spatially-culled link rows and
-		// index witness through the snapshot/replay round-trip.
-		{"grid256", 0.5},
-		// sweep/ladder became Checkpointable with the dispatch work;
-		// ladder additionally crosses rung boundaries, exercising the
-		// global-clock slice times.
 		{"sweep", 0.15},
 		{"ladder", 0.1},
+		{"grid", 0.5},
+		{"grid9", 0.35},
+		{"grid256", 0.5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Uninterrupted reference: no slicing at all.
-			refSum, refHash := traceHashOf(t, tc.name, 1, tc.scale, checkpointEnv{})
-			if refHash == "" {
-				t.Fatal("empty trace hash")
+			var recs [2]RunRecord
+			for i := range recs {
+				sc, err := New(tc.name, 1, tc.scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j, _, err := openJournal(filepath.Join(t.TempDir(), journalName))
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec := Spec{Name: tc.name, Seed: 1, Scale: tc.scale, Scenario: sc}
+				recs[i], err = runCampaignCell(&Engine{}, spec, 0, nil, j)
+				j.close()
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-
-			// Checkpointed: snapshot every 2 sim-seconds; the stream
-			// must be bit-identical (same hash) despite the slicing
-			// and state capture.
-			dir := t.TempDir()
-			snapPath := filepath.Join(dir, "run-0.snap")
-			env := checkpointEnv{interval: 2 * phy.MicrosPerSecond, snapPath: snapPath}
-			cpSum, cpHash := traceHashOf(t, tc.name, 1, tc.scale, env)
-			if cpHash != refHash {
-				t.Fatalf("checkpointed trace hash %s != uninterrupted %s", cpHash, refHash)
+			if recs[0].TraceHash == "" || recs[0].Summary.Frames == 0 {
+				t.Fatalf("empty run: %+v", recs[0])
 			}
-			if !reflect.DeepEqual(cpSum, refSum) {
-				t.Fatalf("checkpointed summary %+v != uninterrupted %+v", cpSum, refSum)
-			}
-
-			// Snapshot-at-t → restore → run-to-end: the final snapshot
-			// left on disk is from the last interval boundary; resume
-			// from it (replay to t, verify byte-for-byte, continue).
-			f, err := snapshot.ReadFile(snapPath)
-			if err != nil {
-				t.Fatalf("reading final checkpoint: %v", err)
-			}
-			meta, err := decodeMeta(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if meta.SimTime == 0 {
-				t.Fatal("checkpoint has zero sim time")
-			}
-			resSum, resHash := traceHashOf(t, tc.name, 1, tc.scale, checkpointEnv{
-				interval: meta.Interval, verify: f, verifyT: meta.SimTime,
-			})
-			if resHash != refHash {
-				t.Fatalf("restored trace hash %s != uninterrupted %s", resHash, refHash)
-			}
-			if !reflect.DeepEqual(resSum, refSum) {
-				t.Fatalf("restored summary %+v != uninterrupted %+v", resSum, refSum)
+			if recs[1] != recs[0] {
+				t.Fatalf("rerun journaled %+v, first run %+v", recs[1], recs[0])
 			}
 		})
-	}
-}
-
-// TestVerifyRejectsForeignSnapshot: resuming against a snapshot from
-// a different run (different seed) must fail the byte comparison, not
-// silently continue.
-func TestVerifyRejectsForeignSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "run-0.snap")
-	env := checkpointEnv{interval: 2 * phy.MicrosPerSecond, snapPath: snapPath}
-	traceHashOf(t, "day", 1, 0.1, env)
-	f, err := snapshot.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := decodeMeta(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := New("day", 2, 0.1) // different seed than the snapshot
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := &Engine{Workers: 1}
-	_, _, err = eng.runOneCheckpointed(Spec{Name: "day", Seed: 2, Scale: 0.1, Scenario: sc}, checkpointEnv{
-		interval: meta.Interval, verify: f, verifyT: meta.SimTime,
-	})
-	if err == nil || !strings.Contains(err.Error(), "does not match replayed state") {
-		t.Fatalf("foreign snapshot accepted: %v", err)
 	}
 }
 
@@ -149,10 +79,9 @@ func campaignMatrix() Matrix {
 func TestCampaignKillAndResume(t *testing.T) {
 	ctx := context.Background()
 	m := campaignMatrix()
-	opts := CampaignOptions{Workers: 1, Checkpoint: 2 * phy.MicrosPerSecond}
 
 	refDir := t.TempDir()
-	ref, err := RunCampaign(ctx, refDir, m, opts)
+	ref, err := campaign(ctx, RunSpecOpts{Matrix: m, Workers: 1, CampaignDir: refDir})
 	if err != nil {
 		t.Fatalf("reference campaign: %v", err)
 	}
@@ -170,12 +99,11 @@ func TestCampaignKillAndResume(t *testing.T) {
 
 	plans := []faultinject.Plan{
 		{Point: faultinject.AfterRun, Run: 1},
-		{Point: faultinject.MidRun, Run: 2, Checkpoint: 1},
 		{Point: faultinject.JournalWrite, Run: 1},
 	}
 	// A seeded schedule is deterministic and lands on a real point.
-	sched := faultinject.Schedule(42, 4, 3)
-	if sched != faultinject.Schedule(42, 4, 3) {
+	sched := faultinject.Schedule(42, 4)
+	if sched != faultinject.Schedule(42, 4) {
 		t.Fatal("Schedule not deterministic")
 	}
 	if sched.Point == faultinject.None || sched.Run < 0 || sched.Run >= 4 {
@@ -186,15 +114,15 @@ func TestCampaignKillAndResume(t *testing.T) {
 	for _, plan := range plans {
 		t.Run(plan.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			crashOpts := opts
-			crashOpts.Injector = faultinject.New(plan)
-			_, err := RunCampaign(ctx, dir, m, crashOpts)
+			_, err := campaign(ctx, RunSpecOpts{
+				Matrix: m, Workers: 1, CampaignDir: dir, Injector: faultinject.New(plan),
+			})
 			var crashed faultinject.Crashed
 			if !errors.As(err, &crashed) {
 				t.Fatalf("campaign did not crash: err=%v", err)
 			}
 
-			resumed, err := ResumeCampaign(ctx, dir, CampaignOptions{Workers: 1})
+			resumed, err := campaign(ctx, RunSpecOpts{Workers: 1, CampaignDir: dir, Resume: true})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -206,9 +134,6 @@ func TestCampaignKillAndResume(t *testing.T) {
 			}
 			if resumed.FromJournal == 0 && plan.Point != faultinject.JournalWrite && plan.Run > 0 {
 				t.Error("resume re-ran everything; journal was not used")
-			}
-			if plan.Point == faultinject.MidRun && resumed.Verified == 0 {
-				t.Error("mid-run crash resumed without verifying a snapshot")
 			}
 			man, err := ReadManifest(dir)
 			if err != nil {
@@ -223,7 +148,7 @@ func TestCampaignKillAndResume(t *testing.T) {
 			}
 			// Resuming a finished campaign is a no-op fold from the
 			// journal alone.
-			again, err := ResumeCampaign(ctx, dir, CampaignOptions{Workers: 1})
+			again, err := campaign(ctx, RunSpecOpts{Workers: 1, CampaignDir: dir, Resume: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,10 +167,8 @@ func TestCampaignKillAndResume(t *testing.T) {
 // resume completes the matrix to the bit-identical reference.
 func TestCampaignInterruptedContext(t *testing.T) {
 	m := campaignMatrix()
-	opts := CampaignOptions{Workers: 1, Checkpoint: 2 * phy.MicrosPerSecond}
 
-	refDir := t.TempDir()
-	ref, err := RunCampaign(context.Background(), refDir, m, opts)
+	ref, err := campaign(context.Background(), RunSpecOpts{Matrix: m, Workers: 1, CampaignDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,14 +176,14 @@ func TestCampaignInterruptedContext(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancel before dispatch: nothing runs, nothing breaks
-	res, err := RunCampaign(ctx, dir, m, opts)
+	res, err := campaign(ctx, RunSpecOpts{Matrix: m, Workers: 1, CampaignDir: dir})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if res == nil {
 		t.Fatal("no partial result")
 	}
-	resumed, err := ResumeCampaign(context.Background(), dir, CampaignOptions{Workers: 1})
+	resumed, err := campaign(context.Background(), RunSpecOpts{Workers: 1, CampaignDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,12 +274,12 @@ func TestCampaignRejectsDifferentMatrix(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1}, Scales: []float64{0.1}}
-	if _, err := RunCampaign(ctx, dir, m, CampaignOptions{Workers: 1}); err != nil {
+	if _, err := campaign(ctx, RunSpecOpts{Matrix: m, Workers: 1, CampaignDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	m2 := m
 	m2.Seeds = []int64{9}
-	if _, err := RunCampaign(ctx, dir, m2, CampaignOptions{Workers: 1}); err == nil {
+	if _, err := campaign(ctx, RunSpecOpts{Matrix: m2, Workers: 1, CampaignDir: dir}); err == nil {
 		t.Fatal("different matrix accepted into existing campaign dir")
 	}
 }
@@ -364,11 +287,11 @@ func TestCampaignRejectsDifferentMatrix(t *testing.T) {
 func TestCampaignParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	m := campaignMatrix()
-	a, err := RunCampaign(ctx, t.TempDir(), m, CampaignOptions{Workers: 1, Checkpoint: 2 * phy.MicrosPerSecond})
+	a, err := campaign(ctx, RunSpecOpts{Matrix: m, Workers: 1, CampaignDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCampaign(ctx, t.TempDir(), m, CampaignOptions{Workers: 4, Checkpoint: 2 * phy.MicrosPerSecond})
+	b, err := campaign(ctx, RunSpecOpts{Matrix: m, Workers: 4, CampaignDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,17 +304,16 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 }
 
 // TestCampaignMatchesEngine: campaign aggregates are bit-identical to
-// the plain engine path over the same matrix (the checkpoint pipeline
-// must not perturb analysis).
+// the plain engine path over the same matrix (the hashing stage must
+// not perturb analysis).
 func TestCampaignMatchesEngine(t *testing.T) {
 	m := campaignMatrix()
 	specs, err := m.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &Engine{Workers: 1}
-	want := Aggregate(eng.Run(specs))
-	got, err := RunCampaign(context.Background(), t.TempDir(), m, CampaignOptions{Workers: 1, Checkpoint: 2 * phy.MicrosPerSecond})
+	want := Aggregate(collect(t, 1, specs))
+	got, err := campaign(context.Background(), RunSpecOpts{Matrix: m, Workers: 1, CampaignDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,9 +322,126 @@ func TestCampaignMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsConflictingJournalRecords: two campaign processes
+// pointed at one directory can both append. Records for one run that
+// disagree — here, CRC-valid but with different trace hashes — mean
+// a deterministic run diverged, and resume must fail naming both
+// hashes rather than let the last record win.
+func TestResumeRejectsConflictingJournalRecords(t *testing.T) {
+	dir := t.TempDir()
+	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1}, Scales: []float64{0.1}}
+	if err := WriteJSONAtomic(filepath.Join(dir, manifestName), Manifest{Version: 1, Matrix: m}); err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := openJournal(JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := RunRecord{Index: 0, Name: "day", Seed: 1, Scale: 0.1, TraceHash: "aaaa"}
+	other := rec
+	other.TraceHash = "bbbb"
+	for _, r := range []RunRecord{rec, other} {
+		if err := j.append(r, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.close()
+
+	_, err = campaign(context.Background(), RunSpecOpts{Workers: 1, CampaignDir: dir, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "aaaa") || !strings.Contains(err.Error(), "bbbb") {
+		t.Fatalf("conflicting journal records not rejected with both hashes: %v", err)
+	}
+}
+
+// TestResumeCampaignDirWithSnapshotLeftovers: a campaign directory
+// written when runs took mid-run snapshots — a manifest carrying
+// checkpoint_micros, a leftover snapshots/ directory — still resumes,
+// to a report byte-identical to an uninterrupted campaign. The old
+// key is ignored, and the leftover files are neither read nor deleted.
+func TestResumeCampaignDirWithSnapshotLeftovers(t *testing.T) {
+	ctx := context.Background()
+	m := campaignMatrix()
+	refDir := t.TempDir()
+	ref, err := campaign(ctx, RunSpecOpts{Matrix: m, Workers: 1, CampaignDir: refDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Runs 0 and 1 journaled, run 2 in flight with a snapshot.
+	dir := t.TempDir()
+	oldManifest := `{
+  "version": 1,
+  "matrix": {
+    "Scenarios": [
+      "day",
+      "grid"
+    ],
+    "Seeds": [
+      1,
+      2
+    ],
+    "Scales": [
+      0.1
+    ]
+  },
+  "checkpoint_micros": 2000000
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(oldManifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := openJournal(JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range ref.Records[:2] {
+		if err := j.append(rec, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.close()
+	snap := filepath.Join(dir, "snapshots", "run-2.snap")
+	if err := os.MkdirAll(filepath.Dir(snap), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, []byte("stale mid-run snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := campaign(ctx, RunSpecOpts{Workers: 1, CampaignDir: dir, Resume: true})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if resumed.FromJournal != 2 {
+		t.Fatalf("FromJournal = %d, want 2", resumed.FromJournal)
+	}
+	report := func(dir string, res *CampaignResult) []byte {
+		t.Helper()
+		man, err := ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "report.json")
+		if err := WriteJSONAtomic(path, res.Report(man)); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if got, want := report(dir, resumed), report(refDir, ref); !bytes.Equal(got, want) {
+		t.Fatalf("resumed report differs from uninterrupted reference:\n%s\nvs\n%s", got, want)
+	}
+	if _, err := os.Stat(snap); err != nil {
+		t.Fatalf("leftover snapshot touched: %v", err)
+	}
+}
+
 func init() {
 	// Guard: tests in this file assume these registry names exist.
-	for _, n := range []string{"day", "plenary", "grid", "grid9"} {
+	for _, n := range []string{"day", "plenary", "sweep", "ladder", "grid", "grid9", "grid256"} {
 		found := false
 		for _, have := range Names() {
 			if have == n {

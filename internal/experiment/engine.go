@@ -147,32 +147,22 @@ type Engine struct {
 	// Metrics selects analysis stages by name (empty = all).
 	Metrics []string
 
-	// peakPending is RunReduce's retention high-water mark (see
+	// peakPending is RunReduceContext's retention high-water mark (see
 	// PeakPending).
 	peakPending int
 }
 
-// Run executes every spec and returns results in spec order, so
-// downstream aggregation is deterministic regardless of worker count
-// or completion order. Per-run failures land in RunResult.Err rather
-// than aborting the matrix.
+// RunContext executes every spec and returns results in spec order,
+// so downstream aggregation is deterministic regardless of worker
+// count or completion order. Per-run failures land in RunResult.Err
+// rather than aborting the matrix.
 //
-// Deprecated: Run is a thin compat wrapper over Runner.Execute with
-// ModeCollect; new callers should use Runner.
-func (e *Engine) Run(specs []Spec) []RunResult {
-	if specs == nil {
-		specs = []Spec{} // nil means "use Matrix" to Execute
-	}
-	ex, _ := (&Runner{Engine: e}).Execute(context.Background(), RunSpecOpts{Mode: ModeCollect, Specs: specs})
-	return ex.Results
-}
-
-// RunContext is Run with cooperative cancellation: once ctx is done,
-// no further specs are dispatched; in-flight runs complete (a run is
-// not interruptible mid-stream) and every undispatched spec's
-// RunResult carries ctx.Err(). The partial results that did complete
-// are returned normally, so a CLI can still aggregate and report them
-// after SIGINT/SIGTERM.
+// Cancellation is cooperative: once ctx is done, no further specs are
+// dispatched; in-flight runs complete (a run is not interruptible
+// mid-stream) and every undispatched spec's RunResult carries
+// ctx.Err(). The partial results that did complete are returned
+// normally, so a CLI can still aggregate and report them after
+// SIGINT/SIGTERM.
 func (e *Engine) RunContext(ctx context.Context, specs []Spec) []RunResult {
 	results := make([]RunResult, len(specs))
 	workers := e.Workers
@@ -189,20 +179,24 @@ func (e *Engine) RunContext(ctx context.Context, specs []Spec) []RunResult {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i] = e.runOne(specs[i])
+				results[i], _ = e.runOne(specs[i], false)
 			}
 		}()
 	}
-dispatch:
 	for i := range specs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			for j := i; j < len(specs); j++ {
-				results[j] = RunResult{Spec: specs[j], Err: ctx.Err()}
+		// Checked first: select picks among ready cases at random, so
+		// a free worker must not win over an already-done context.
+		if ctx.Err() == nil {
+			select {
+			case jobs <- i:
+				continue
+			case <-ctx.Done():
 			}
-			break dispatch
 		}
+		for j := i; j < len(specs); j++ {
+			results[j] = RunResult{Spec: specs[j], Err: ctx.Err()}
+		}
+		break
 	}
 	close(jobs)
 	wg.Wait()
@@ -218,54 +212,57 @@ dispatch:
 // runs unsharded — cross-run parallelism already saturates the pool,
 // and the sequential path is the one that never retains frame bytes,
 // which is what lets the whole pipeline run without materializing.
-func (e *Engine) runOne(spec Spec) RunResult {
+//
+// With hashed set (campaign cells), a TraceHasher sits between the
+// reorder release and the analyzer and the run's trace hash is
+// returned alongside the result; collect and reduce runs skip it.
+func (e *Engine) runOne(spec Spec, hashed bool) (RunResult, string) {
 	run, err := spec.Scenario.Build()
 	if err != nil {
-		return RunResult{Spec: spec, Err: err}
+		return RunResult{Spec: spec, Err: err}, ""
 	}
 	a, err := analysis.New(analysis.Options{Metrics: e.Metrics})
 	if err != nil {
-		return RunResult{Spec: spec, Err: err}
+		return RunResult{Spec: spec, Err: err}, ""
 	}
-	ro := NewReorder(a.Feed)
+	feed := Sink(a.Feed)
+	var th *TraceHasher
+	if hashed {
+		th = NewTraceHasher(feed)
+		feed = th.Add
+	}
+	ro := NewReorder(feed)
 	sink := ro.Add
 	if ms, ok := run.(MultiSnifferRun); ok && ms.MultiSniffer() {
 		sink = NewDedup(ro.Add).Add
 	}
 	if err := run.Stream(sink); err != nil {
-		return RunResult{Spec: spec, Err: err}
+		return RunResult{Spec: spec, Err: err}, ""
 	}
 	ro.Flush()
 	r := a.Result()
-	return RunResult{Spec: spec, Summary: Summarize(r), Result: r}
+	rr := RunResult{Spec: spec, Summary: Summarize(r), Result: r}
+	if th == nil {
+		return rr, ""
+	}
+	return rr, th.Sum()
 }
 
-// RunReduce executes every spec like Run but reduces as it goes: each
-// completed run's full analysis Result is dropped the moment its
-// Summary is extracted, and summaries fold into per-group Welford
-// accumulators in spec order (buffering at most one small Summary per
-// worker to bridge out-of-order completion). Peak retention is
-// therefore O(groups + workers) — not O(runs) — which is what makes
-// very large matrices (hundreds of cells × many seeds) run in flat
-// memory. The aggregates are bit-identical to
-// Aggregate(e.Run(specs)); per-spec failures land in the returned
-// error slice (nil entries for successes) and count in
+// RunReduceContext executes every spec like RunContext but reduces as
+// it goes: each completed run's full analysis Result is dropped the
+// moment its Summary is extracted, and summaries fold into per-group
+// Welford accumulators in spec order (buffering at most one small
+// Summary per worker to bridge out-of-order completion). Peak
+// retention is therefore O(groups + workers) — not O(runs) — which is
+// what makes very large matrices (hundreds of cells × many seeds) run
+// in flat memory. The aggregates are bit-identical to
+// Aggregate(e.RunContext(ctx, specs)); per-spec failures land in the
+// returned error slice (nil entries for successes) and count in
 // Aggregated.Errors.
 //
-// Deprecated: RunReduce is a thin compat wrapper over Runner.Execute
-// with ModeReduce; new callers should use Runner.
-func (e *Engine) RunReduce(specs []Spec) ([]Aggregated, []error) {
-	if specs == nil {
-		specs = []Spec{} // nil means "use Matrix" to Execute
-	}
-	ex, _ := (&Runner{Engine: e}).Execute(context.Background(), RunSpecOpts{Mode: ModeReduce, Specs: specs})
-	return ex.Aggregates, ex.Errs
-}
-
-// RunReduceContext is RunReduce with cooperative cancellation,
-// mirroring RunContext: once ctx is done no further specs dispatch,
-// in-flight runs complete and fold normally, and every undispatched
-// spec gets ctx.Err() in the error slice (counting in
+// Cancellation mirrors RunContext: once ctx is done no further specs
+// dispatch, in-flight runs complete and fold normally, and every
+// undispatched spec gets ctx.Err() in the error slice (counting in
 // Aggregated.Errors). The partial aggregates remain deterministic:
 // completed runs fold in spec order exactly as without cancellation.
 func (e *Engine) RunReduceContext(ctx context.Context, specs []Spec) ([]Aggregated, []error) {
@@ -315,7 +312,7 @@ func (e *Engine) RunReduceContext(ctx context.Context, specs []Spec) ([]Aggregat
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				r := e.runOne(specs[i])
+				r, _ := e.runOne(specs[i], false)
 				r.Result = nil // reduce-as-you-go: only the Summary survives
 				results <- done{i: i, sum: r.Summary, err: r.Err}
 			}
@@ -351,6 +348,12 @@ func (e *Engine) RunReduceContext(ctx context.Context, specs []Spec) ([]Aggregat
 	for completed := 0; completed < total; {
 		var r done
 		if sent < total && sent < next+workers {
+			if ctx.Err() != nil {
+				// As in RunContext: a done context wins over a free
+				// worker, which select alone would pick at random.
+				total = sent
+				continue
+			}
 			select {
 			case jobs <- sent:
 				sent++
@@ -402,7 +405,7 @@ func (e *Engine) RunReduceContext(ctx context.Context, specs []Spec) ([]Aggregat
 }
 
 // PeakPending reports how many completed-but-not-yet-reduced
-// summaries the last RunReduce held at once (≤ its worker count) —
+// summaries the last RunReduceContext held at once (≤ its worker count) —
 // the retention the reduce mode's memory claim rests on.
 func (e *Engine) PeakPending() int { return e.peakPending }
 

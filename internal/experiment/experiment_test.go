@@ -20,8 +20,7 @@ func streamResult(t *testing.T, name string, seed int64, scale float64) *analysi
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Workers: 1}
-	res := e.Run([]Spec{{Name: name, Seed: seed, Scale: scale, Scenario: sc}})
+	res := collect(t, 1, []Spec{{Name: name, Seed: seed, Scale: scale, Scenario: sc}})
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
@@ -93,8 +92,8 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 		t.Fatalf("matrix expanded to %d cells", len(specsA))
 	}
 
-	serial := (&Engine{Workers: 1}).Run(specsA)
-	parallel := (&Engine{Workers: 4}).Run(specsB)
+	serial := collect(t, 1, specsA)
+	parallel := collect(t, 4, specsB)
 
 	for i := range serial {
 		if serial[i].Err != nil || parallel[i].Err != nil {

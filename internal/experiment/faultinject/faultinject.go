@@ -1,7 +1,7 @@
 // Package faultinject is the deterministic crash harness for
 // crash-resume testing of sweep campaigns. A Plan names one crash
-// point — after run K commits, at a run's Nth mid-run checkpoint, or
-// midway through run K's journal write — and an Injector arms it
+// point — after run K commits, or midway through run K's journal
+// write — and an Injector arms it
 // inside the campaign runner. Crashes are delivered through the
 // overridable Crash hook: in-process tests install a panic they
 // recover from; the CI smoke job instead SIGKILLs the real process,
@@ -22,10 +22,6 @@ const (
 	// AfterRun crashes immediately after run K's completion record is
 	// durably journaled (the resume must skip K and everything before).
 	AfterRun
-	// MidRun crashes at run K's Nth checkpoint, right after the
-	// snapshot file is atomically written (the resume must
-	// replay-verify that snapshot).
-	MidRun
 	// JournalWrite crashes midway through writing run K's journal
 	// record, leaving a torn tail line (the resume must detect it via
 	// the per-record checksum, truncate it, and re-run K).
@@ -38,8 +34,6 @@ func (p Point) String() string {
 		return "none"
 	case AfterRun:
 		return "after-run"
-	case MidRun:
-		return "mid-run"
 	case JournalWrite:
 		return "journal-write"
 	default:
@@ -52,28 +46,18 @@ type Plan struct {
 	Point Point
 	// Run is the zero-based run index the point applies to.
 	Run int
-	// Checkpoint is the zero-based checkpoint index within the run
-	// (MidRun only).
-	Checkpoint int
 }
 
 func (p Plan) String() string {
-	if p.Point == MidRun {
-		return fmt.Sprintf("%s run=%d checkpoint=%d", p.Point, p.Run, p.Checkpoint)
-	}
 	return fmt.Sprintf("%s run=%d", p.Point, p.Run)
 }
 
 // Schedule derives a crash plan from a seed, deterministically: the
-// same (seed, totalRuns, maxCheckpoints) always yields the same plan.
-// The point kind, victim run, and checkpoint index all come from
-// independent splitmix64 draws.
-func Schedule(seed int64, totalRuns, maxCheckpoints int) Plan {
+// same (seed, totalRuns) always yields the same plan. The point kind
+// and victim run come from independent splitmix64 draws.
+func Schedule(seed int64, totalRuns int) Plan {
 	if totalRuns < 1 {
 		totalRuns = 1
-	}
-	if maxCheckpoints < 1 {
-		maxCheckpoints = 1
 	}
 	s := uint64(seed)
 	next := func() uint64 {
@@ -84,9 +68,8 @@ func Schedule(seed int64, totalRuns, maxCheckpoints int) Plan {
 		return z ^ (z >> 31)
 	}
 	return Plan{
-		Point:      Point(1 + next()%3),
-		Run:        int(next() % uint64(totalRuns)),
-		Checkpoint: int(next() % uint64(maxCheckpoints)),
+		Point: Point(1 + next()%2),
+		Run:   int(next() % uint64(totalRuns)),
 	}
 }
 
@@ -137,16 +120,6 @@ func (in *Injector) Plan() Plan {
 // AfterRun crashes if the plan is AfterRun for this run index.
 func (in *Injector) AfterRun(run int) {
 	if in == nil || in.fired || in.plan.Point != AfterRun || run != in.plan.Run {
-		return
-	}
-	in.fired = true
-	Crash(in.plan)
-}
-
-// AtCheckpoint crashes if the plan is MidRun for this run and
-// checkpoint index.
-func (in *Injector) AtCheckpoint(run, checkpoint int) {
-	if in == nil || in.fired || in.plan.Point != MidRun || run != in.plan.Run || checkpoint != in.plan.Checkpoint {
 		return
 	}
 	in.fired = true

@@ -18,7 +18,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
 	fired := fire(t, func() {
 		in.AfterRun(0)
-		in.AtCheckpoint(0, 0)
 		if in.JournalWrite(0) {
 			t.Error("nil injector armed a journal tear")
 		}
@@ -38,24 +37,12 @@ func TestInjectorFiresExactlyOnce(t *testing.T) {
 	fired := fire(t, func() {
 		in.AfterRun(0)
 		in.AfterRun(1)
-		in.AtCheckpoint(2, 0) // wrong point kind: must not fire
+		if in.JournalWrite(2) { // wrong point kind: must not arm
+			t.Error("after-run plan armed a journal tear")
+		}
 		in.AfterRun(2)
 		in.AfterRun(2) // already fired: must not fire again
 		in.AfterRun(3)
-	})
-	if len(fired) != 1 || fired[0] != plan {
-		t.Fatalf("fired = %v, want exactly %v", fired, plan)
-	}
-}
-
-func TestMidRunMatchesCheckpointIndex(t *testing.T) {
-	plan := Plan{Point: MidRun, Run: 1, Checkpoint: 2}
-	in := New(plan)
-	fired := fire(t, func() {
-		in.AtCheckpoint(1, 0)
-		in.AtCheckpoint(1, 1)
-		in.AtCheckpoint(0, 2) // wrong run
-		in.AtCheckpoint(1, 2)
 	})
 	if len(fired) != 1 || fired[0] != plan {
 		t.Fatalf("fired = %v, want exactly %v", fired, plan)
@@ -81,29 +68,26 @@ func TestJournalWriteSplitArming(t *testing.T) {
 
 func TestScheduleDeterministicAndInRange(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		p := Schedule(seed, 7, 4)
-		if p != Schedule(seed, 7, 4) {
+		p := Schedule(seed, 7)
+		if p != Schedule(seed, 7) {
 			t.Fatalf("seed %d: schedule not deterministic", seed)
 		}
-		if p.Point != AfterRun && p.Point != MidRun && p.Point != JournalWrite {
+		if p.Point != AfterRun && p.Point != JournalWrite {
 			t.Fatalf("seed %d: invalid point %v", seed, p.Point)
 		}
 		if p.Run < 0 || p.Run >= 7 {
 			t.Fatalf("seed %d: run %d out of range", seed, p.Run)
 		}
-		if p.Checkpoint < 0 || p.Checkpoint >= 4 {
-			t.Fatalf("seed %d: checkpoint %d out of range", seed, p.Checkpoint)
-		}
 	}
 	// Degenerate bounds clamp instead of dividing by zero.
-	if p := Schedule(1, 0, 0); p.Run != 0 || p.Checkpoint != 0 {
+	if p := Schedule(1, 0); p.Run != 0 {
 		t.Fatalf("clamped schedule = %+v", p)
 	}
 }
 
 func TestCrashedIsError(t *testing.T) {
-	var err error = Crashed{Plan: Plan{Point: MidRun, Run: 3, Checkpoint: 1}}
-	want := "faultinject: injected crash at mid-run run=3 checkpoint=1"
+	var err error = Crashed{Plan: Plan{Point: JournalWrite, Run: 3}}
+	want := "faultinject: injected crash at journal-write run=3"
 	if err.Error() != want {
 		t.Fatalf("Error() = %q, want %q", err.Error(), want)
 	}

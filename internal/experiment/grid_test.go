@@ -101,7 +101,7 @@ func TestGridMatrixDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := (&Engine{Workers: workers}).Run(specs)
+		results := collect(t, workers, specs)
 		hashes := make([]string, len(results))
 		for i, r := range results {
 			if r.Err != nil {
@@ -151,10 +151,10 @@ func TestRunReduceMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Aggregate((&Engine{Workers: 2}).Run(specsA))
+	want := Aggregate(collect(t, 2, specsA))
 
 	eng := &Engine{Workers: 3}
-	got, errs := eng.RunReduce(specsB)
+	got, errs := reduce(t, eng, specsB)
 	for i, e := range errs {
 		if e != nil {
 			t.Fatalf("reduce run %d: %v", i, e)
@@ -184,7 +184,7 @@ func TestRunReduceCountsErrors(t *testing.T) {
 		{Name: "err", Scale: 1, Scenario: errScenario{}},
 	}
 	eng := &Engine{Workers: 2}
-	aggs, errs := eng.RunReduce(specs)
+	aggs, errs := reduce(t, eng, specs)
 	if errs[0] == nil || errs[1] == nil {
 		t.Fatalf("errors not reported: %v", errs)
 	}
@@ -218,7 +218,7 @@ func TestGridMatrixGoldenResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := (&Engine{Workers: 2}).Run(specs)
+	results := collect(t, 2, specs)
 	if len(results) != len(want) {
 		t.Fatalf("matrix produced %d results, want %d", len(results), len(want))
 	}

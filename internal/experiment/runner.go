@@ -5,31 +5,26 @@ import (
 	"fmt"
 
 	"wlan80211/internal/experiment/faultinject"
-	"wlan80211/internal/phy"
 )
 
-// This file is the unified entry point for running experiments. The
-// engine grew four parallel entry points over time — Engine.Run,
-// Engine.RunReduce, RunCampaign, ResumeCampaign — each with its own
-// parameter list, which made "what to run" impossible to describe in
-// one serializable value (the thing a remote-worker protocol needs).
-// Runner.Execute(RunSpecOpts) replaces them: one options struct that
-// JSON-round-trips (minus in-process escape hatches), one result
-// shape, with the old signatures kept as thin deprecated compat
-// wrappers over it.
+// This file is the single entry point for running experiments:
+// Runner.Execute(RunSpecOpts) takes one options struct that
+// JSON-round-trips (minus in-process escape hatches) — the value a
+// remote-worker protocol hands out — and returns one result shape for
+// every mode.
 
 // RunMode selects Runner.Execute's execution strategy.
 type RunMode string
 
 const (
 	// ModeCollect runs every spec and retains per-run results
-	// (Engine.Run's behavior).
+	// (Engine.RunContext).
 	ModeCollect RunMode = "collect"
 	// ModeReduce folds summaries as runs complete, retaining only
-	// aggregates — O(groups+workers) memory (Engine.RunReduce).
+	// aggregates — O(groups+workers) memory (Engine.RunReduceContext).
 	ModeReduce RunMode = "reduce"
 	// ModeCampaign runs as a crash-resumable journaled campaign in
-	// CampaignDir (RunCampaign/ResumeCampaign).
+	// CampaignDir.
 	ModeCampaign RunMode = "campaign"
 )
 
@@ -79,18 +74,15 @@ type RunSpecOpts struct {
 
 	// CampaignDir is the journaled campaign directory (ModeCampaign).
 	CampaignDir string `json:"campaign_dir,omitempty"`
-	// CheckpointMicros is the mid-run snapshot interval in sim
-	// microseconds (ModeCampaign); 0 disables mid-run snapshots.
-	CheckpointMicros int64 `json:"checkpoint_micros,omitempty"`
 	// Resume continues the campaign already in CampaignDir: the
-	// on-disk manifest is authoritative and Matrix, Metrics,
-	// CheckpointMicros, and Range are taken from it.
+	// on-disk manifest is authoritative and Matrix, Metrics, and Range
+	// are taken from it.
 	Resume bool `json:"resume,omitempty"`
 
 	// Specs overrides Matrix expansion with pre-built specs — an
-	// in-process escape hatch for callers that already expanded (the
-	// legacy Engine.Run/RunReduce signatures). Not serializable, not
-	// valid with ModeCampaign.
+	// in-process escape hatch for callers that already expanded or
+	// built custom scenarios. Not serializable, not valid with
+	// ModeCampaign.
 	Specs []Spec `json:"-"`
 	// Injector arms a deterministic crash point (ModeCampaign tests).
 	Injector *faultinject.Injector `json:"-"`
@@ -118,7 +110,7 @@ type Execution struct {
 
 // Runner executes experiment matrices. The zero value is ready to
 // use; Engine pins a specific engine (its Workers/Metrics override
-// the opts', and RunReduce bookkeeping like PeakPending lands on it).
+// the opts', and reduce bookkeeping like PeakPending lands on it).
 type Runner struct {
 	// Engine, when non-nil, is the engine to execute on. Nil means a
 	// fresh engine configured from the opts.
@@ -127,10 +119,9 @@ type Runner struct {
 
 // Execute runs one experiment described by opts and returns its
 // Execution. On cooperative cancellation the completed runs are still
-// aggregated and returned alongside the context error, exactly like
-// the legacy entry points. This is the single entry point the legacy
-// Engine.Run / Engine.RunReduce / RunCampaign / ResumeCampaign
-// signatures wrap.
+// aggregated and returned: collect and reduce mark the undispatched
+// specs with the context error, and a campaign returns its partial
+// state alongside it.
 func (r *Runner) Execute(ctx context.Context, opts RunSpecOpts) (*Execution, error) {
 	mode := opts.Mode
 	if mode == "" {
@@ -180,12 +171,11 @@ func (r *Runner) executeCampaign(ctx context.Context, opts RunSpecOpts) (*Execut
 	if opts.Specs != nil {
 		return nil, fmt.Errorf("experiment: ModeCampaign runs from a Matrix, not pre-built Specs (the journal must re-expand them on resume)")
 	}
-	copts := CampaignOptions{
-		Workers:    opts.Workers,
-		Metrics:    opts.Metrics,
-		Checkpoint: phy.Micros(opts.CheckpointMicros),
-		Injector:   opts.Injector,
-		Range:      opts.Range,
+	copts := campaignOptions{
+		Workers:  opts.Workers,
+		Metrics:  opts.Metrics,
+		Injector: opts.Injector,
+		Range:    opts.Range,
 	}
 	var (
 		res *CampaignResult

@@ -6,58 +6,51 @@ import (
 	"testing"
 )
 
-// TestRunnerCollectMatchesRun pins the compat contract: the legacy
-// Engine.Run signature and Runner.Execute(ModeCollect) produce
-// bit-identical summaries and aggregates for the same matrix.
-func TestRunnerCollectMatchesRun(t *testing.T) {
-	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1, 2}, Scales: []float64{0.1}}
-	specs, err := m.Expand()
+// collect runs pre-built specs through Execute's collect mode.
+func collect(t testing.TB, workers int, specs []Spec) []RunResult {
+	t.Helper()
+	ex, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Specs: specs, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := (&Engine{Workers: 2}).Run(specs)
-
-	ex, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Mode: ModeCollect, Matrix: m, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ex.Results) != len(legacy) {
-		t.Fatalf("Execute returned %d results, Run %d", len(ex.Results), len(legacy))
-	}
-	for i := range legacy {
-		if legacy[i].Summary != ex.Results[i].Summary {
-			t.Fatalf("run %d: summary %+v != %+v", i, ex.Results[i].Summary, legacy[i].Summary)
-		}
-	}
-	if !reflect.DeepEqual(ex.Aggregates, Aggregate(legacy)) {
-		t.Fatal("Execute aggregates differ from Aggregate(Run(specs))")
-	}
+	return ex.Results
 }
 
-// TestRunnerReduceMatchesRunReduce: the reduce path through Execute
-// folds to the same aggregates as the legacy signature and as the
-// collect path.
-func TestRunnerReduceMatchesRunReduce(t *testing.T) {
-	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1, 2}, Scales: []float64{0.1}}
-	specs, err := m.Expand()
+// reduce runs pre-built specs through Execute's reduce mode on eng, so
+// the reduce bookkeeping (PeakPending) lands on it.
+func reduce(t testing.TB, eng *Engine, specs []Spec) ([]Aggregated, []error) {
+	t.Helper()
+	ex, err := (&Runner{Engine: eng}).Execute(context.Background(), RunSpecOpts{Mode: ModeReduce, Specs: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyAggs, legacyErrs := (&Engine{Workers: 2}).RunReduce(specs)
-	for i, err := range legacyErrs {
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-	}
+	return ex.Aggregates, ex.Errs
+}
 
+// campaign starts (or, with opts.Resume, continues) a campaign through
+// Execute and returns its state, partial on error.
+func campaign(ctx context.Context, opts RunSpecOpts) (*CampaignResult, error) {
+	opts.Mode = ModeCampaign
+	ex, err := (&Runner{}).Execute(ctx, opts)
+	if ex == nil {
+		return nil, err
+	}
+	return ex.Campaign, err
+}
+
+// TestRunnerReduceMatchesCollect: the reduce path through Execute
+// folds to the same aggregates as the collect path.
+func TestRunnerReduceMatchesCollect(t *testing.T) {
+	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1, 2}, Scales: []float64{0.1}}
 	ex, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Mode: ModeReduce, Matrix: m, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ex.Aggregates, legacyAggs) {
-		t.Fatal("Execute(ModeReduce) aggregates differ from RunReduce(specs)")
+	for i, err := range ex.Errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
 	}
-
 	col, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Mode: ModeCollect, Matrix: m, Workers: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,6 @@ import (
 
 	"wlan80211/internal/capture"
 	"wlan80211/internal/phy"
-	"wlan80211/internal/sim"
-	"wlan80211/internal/sniffer"
 	"wlan80211/internal/workload"
 )
 
@@ -128,19 +126,13 @@ func (c sweepScenario) Params() []Param {
 }
 
 func (c sweepScenario) Build() (Run, error) {
-	return &sweepRun{s: c.s}, nil
+	return sweepRun{c.s}, nil
 }
 
-// sweepRun is a pointer type so StreamSlices can expose the live
-// network and sniffer to CaptureState mid-run (see checkpoint.go).
-type sweepRun struct {
-	s   workload.Sweep
-	net *sim.Network
-	sn  *sniffer.Sniffer
-}
+type sweepRun struct{ s workload.Sweep }
 
-func (r *sweepRun) Stream(sink Sink) error {
-	r.sn, r.net = r.s.RunStream(sink)
+func (r sweepRun) Stream(sink Sink) error {
+	r.s.RunStream(sink)
 	return nil
 }
 
@@ -173,21 +165,15 @@ func (c ladderScenario) Build() (Run, error) {
 	if len(c.ladder) == 0 {
 		return nil, fmt.Errorf("experiment: ladder %q has no sweeps", c.name)
 	}
-	return &ladderRun{ladder: c.ladder}, nil
+	return ladderRun{c.ladder}, nil
 }
 
-// ladderRun is a pointer type so StreamSlices can expose the current
-// rung's live network and sniffer to CaptureState (see checkpoint.go).
-type ladderRun struct {
-	ladder []workload.Sweep
-	net    *sim.Network
-	sn     *sniffer.Sniffer
-}
+type ladderRun struct{ ladder []workload.Sweep }
 
 // Stream runs the rungs sequentially, shifting each rung's timestamps
 // into its own epoch (exactly workload.MultiSweep's offsets) so the
 // combined stream is one gap-free record sequence.
-func (r *ladderRun) Stream(sink Sink) error {
+func (r ladderRun) Stream(sink Sink) error {
 	var offset phy.Micros
 	for _, sw := range r.ladder {
 		shift := offset

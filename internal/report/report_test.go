@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"wlan80211/internal/core"
+	"wlan80211/internal/analysis"
 	"wlan80211/internal/dot11"
 	"wlan80211/internal/stats"
 )
@@ -134,7 +134,7 @@ func TestFigureBands(t *testing.T) {
 }
 
 func TestFiguresOnSyntheticResult(t *testing.T) {
-	r := &core.Result{UtilHist: stats.NewHistogram(101)}
+	r := &analysis.Result{UtilHist: stats.NewHistogram(101)}
 	// Populate a couple of utilization cells so figures have rows.
 	for u := 40; u <= 90; u += 10 {
 		r.UtilHist.Add(u)
@@ -173,9 +173,9 @@ func TestFiguresOnSyntheticResult(t *testing.T) {
 }
 
 func TestReliabilityTable(t *testing.T) {
-	rel := &core.BeaconReliability{
+	rel := &analysis.BeaconReliability{
 		WindowSeconds: 10,
-		Series: map[dot11.Addr][]core.ReliabilityPoint{
+		Series: map[dot11.Addr][]analysis.ReliabilityPoint{
 			dot11.AddrFromUint64(1): {
 				{WindowStart: 0, Received: 90, Expected: 97},
 				{WindowStart: 10, Received: 40, Expected: 97},

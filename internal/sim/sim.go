@@ -23,7 +23,6 @@ import (
 	"math"
 	"math/rand"
 
-	"wlan80211/internal/detrand"
 	"wlan80211/internal/dot11"
 	"wlan80211/internal/eventq"
 	"wlan80211/internal/phy"
@@ -196,7 +195,6 @@ type linkRow struct {
 type Network struct {
 	cfg    Config
 	rng    *rand.Rand
-	rngSrc *detrand.Source // counted source behind rng, for snapshots
 	q      eventq.Queue
 	media  map[phy.Channel]*medium
 	nodes  []*Node
@@ -255,11 +253,9 @@ func New(cfg Config) *Network {
 	if cfg.CWMax == 0 {
 		cfg = DefaultConfig()
 	}
-	src := detrand.New(cfg.Seed)
 	n := &Network{
 		cfg:     cfg,
-		rng:     rand.New(src),
-		rngSrc:  src,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		media:   make(map[phy.Channel]*medium),
 		byAddr:  make(map[dot11.Addr]*Node),
 		noiseMW: pow10(cfg.Env.NoiseFloorDBm / 10),

@@ -61,7 +61,7 @@ type cellGrid struct {
 	// buckets is row-major; each bucket lists its nodes in ID
 	// (creation) order, so merged neighborhoods sort cheaply.
 	buckets [][]*Node
-	builds  uint64 // lifetime rebuild count (snapshot witness)
+	builds  uint64 // lifetime rebuild count (0: never built)
 }
 
 // spatialIndex returns the cell grid, rebuilding it if any node moved

@@ -1,30 +1,26 @@
 package snapshot
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
-
-	"wlan80211/internal/eventq"
-	"wlan80211/internal/workload"
 )
 
-// FuzzParse drives the full decode path — container framing, checksum,
-// and every typed section codec — with arbitrary bytes. The invariant:
-// errors, never panics, and (via Dec.Count's remaining-bytes cap)
-// never allocations beyond the input size. The seed corpus in
-// testdata/fuzz/FuzzParse pins real snapshots, truncations, bit
-// flips, and version bumps; `go test` replays it on every run, so the
-// race job exercises it too.
+// FuzzParse drives the container decode path — header, section
+// framing, END trailer and checksum — with arbitrary bytes. The
+// invariant: errors, never panics, and never allocations beyond the
+// input size; an accepted input lists every section it holds and
+// rebuilds into a container that parses back to the same sections.
+// The seed corpus in testdata/fuzz/FuzzParse pins real multi-section
+// files, truncations, bit flips, and version bumps; `go test` replays
+// it on every run, so the race job exercises it too.
 func FuzzParse(f *testing.F) {
-	// Real snapshot of a mid-run network plus hand-made degenerate
-	// shapes as live seeds (the checked-in corpus extends these).
-	b, err := workload.DaySession().Scale(0.02).Build()
-	if err != nil {
-		f.Fatal(err)
-	}
-	b.Net.RunUntil(500_000)
+	// A multi-section container plus hand-made degenerate shapes as
+	// live seeds (the checked-in corpus extends these).
 	bl := NewBuilder()
-	bl.Section(TagNetwork, EncodeNetworkState(b.Net.CaptureState()))
-	bl.Section(TagQueue, EncodeQueueState(b.Net.CaptureState().Queue))
+	bl.Section("META", []byte("run=3 scale=0.02"))
+	bl.Section("BODY", bytes.Repeat([]byte{0x00, 0x5A, 0xFF, 0x80}, 512))
+	bl.Section("EMPT", nil)
 	real := bl.Finish()
 	f.Add(real)
 	f.Add(real[:len(real)/2])
@@ -41,20 +37,26 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A structurally valid container: decode every known section;
-		// failures must come back as errors only.
-		if p, ok := file.Section(TagQueue); ok {
-			if st, err := DecodeQueueState(p); err == nil {
-				// Even a decodable state may be structurally invalid;
-				// RestoreState must reject it without panicking.
-				_, _ = eventq.RestoreState(st, func(int) func() { return func() {} })
+		rb := NewBuilder()
+		for _, tag := range file.Tags() {
+			p, err := file.MustSection(tag)
+			if err != nil {
+				t.Fatalf("listed section %q: %v", tag, err)
 			}
+			rb.Section(tag, p)
 		}
-		if p, ok := file.Section(TagNetwork); ok {
-			_, _ = DecodeNetworkState(p)
+		again, err := Parse(rb.Finish())
+		if err != nil {
+			t.Fatalf("rebuilt container rejected: %v", err)
 		}
-		if p, ok := file.Section(TagSniffers); ok {
-			_, _ = DecodeSnifferStates(p)
+		if !reflect.DeepEqual(again.Tags(), file.Tags()) {
+			t.Fatalf("rebuilt tags %q, want %q", again.Tags(), file.Tags())
+		}
+		for _, tag := range file.Tags() {
+			want, _ := file.Section(tag)
+			if got, _ := again.Section(tag); !bytes.Equal(got, want) {
+				t.Fatalf("rebuilt section %q differs", tag)
+			}
 		}
 	})
 }

@@ -1,10 +1,7 @@
-// Package snapshot is the versioned container format for simulator
-// checkpoints. A snapshot serializes the complete numeric state of a
-// run — event queue slabs, per-node DCF state, RNG stream positions,
-// in-flight transmissions, link-matrix tags, sniffer and analysis
-// pipeline counters — as a witness that a deterministic replay is
-// verified against byte for byte (closures cannot be serialized, so
-// restore is replay-then-prove; see internal/sim/state.go).
+// Package snapshot holds crash-safe file writes and a versioned binary
+// container. AtomicWriteFile replaces a file so that a crash at any
+// instant leaves the old contents or the complete new ones; campaign
+// manifests and reports are written through it.
 //
 // The container is self-describing and fails loud: a fixed magic and
 // version header, a sequence of tagged length-prefixed sections, and
@@ -22,25 +19,12 @@ import (
 )
 
 // Version is the container format version. Decoders reject any other
-// value: state layout changes must bump it.
-//
-// v2: NETW link-row tags carry stored-population counts and the
-// payload ends with the spatial index witness (sparse link matrix).
+// value: layout changes must bump it.
 const Version = 2
 
 const (
 	magic  = "WLSNAP"
 	endTag = "END\x00"
-)
-
-// Section tags used by the simulator's snapshots. The container
-// itself accepts any 4-byte tag; these are the well-known ones.
-const (
-	TagMeta     = "META" // campaign/run identity (written by experiment)
-	TagQueue    = "EVTQ" // eventq.QueueState
-	TagNetwork  = "NETW" // sim.NetworkState
-	TagSniffers = "SNIF" // []sniffer.State
-	TagPipeline = "PIPE" // Reorder/Dedup/analysis state (experiment)
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)

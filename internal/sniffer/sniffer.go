@@ -13,7 +13,6 @@ import (
 	"math/rand"
 
 	"wlan80211/internal/capture"
-	"wlan80211/internal/detrand"
 	"wlan80211/internal/phy"
 	"wlan80211/internal/sim"
 )
@@ -65,9 +64,8 @@ func DefaultConfig(name string, id int, pos sim.Position, ch phy.Channel) Config
 
 // Sniffer implements sim.Tap, accumulating capture records.
 type Sniffer struct {
-	cfg    Config
-	rng    *rand.Rand
-	rngSrc *detrand.Source // counted source behind rng, for snapshots
+	cfg Config
+	rng *rand.Rand
 
 	// emit, when set, switches the sniffer into streaming mode: every
 	// captured record is handed to the callback at capture time and
@@ -122,44 +120,11 @@ func New(cfg Config) *Sniffer {
 	if cfg.MaxFramesPerSec <= 0 {
 		cfg.MaxFramesPerSec = 1200
 	}
-	src := detrand.New(cfg.Seed)
 	return &Sniffer{
 		cfg:     cfg,
-		rng:     rand.New(src),
-		rngSrc:  src,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		noiseMW: dbmToMW(cfg.Env.NoiseFloorDBm),
 		fer:     phy.SharedFERTable(0),
-	}
-}
-
-// State is a sniffer's complete serializable state (streaming mode:
-// captured bytes flow to the emit callback, so the stream position is
-// the loss counters, the per-second overload window, and the RNG draw
-// count). Part of the snapshot subsystem's replay-verified witness.
-type State struct {
-	ID       int
-	Seed     int64
-	RNGDraws uint64
-
-	Seen          int64
-	Captured      int64
-	LostHidden    int64
-	LostCollision int64
-	LostBitError  int64
-	LostOverload  int64
-
-	CurSecond int64
-	CurCount  int
-}
-
-// CaptureState snapshots the sniffer's state.
-func (s *Sniffer) CaptureState() State {
-	return State{
-		ID: s.cfg.ID, Seed: s.cfg.Seed, RNGDraws: s.rngSrc.Draws(),
-		Seen: s.Seen, Captured: s.Captured,
-		LostHidden: s.LostHidden, LostCollision: s.LostCollision,
-		LostBitError: s.LostBitError, LostOverload: s.LostOverload,
-		CurSecond: s.curSecond, CurCount: s.curCount,
 	}
 }
 

@@ -164,9 +164,9 @@ func TestSnifferUsesNetworkCaptureThreshold(t *testing.T) {
 		return sn
 	}
 	if sn := observe(10); sn.LostCollision != 1 {
-		t.Fatalf("10 dB base: want a collision loss, got %+v", sn.CaptureState())
+		t.Fatalf("10 dB base: want a collision loss, got collision=%d captured=%d", sn.LostCollision, sn.Captured)
 	}
 	if sn := observe(5); sn.LostCollision != 0 || sn.Captured != 1 {
-		t.Fatalf("5 dB base: want the frame captured, got %+v", sn.CaptureState())
+		t.Fatalf("5 dB base: want the frame captured, got collision=%d captured=%d", sn.LostCollision, sn.Captured)
 	}
 }

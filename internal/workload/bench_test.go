@@ -3,11 +3,7 @@ package workload
 import (
 	"testing"
 
-	"wlan80211/internal/capture"
-	"wlan80211/internal/phy"
 	"wlan80211/internal/sim"
-	"wlan80211/internal/snapshot"
-	"wlan80211/internal/sniffer"
 )
 
 // The simulator benches run the paper's two sessions end to end
@@ -41,44 +37,6 @@ func benchSession(b *testing.B, s Session) {
 
 func BenchmarkSimDay(b *testing.B)     { benchSession(b, DaySession().Scale(0.15)) }
 func BenchmarkSimPlenary(b *testing.B) { benchSession(b, PlenarySession().Scale(0.15)) }
-
-// BenchmarkSimDayCheckpointed is BenchmarkSimDay's streaming run with
-// a full state snapshot (network + sniffers, container-framed) taken
-// every simulated second — the worst-case checkpoint cadence. The gap
-// between this and the plain bench is the whole cost of
-// checkpointing; snap_bytes tracks the serialized state size.
-func BenchmarkSimDayCheckpointed(b *testing.B) {
-	b.ReportAllocs()
-	s := DaySession().Scale(0.15)
-	for i := 0; i < b.N; i++ {
-		built, err := s.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		frames, snaps, snapBytes := 0, 0, 0
-		err = built.RunStreamSlices(func(capture.Record) { frames++ },
-			phy.MicrosPerSecond, func(t phy.Micros) error {
-				states := make([]sniffer.State, len(built.Sniffers))
-				for i, sn := range built.Sniffers {
-					states[i] = sn.CaptureState()
-				}
-				bld := snapshot.NewBuilder()
-				bld.Section(snapshot.TagNetwork, snapshot.EncodeNetworkState(built.Net.CaptureState()))
-				bld.Section(snapshot.TagSniffers, snapshot.EncodeSnifferStates(states))
-				snapBytes += len(bld.Finish())
-				snaps++
-				return nil
-			})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if frames == 0 || snaps == 0 {
-			b.Fatal("empty checkpointed run")
-		}
-		reportEventQueueMetrics(b, built.Net, frames)
-		b.ReportMetric(float64(snapBytes)/float64(snaps), "snap_bytes")
-	}
-}
 
 // BenchmarkSimGrid runs the multi-cell grid end to end and reports the
 // event-queue traffic behind each captured frame — the cost the lazy

@@ -355,13 +355,3 @@ func (b *GridBuilt) RunStream(emit func(capture.Record)) {
 	}
 	b.Net.RunFor(phy.Micros(b.Grid.DurationSec) * phy.MicrosPerSecond)
 }
-
-// RunStreamSlices is RunStream sliced at interval boundaries for
-// checkpointing; see Built.RunStreamSlices.
-func (b *GridBuilt) RunStreamSlices(emit func(capture.Record), interval phy.Micros, atSlice func(t phy.Micros) error) error {
-	for _, sn := range b.Sniffers {
-		sn.SetEmit(emit)
-	}
-	total := phy.Micros(b.Grid.DurationSec) * phy.MicrosPerSecond
-	return RunSlices(b.Net, total, interval, atSlice)
-}

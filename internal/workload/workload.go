@@ -257,46 +257,3 @@ func (b *Built) RunStream(emit func(capture.Record)) {
 	}
 	b.Net.RunFor(phy.Micros(b.Session.DurationSec) * phy.MicrosPerSecond)
 }
-
-// RunStreamSlices is RunStream with the run sliced at interval
-// boundaries: after the simulation reaches each multiple of interval
-// (and the final instant), atSlice is called with the current sim
-// time, between events, so the caller can checkpoint. Slicing is
-// invisible to the simulation — the event sequence, and therefore the
-// emitted stream, is bit-identical to RunStream (RunUntil in steps
-// fires exactly the events one RunUntil would). An atSlice error
-// aborts the run and is returned.
-func (b *Built) RunStreamSlices(emit func(capture.Record), interval phy.Micros, atSlice func(t phy.Micros) error) error {
-	for _, sn := range b.Sniffers {
-		sn.SetEmit(emit)
-	}
-	total := phy.Micros(b.Session.DurationSec) * phy.MicrosPerSecond
-	return RunSlices(b.Net, total, interval, atSlice)
-}
-
-// RunSlices advances net to total in interval steps, invoking atSlice
-// between events after each boundary (and at the final instant). An
-// interval <= 0 means a single slice at total. Slicing is invisible to
-// the simulation: RunUntil in steps fires exactly the events one
-// RunUntil would, so the event sequence — and any emitted stream — is
-// bit-identical to an unsliced run. Scenario wrappers that manage
-// their own networks (the experiment package's sweep and ladder runs)
-// use this directly.
-func RunSlices(net *sim.Network, total, interval phy.Micros, atSlice func(t phy.Micros) error) error {
-	if interval <= 0 {
-		interval = total
-	}
-	for t := phy.Micros(0); t < total; {
-		t += interval
-		if t > total {
-			t = total
-		}
-		net.RunUntil(t)
-		if atSlice != nil {
-			if err := atSlice(t); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

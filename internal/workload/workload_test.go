@@ -5,7 +5,7 @@ import (
 
 	"wlan80211/internal/capture"
 
-	"wlan80211/internal/core"
+	"wlan80211/internal/analysis"
 	"wlan80211/internal/phy"
 )
 
@@ -46,7 +46,7 @@ func TestDaySessionProducesAnalyzableTrace(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("empty trace")
 	}
-	r := core.Analyze(recs)
+	r := analysis.Analyze(recs)
 	if r.TotalFrames == 0 {
 		t.Fatal("nothing analyzed")
 	}
@@ -83,12 +83,12 @@ func TestPlenaryBusierThanDay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dayRes := core.Analyze(day.Run())
+	dayRes := analysis.Analyze(day.Run())
 	plenary, err := PlenarySession().Scale(0.25).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	plenRes := core.Analyze(plenary.Run())
+	plenRes := analysis.Analyze(plenary.Run())
 
 	dayMode, _ := dayRes.UtilHist.Mode()
 	plenMode, _ := plenRes.UtilHist.Mode()
@@ -112,7 +112,7 @@ func TestSweepCoversUtilizationRange(t *testing.T) {
 	if net.Stats.DataSent == 0 || sn.Captured == 0 {
 		t.Fatal("no traffic")
 	}
-	r := core.Analyze(recs)
+	r := analysis.Analyze(recs)
 	// The sweep must produce seconds both below 60% and above 75%
 	// utilization (so scatter figures have range to plot).
 	lo, hi := false, false
