@@ -153,8 +153,13 @@ type link struct {
 // linkRow is one transmitter's row of the link matrix, tagged with the
 // transmit power it was computed at so power changes (TPC, tests
 // poking Node.TxPower) invalidate it lazily, and with the network's
-// position epoch so node movement (MoveNode) invalidates it the same
-// way.
+// position epoch, which moves that cannot be applied locally (and
+// every move in dense mode) bump to invalidate all rows the same way.
+// A sparse row also carries its own move invalidation: stale marks it
+// for a full rebuild and patches lists nodes whose stored links must be
+// recomputed, both set by MoveNode (see moveLocal) and applied lazily
+// by rowFor, so a row pinned by an in-flight transmission keeps the
+// contents it was transmitted with.
 //
 // Dense rows (the default, and the only mode under shadowing) fill
 // `to` with one link per node. Sparse rows (spatial culling, see
@@ -169,11 +174,13 @@ type linkRow struct {
 	to    []link
 
 	sparse   bool
+	stale    bool
 	ownerPos Position
-	// gen counts buildSparseRow fills; caches keyed on a row carry the
-	// generation they were computed at so a rebuild invalidates them
-	// without a scan (and pinned rows, which are never rebuilt while
-	// held, keep hitting their own generation's entries).
+	patches  []int32
+	// gen counts buildSparseRow fills and patchRow passes; caches keyed
+	// on a row carry the generation they were computed at so a change
+	// invalidates them without a scan (and pinned rows, which are never
+	// changed while held, keep hitting their own generation's entries).
 	gen      uint32
 	ids      []int32
 	ls       []link
@@ -205,8 +212,10 @@ type Network struct {
 	links   []*linkRow
 	noiseMW float64
 	taps    []Tap
-	// posEpoch counts node moves; rows tagged with an older epoch
-	// rebuild lazily on next use (the same mechanism as the power tag).
+	// posEpoch counts global invalidations: dense-mode moves, and
+	// sparse moves or grid refills that change the grid's shape. Rows
+	// tagged with an older epoch rebuild lazily on next use (the same
+	// mechanism as the power tag).
 	posEpoch uint64
 	// sparse selects spatially-culled link rows + medium loops. Fixed
 	// at New: only deterministic radios (no shadowing) can cull without
@@ -223,6 +232,8 @@ type Network struct {
 	// from the interference bracket alone, or by the exact sum. Tests
 	// read it to show both paths ran; it is not a NetStats counter.
 	capture struct{ bracket, exact uint64 }
+	// rows counts link-row maintenance (see RowCounters).
+	rows RowCounters
 
 	// Transmission pool (see medium.go).
 	txFree []*transmission
@@ -247,6 +258,19 @@ type NetStats struct {
 	AssocEvents   int64
 	ChannelSwitch int64
 }
+
+// RowCounters counts link-row maintenance: full sparse row builds,
+// single-link move patches, patches that found no stored link and
+// rebuilt the row instead, and moves applied locally versus by the
+// global position-epoch bump. Tests read it to show that moves stay
+// local; it is diagnostic, not a NetStats counter, and no report or
+// journal carries it.
+type RowCounters struct {
+	FullBuilds, Patches, Fallbacks, LocalMoves, GlobalMoves uint64
+}
+
+// RowCounters returns the link-row maintenance counts so far.
+func (n *Network) RowCounters() RowCounters { return n.rows }
 
 // New creates an empty network.
 func New(cfg Config) *Network {
@@ -320,19 +344,23 @@ func (n *Network) linkFromTo(power float64, from, to *Node) link {
 }
 
 // rowFor returns node's link-matrix row, rebuilding it if the node's
-// transmit power changed or any node moved since it was computed.
+// transmit power changed, the position epoch moved or a move marked it
+// stale since it was computed, and applying queued move patches.
 func (n *Network) rowFor(node *Node) *linkRow {
 	row := n.links[node.ID]
-	if row.power != node.TxPower || row.epoch != n.posEpoch {
+	switch {
+	case row.power != node.TxPower || row.epoch != n.posEpoch || row.stale:
 		row.power = node.TxPower
-		row.epoch = n.posEpoch
 		if row.sparse {
 			n.buildSparseRow(row, node)
 		} else {
+			row.epoch = n.posEpoch
 			for i, o := range n.nodes {
 				row.to[i] = n.linkFromTo(row.power, node, o)
 			}
 		}
+	case len(row.patches) > 0:
+		n.patchRow(row, node)
 	}
 	return row
 }
@@ -438,36 +466,26 @@ func (n *Network) RunUntil(t phy.Micros) { n.q.RunUntil(t) }
 // RunFor advances simulation time by d.
 func (n *Network) RunFor(d phy.Micros) { n.q.RunUntil(n.Now() + d) }
 
-// MoveNode relocates a node. Every link-matrix row is invalidated
-// lazily through the position epoch (the same mechanism the power tag
-// uses), so the radio geometry follows on the next transmission;
-// sniffers re-derive their per-transmitter state from the
-// observation's FromPos, so passive observers follow automatically.
+// MoveNode relocates a node. The link rows that can change follow
+// lazily, on their next use, so the radio geometry follows on the next
+// transmission. With sparse rows on an unchanged grid shape only the
+// rows around the node are touched (see moveLocal); otherwise every
+// row is invalidated through the position epoch (the same mechanism
+// the power tag uses). Sniffers re-derive their per-transmitter state
+// from the observation's FromPos, so passive observers follow
+// automatically.
 func (n *Network) MoveNode(node *Node, pos Position) {
 	if node.Pos == pos {
 		return
 	}
+	old := node.Pos
 	node.Pos = pos
-	n.posEpoch++
-}
-
-// NearestAP returns the geometrically nearest AP to pos (ties broken
-// by slice order) — the roaming target a client scanning all channels
-// would pick, since the shared log-distance environment makes rx
-// power monotone in distance. Returns nil for an empty slice.
-//
-// This is the compat wrapper for callers holding a bare AP slice; hot
-// roam paths should use Network.NearestAP (spatial.go), which answers
-// from the spatial index instead of scanning every AP.
-func NearestAP(aps []*Node, pos Position) *Node {
-	var best *Node
-	bestD := math.Inf(1)
-	for _, ap := range aps {
-		if d := ap.Pos.Distance(pos); d < bestD {
-			best, bestD = ap, d
-		}
+	if n.moveLocal(node, old) {
+		n.rows.LocalMoves++
+		return
 	}
-	return best
+	n.rows.GlobalMoves++
+	n.posEpoch++
 }
 
 // Disassociate removes a station from its AP and stops its traffic.

@@ -2,16 +2,28 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"wlan80211/internal/phy"
 )
 
 // This file breaks the O(N²) link matrix with spatial interference
-// culling: a uniform cell grid over node positions (rebuilt lazily off
-// the position epoch, the same invalidation contract the link rows
-// use) and sparse link rows that precompute links only to nodes within
-// interference range, cutting link-matrix memory from O(N²) to O(N·k)
-// and per-transmission medium work from O(N) to O(neighbors).
+// culling: a uniform cell grid over node positions and sparse link
+// rows that precompute links only to nodes within interference range,
+// cutting link-matrix memory from O(N²) to O(N·k) and per-transmission
+// medium work from O(N) to O(neighbors).
+//
+// Movement invalidates locally. While the grid's shape (origin, cell
+// edge, extent) stays what a fresh fill would compute, a move re-buckets
+// the node in place and touches only the rows whose 3×3 neighborhood
+// holds it: a step within one cell queues a one-link patch on each,
+// a cell crossing rebuilds the rows around both cells (moveLocal).
+// Anything else takes the global position-epoch bump: a move that
+// changes the shape (the bounding box, or the strongest transmit
+// power), and a move before the grid is refilled after a mid-run add.
+// A refill that changes the shape (a power raise past the cell sizing,
+// an add outside the box) bumps the epoch too, so every row still
+// current was built on the current cells.
 //
 // Sparse mode engages when the radio is fully deterministic
 // (Env.ShadowingSigmaDB == 0 and Config.ForceDenseLinks unset). With
@@ -50,32 +62,29 @@ func (n *Network) cullRadius(power float64) float64 {
 // node's entire interference neighborhood is contained in the 3×3
 // block of cells around its own.
 type cellGrid struct {
-	epoch  uint64  // posEpoch the buckets were filled at
-	nnodes int     // node count at fill time (adds don't bump the epoch)
-	power  float64 // max transmit power the cell size covers
-	cell   float64 // cell edge length in meters
-	minX   float64
-	minY   float64
-	cols   int
-	rows   int
+	gridShape
+	epoch  uint64 // posEpoch the buckets were filled at
+	nnodes int    // node count at fill time (adds don't bump the epoch)
 	// buckets is row-major; each bucket lists its nodes in ID
 	// (creation) order, so merged neighborhoods sort cheaply.
 	buckets [][]*Node
 	builds  uint64 // lifetime rebuild count (0: never built)
 }
 
-// spatialIndex returns the cell grid, rebuilding it if any node moved
-// or was added since the last fill, or if power exceeds what the
-// current cell size covers (TPC or tests raising TxPower mid-run).
-func (n *Network) spatialIndex(power float64) *cellGrid {
-	g := n.grid
-	if g == nil {
-		g = &cellGrid{}
-		n.grid = g
-	}
-	if g.builds > 0 && g.epoch == n.posEpoch && g.nnodes == len(n.nodes) && power <= g.power {
-		return g
-	}
+// gridShape is the geometry of a grid fill: everything besides the
+// bucket contents.
+type gridShape struct {
+	power float64 // max transmit power the cell size covers
+	cell  float64 // cell edge length in meters
+	minX  float64
+	minY  float64
+	cols  int
+	rows  int
+}
+
+// shapeFor returns the shape a fill covering power would have for the
+// current node positions and transmit powers.
+func (n *Network) shapeFor(power float64) gridShape {
 	maxP := power
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
@@ -89,11 +98,33 @@ func (n *Network) spatialIndex(power float64) *cellGrid {
 	if len(n.nodes) == 0 {
 		minX, minY, maxX, maxY = 0, 0, 0, 0
 	}
-	g.power = maxP
-	g.cell = n.cullRadius(maxP) * spatialMargin
-	g.minX, g.minY = minX, minY
-	g.cols = int((maxX-minX)/g.cell) + 1
-	g.rows = int((maxY-minY)/g.cell) + 1
+	s := gridShape{power: maxP, cell: n.cullRadius(maxP) * spatialMargin, minX: minX, minY: minY}
+	s.cols = int((maxX-minX)/s.cell) + 1
+	s.rows = int((maxY-minY)/s.cell) + 1
+	return s
+}
+
+// spatialIndex returns the cell grid, refilling it if the position
+// epoch moved or a node was added since the last fill, or if power
+// exceeds what the current cell size covers (TPC or tests raising
+// TxPower mid-run). A refill that changes the grid's shape bumps the
+// position epoch in sparse mode: moveLocal patches only the rows
+// around a moved node on the current cells, so a row built on other
+// cells must not stay current.
+func (n *Network) spatialIndex(power float64) *cellGrid {
+	g := n.grid
+	if g == nil {
+		g = &cellGrid{}
+		n.grid = g
+	}
+	if g.builds > 0 && g.epoch == n.posEpoch && g.nnodes == len(n.nodes) && power <= g.power {
+		return g
+	}
+	shape := n.shapeFor(power)
+	if n.sparse && g.builds > 0 && shape != g.gridShape {
+		n.posEpoch++
+	}
+	g.gridShape = shape
 	need := g.cols * g.rows
 	if cap(g.buckets) < need {
 		g.buckets = make([][]*Node, need)
@@ -110,6 +141,92 @@ func (n *Network) spatialIndex(power float64) *cellGrid {
 	g.nnodes = len(n.nodes)
 	g.builds++
 	return g
+}
+
+// moveLocal applies node's move from old to the grid and the sparse
+// rows in place, or reports false when the move needs the global
+// position-epoch bump: dense links, a grid that is not filled at the
+// current epoch and node count, or a move that changes the shape a
+// fresh fill would have. Otherwise only rows whose 3×3 neighborhood
+// holds the node can store a link toward it, and those are the rows
+// of the nodes in the node's own neighborhood. Its own row rebuilds.
+// A step within one cell leaves every neighborhood's membership as it
+// was, so each of those rows queues a patch of the one link; a cell
+// crossing changes membership, so the rows around both cells rebuild.
+func (n *Network) moveLocal(node *Node, old Position) bool {
+	g := n.grid
+	if !n.sparse || g == nil || g.epoch != n.posEpoch || g.nnodes != len(n.nodes) ||
+		n.shapeFor(math.Inf(-1)) != g.gridShape {
+		return false
+	}
+	ox, oy := g.cellOf(old)
+	cx, cy := g.cellOf(node.Pos)
+	n.links[node.ID].stale = true
+	if ox == cx && oy == cy {
+		id := int32(node.ID)
+		g.visitBlock(cx, cy, func(o *Node) {
+			if o != node {
+				n.queuePatch(n.links[o.ID], id)
+			}
+		})
+	} else {
+		g.rebucket(node, ox, oy, cx, cy)
+		stale := func(o *Node) { n.links[o.ID].stale = true }
+		g.visitBlock(ox, oy, stale)
+		g.visitBlock(cx, cy, stale)
+	}
+	return true
+}
+
+// rebucket moves node from cell (ox, oy) to cell (cx, cy), keeping
+// both buckets in ID order.
+func (g *cellGrid) rebucket(node *Node, ox, oy, cx, cy int) {
+	from := g.buckets[oy*g.cols+ox]
+	i := slices.Index(from, node)
+	g.buckets[oy*g.cols+ox] = slices.Delete(from, i, i+1)
+	to := g.buckets[cy*g.cols+cx]
+	j, _ := slices.BinarySearchFunc(to, node.ID, func(o *Node, id int) int { return o.ID - id })
+	g.buckets[cy*g.cols+cx] = slices.Insert(to, j, node)
+}
+
+// queuePatch records that node id moved within its cell, so row
+// recomputes its stored link toward id on next use (rowFor). Rows
+// already due for a full rebuild need nothing. Repeat moves of one
+// node queue it once, and a row whose patches would outnumber its
+// stored links rebuilds instead, so a row that never transmits holds
+// at most one patch per stored link however long the run.
+func (n *Network) queuePatch(row *linkRow, id int32) {
+	if row.stale || row.epoch != n.posEpoch || slices.Contains(row.patches, id) {
+		return
+	}
+	if len(row.patches) >= len(row.ids)+len(row.extraIDs) {
+		row.stale = true
+		row.patches = row.patches[:0]
+		return
+	}
+	row.patches = append(row.patches, id)
+}
+
+// patchRow recomputes row's stored links toward its queued patches —
+// the same linkFromTo call a rebuild makes, so the values match one.
+// A patched node the row does not store (a culled mid-run add) falls
+// back to the full rebuild.
+func (n *Network) patchRow(row *linkRow, node *Node) {
+	for _, id := range row.patches {
+		l := n.linkFromTo(row.power, node, n.nodes[id])
+		if i, ok := slices.BinarySearch(row.ids, id); ok {
+			row.ls[i] = l
+		} else if i := slices.Index(row.extraIDs, id); i >= 0 {
+			row.extraLs[i] = l
+		} else {
+			n.rows.Fallbacks++
+			n.buildSparseRow(row, node)
+			return
+		}
+		n.rows.Patches++
+	}
+	row.patches = row.patches[:0]
+	row.gen++ // invalidate caches keyed on this row's content
 }
 
 // cellOf maps a position inside the index's bounding box to bucket
@@ -147,6 +264,16 @@ func (g *cellGrid) visitCell(cx, cy int, fn func(*Node)) {
 	}
 }
 
+// visitBlock calls fn for every node bucketed in the 3×3 block of
+// cells around (cx, cy).
+func (g *cellGrid) visitBlock(cx, cy int, fn func(*Node)) {
+	for y := cy - 1; y <= cy+1; y++ {
+		for x := cx - 1; x <= cx+1; x++ {
+			g.visitCell(x, y, fn)
+		}
+	}
+}
+
 // forRing visits every node bucketed in cells at Chebyshev distance r
 // from (cx, cy).
 func (g *cellGrid) forRing(cx, cy, r int, fn func(*Node)) {
@@ -172,6 +299,12 @@ func (g *cellGrid) forRing(cx, cy, r int, fn func(*Node)) {
 // skip.
 func (n *Network) buildSparseRow(row *linkRow, node *Node) {
 	g := n.spatialIndex(row.power)
+	// Tag after the index: a refill that changes the grid's shape bumps
+	// the epoch, and this row is built on the new cells.
+	row.epoch = n.posEpoch
+	row.stale = false
+	row.patches = row.patches[:0]
+	n.rows.FullBuilds++
 	row.ownerPos = node.Pos
 	row.gen++ // invalidate caches keyed on this row's content
 	row.ids, row.ls = row.ids[:0], row.ls[:0]
@@ -399,8 +532,8 @@ func (m *medium) gatherCands(dst []spCand, row *linkRow, skip *Node) []spCand {
 
 // NearestAP returns the geometrically nearest AP to pos, answered from
 // the spatial index by expanding-ring search; ties break by node
-// creation order, matching the package-level linear scan over a
-// creation-ordered slice. The index carries all nodes and touches
+// creation order, matching a first-wins linear scan over the APs in
+// creation order. The index carries all nodes and touches
 // neither the RNG nor the event queue, so calling this from dense-mode
 // networks leaves their traces bit-identical.
 func (n *Network) NearestAP(pos Position) *Node {

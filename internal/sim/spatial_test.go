@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wlan80211/internal/phy"
@@ -81,25 +83,107 @@ func auditRows(t *testing.T, sp, dn *Network) (culled int) {
 	return culled
 }
 
+// assertFreshGrid compares net's cell grid, shape and every bucket in
+// order, against a from-scratch fill of the same network.
+func assertFreshGrid(t *testing.T, net *Network) {
+	t.Helper()
+	g := net.spatialIndex(0)
+	net.grid = nil
+	fresh := net.spatialIndex(0)
+	net.grid = g
+	if g.gridShape != fresh.gridShape {
+		t.Fatalf("grid shape %+v, a fresh fill has %+v", g.gridShape, fresh.gridShape)
+	}
+	for i := range fresh.buckets {
+		if !slices.Equal(g.buckets[i], fresh.buckets[i]) {
+			t.Fatalf("bucket %d holds %v, a fresh fill holds %v", i, bucketIDs(g.buckets[i]), bucketIDs(fresh.buckets[i]))
+		}
+	}
+}
+
+func bucketIDs(b []*Node) []int {
+	ids := make([]int, len(b))
+	for i, o := range b {
+		ids[i] = o.ID
+	}
+	return ids
+}
+
 // TestSparseRowsMatchDense is the culled-pair audit of the headline
 // bit-identity claim, on randomized topologies, through random node
-// movement, transmit-power raises (TPC-style, above the index's cell
-// sizing), and mid-run node additions against pinned rows.
+// movement (teleports, same-cell steps that take the patch path, cell
+// crossings, a bounding-box change), transmit-power raises (TPC-style,
+// above the index's cell sizing), and mid-run node additions against
+// pinned rows, with moves after them.
 func TestSparseRowsMatchDense(t *testing.T) {
+	var total RowCounters
 	for seed := int64(1); seed <= 5; seed++ {
 		sp, dn := randomTwinNets(seed, 6, 40, 400)
 		if c := auditRows(t, sp, dn); c == 0 {
 			t.Fatalf("seed %d: no culled pairs — audit is vacuous, shrink the extent", seed)
 		}
 		rng := rand.New(rand.NewSource(seed))
+		move := func(k int, p Position) {
+			sp.MoveNode(sp.nodes[k], p)
+			dn.MoveNode(dn.nodes[k], p)
+		}
 		// Random walks: same moves on both twins, re-audit each epoch.
 		for step := 0; step < 10; step++ {
 			k := rng.Intn(len(sp.nodes))
-			p := Position{X: rng.Float64() * 400, Y: rng.Float64() * 400}
-			sp.MoveNode(sp.nodes[k], p)
-			dn.MoveNode(dn.nodes[k], p)
+			move(k, Position{X: rng.Float64() * 400, Y: rng.Float64() * 400})
 			auditRows(t, sp, dn)
+			assertFreshGrid(t, sp)
 		}
+		// Same-cell steps: neighbors' rows patch the one link. A queued
+		// patch leaves the row as it was until its next use.
+		for step := 0; step < 20; step++ {
+			k := rng.Intn(len(sp.nodes))
+			o := sp.nodes[k]
+			g := sp.spatialIndex(0)
+			cx, cy := g.cellOf(o.Pos)
+			p := Position{X: o.Pos.X + rng.Float64() - 0.5, Y: o.Pos.Y + rng.Float64() - 0.5}
+			if nx, ny := g.cellOf(p); nx != cx || ny != cy {
+				continue
+			}
+			var watched *linkRow
+			var before []link
+			g.visitBlock(cx, cy, func(w *Node) {
+				if w != o && watched == nil {
+					watched = sp.links[w.ID]
+					before = slices.Clone(watched.ls)
+				}
+			})
+			move(k, p)
+			if watched != nil && len(watched.patches) > 0 && !slices.Equal(watched.ls, before) {
+				t.Fatal("a queued patch changed the row before its next use")
+			}
+			auditRows(t, sp, dn)
+			assertFreshGrid(t, sp)
+		}
+		// Cell crossings: a node jumps onto another node's spot,
+		// usually in another cell, and back.
+		for step := 0; step < 5; step++ {
+			k, j := rng.Intn(len(sp.nodes)), rng.Intn(len(sp.nodes))
+			home := sp.nodes[k].Pos
+			move(k, sp.nodes[j].Pos)
+			auditRows(t, sp, dn)
+			assertFreshGrid(t, sp)
+			move(k, home)
+			auditRows(t, sp, dn)
+			assertFreshGrid(t, sp)
+		}
+		// A move outside the bounding box changes the grid's shape: the
+		// global bump, then local moves again on the new cells.
+		global := sp.rows.GlobalMoves
+		move(0, Position{X: 430, Y: -25})
+		if sp.rows.GlobalMoves != global+1 {
+			t.Fatal("a move growing the bounding box did not take the global path")
+		}
+		auditRows(t, sp, dn)
+		assertFreshGrid(t, sp)
+		move(1, Position{X: sp.nodes[1].Pos.X + 0.25, Y: sp.nodes[1].Pos.Y})
+		auditRows(t, sp, dn)
+		assertFreshGrid(t, sp)
 		// A power raise beyond the grid's cell sizing must re-key the
 		// index (cells sized for 15 dBm are too small for 20).
 		sp.nodes[0].TxPower, dn.nodes[0].TxPower = 20, 20
@@ -127,12 +211,87 @@ func TestSparseRowsMatchDense(t *testing.T) {
 			t.Fatalf("inert mid-run add not culled from pinned sparse row: extras=%d", len(prow.extraIDs))
 		}
 		auditRows(t, sp, dn)
+		// Moves after the adds: the newcomers and an old node step
+		// within their cells and cross cells.
+		for _, k := range []int{len(sp.nodes) - 2, len(sp.nodes) - 1, 2} {
+			p := sp.nodes[k].Pos
+			move(k, Position{X: p.X + 0.3, Y: p.Y - 0.2})
+			auditRows(t, sp, dn)
+			assertFreshGrid(t, sp)
+			move(k, Position{X: 400 - p.X, Y: 400 - p.Y})
+			auditRows(t, sp, dn)
+			assertFreshGrid(t, sp)
+		}
+		// A patch toward a node the row does not store falls back to a
+		// full rebuild.
+		fallbacks := sp.rows.Fallbacks
+		prow = sp.rowFor(sp.nodes[1])
+		for _, o := range sp.nodes {
+			if _, ok := prow.linkTo(o); !ok {
+				sp.queuePatch(prow, int32(o.ID))
+				break
+			}
+		}
+		auditRows(t, sp, dn)
+		if sp.rows.Fallbacks != fallbacks+1 {
+			t.Fatal("a patch toward an unstored node did not fall back to a rebuild")
+		}
+		rc := sp.RowCounters()
+		total.Patches += rc.Patches
+		total.LocalMoves += rc.LocalMoves
+		total.GlobalMoves += rc.GlobalMoves
+	}
+	if total.Patches == 0 || total.LocalMoves == 0 || total.GlobalMoves == 0 {
+		t.Fatalf("a move path never ran: %+v", total)
+	}
+	t.Logf("patches %d, local moves %d, global moves %d", total.Patches, total.LocalMoves, total.GlobalMoves)
+}
+
+// TestMovePatchesStayBounded pins the pending-patch rule for rows that
+// are not used between moves: repeat moves of one node queue it once,
+// and a row whose patches would outnumber its stored links is marked
+// for a full rebuild instead of growing.
+func TestMovePatchesStayBounded(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Env.ShadowingSigmaDB = 0
+	net := New(cfg)
+	ap := net.AddAP("ap", Position{X: 10, Y: 10}, phy.Channel1)
+	var sts []*Node
+	for i := 0; i < 4; i++ {
+		sts = append(sts, net.AddStation(fmt.Sprintf("st%d", i), Position{X: 12 + float64(i), Y: 10}, ap, rate.NewFixedFactory(phy.Rate11Mbps)))
+	}
+	row := net.rowFor(ap)
+	for i := 0; i < 6; i++ {
+		net.MoveNode(sts[0], Position{X: 12, Y: 10.5 + float64(i%2)*0.5})
+	}
+	if net.rows.LocalMoves != 6 {
+		t.Fatalf("moves took the global path: %+v", net.rows)
+	}
+	if !slices.Equal(row.patches, []int32{int32(sts[0].ID)}) {
+		t.Fatalf("repeat moves of one node queued %v, want it once", row.patches)
+	}
+	stored := len(row.ids) + len(row.extraIDs)
+	for id := 0; len(row.patches) < stored; id++ {
+		net.queuePatch(row, int32(100+id))
+	}
+	if row.stale {
+		t.Fatal("row marked stale before its patches reached its stored link count")
+	}
+	net.queuePatch(row, 99)
+	if !row.stale || len(row.patches) != 0 {
+		t.Fatalf("patches past the stored link count: stale=%v patches=%d", row.stale, len(row.patches))
+	}
+	full := net.rows.FullBuilds
+	net.rowFor(ap)
+	if row.stale || net.rows.FullBuilds != full+1 {
+		t.Fatal("a stale row did not rebuild on next use")
 	}
 }
 
 // TestWaypointBucketMembership walks a node across bucket boundaries
 // and checks the index keeps it in exactly one bucket — the correct
-// one — at every position epoch.
+// one — at every step, and that every bucket after each in-place move
+// matches a from-scratch fill.
 func TestWaypointBucketMembership(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 3
@@ -165,6 +324,10 @@ func TestWaypointBucketMembership(t *testing.T) {
 		if found != 1 {
 			t.Fatalf("step %d: node appears in %d buckets, want exactly 1", step, found)
 		}
+		assertFreshGrid(t, net)
+	}
+	if net.rows.LocalMoves == 0 {
+		t.Fatalf("no move was applied in place: %+v", net.rows)
 	}
 }
 
@@ -249,6 +412,20 @@ func TestSpatialTraceMatchesDense(t *testing.T) {
 	}
 }
 
+// linearNearestAP is the reference roam lookup: the geometrically
+// nearest AP to pos by a scan of aps, ties broken by slice order (the
+// first wins), nil for an empty slice.
+func linearNearestAP(aps []*Node, pos Position) *Node {
+	var best *Node
+	bestD := math.Inf(1)
+	for _, ap := range aps {
+		if d := ap.Pos.Distance(pos); d < bestD {
+			best, bestD = ap, d
+		}
+	}
+	return best
+}
+
 // TestNetworkNearestAPMatchesLinear compares the expanding-ring index
 // search against the linear scan on randomized layouts and on exact
 // equidistant ties (the linear scan's first-wins tie is creation
@@ -268,7 +445,7 @@ func TestNetworkNearestAPMatchesLinear(t *testing.T) {
 		for q := 0; q < 200; q++ {
 			// Sprinkle queries beyond the bounding box too.
 			p := Position{X: rng.Float64()*1000 - 100, Y: rng.Float64()*1000 - 100}
-			want := NearestAP(aps, p)
+			want := linearNearestAP(aps, p)
 			if got := net.NearestAP(p); got != want {
 				t.Fatalf("seed %d query %+v: index found %v, linear scan %v", seed, p, got, want)
 			}
@@ -282,7 +459,7 @@ func TestNetworkNearestAPMatchesLinear(t *testing.T) {
 	b := net.AddAP("b", Position{X: 100, Y: 50}, phy.Channel6)
 	aps := []*Node{a, b}
 	q := Position{X: 50, Y: 50}
-	if NearestAP(aps, q) != a {
+	if linearNearestAP(aps, q) != a {
 		t.Fatal("linear tie-break changed — update the index tie-break to match")
 	}
 	if got := net.NearestAP(q); got != a {

@@ -37,3 +37,32 @@ func TestGrid256StationCount(t *testing.T) {
 		t.Fatalf("stations = %d, want ≥1000", stations)
 	}
 }
+
+// TestGrid256MovesStayLocal guards move-local row invalidation on the
+// campus: every mobile step must invalidate only the rows around the
+// mobile, never through the global position-epoch bump, and every
+// queued patch must find its stored link. Goldens cannot catch a
+// regression here, because the global bump yields the same traces,
+// only slower: it rebuilds ~15k rows in this run, where local moves
+// rebuild ~1.7k (the 780 first builds included).
+func TestGrid256MovesStayLocal(t *testing.T) {
+	b, err := Grid256().Scale(0.5).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Run()
+	rc := b.Net.RowCounters()
+	// Each mobile steps every half second, from 0.5 s to the end.
+	steps := uint64(len(b.Mobiles) * b.Grid.DurationSec * 2)
+	if rc.LocalMoves != steps || rc.GlobalMoves != 0 {
+		t.Fatalf("%d of %d mobile steps local, %d global", rc.LocalMoves, steps, rc.GlobalMoves)
+	}
+	if rc.Patches == 0 || rc.Fallbacks != 0 {
+		t.Fatalf("patch path: %d patches, %d fallbacks to a rebuild", rc.Patches, rc.Fallbacks)
+	}
+	nodes := uint64(len(b.Net.Nodes()))
+	if rc.FullBuilds*40 > steps*nodes {
+		t.Fatalf("%d full row builds for %d moves of %d nodes", rc.FullBuilds, steps, nodes)
+	}
+	t.Logf("%d moves, %d nodes: %+v", steps, nodes, rc)
+}
