@@ -1,205 +1,55 @@
-// Command benchjson converts `go test -bench` output into JSON, so CI
-// can archive benchmark trajectories (BENCH_N.json) across PRs and
-// diff ns/op and allocs/op mechanically.
+// Command benchjson is the perf gate's comparator. It judges head
+// against the parent from the perfbench result lines that
+// .github/perfgate.sh collects, each tagged with its workload, side
+// (base is the parent), pair and --trace mode:
 //
-// Usage:
+//	benchjson [-goldens-changed] results.jsonl
 //
-//	go test -bench=. -benchmem ./... | benchjson -o BENCH.json
-//	benchjson -compare BENCH_5.json -tolerance 0.15 bench-smoke.json
-//
-// Standard fields (ns/op, B/op, allocs/op) are parsed into columns;
-// any custom b.ReportMetric units land in the metrics map.
-//
-// With -compare, the input (a positional JSON file, or bench text on
-// stdin) is gated against the baseline document: any benchmark whose
-// ns/op or allocs/op grew more than -tolerance (default +15%) exits
-// non-zero, so a perf regression fails CI instead of merging as a
-// silently-archived artifact. Benchmarks appearing in only one
-// document are skipped, but the intersection must be non-empty.
-// Adding -verbose prints a per-benchmark delta table (old/new ns/op
-// and allocs/op with signed percentages) even when the gate passes,
-// so CI logs show the perf trajectory, not just its violations.
+// End-to-end metrics are gated on the median over untraced pairs of
+// head ÷ parent, within BENCHMARK.json's bounds (read from the working
+// directory); runtime.mallocs from the traced pairs at alloc_mb's.
+// Head must be correct and fail no larger a share than the parent.
+// Counters are compared exactly: a trace-visible one may differ only
+// with -goldens-changed (the change regenerated
+// internal/workload/testdata/goldens.json), a bookkeeping one is only
+// reported. The delta table is always printed; the exit status is 1
+// when head fails, with each reason named, and 2 when the input
+// cannot be judged.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 )
 
-// Result is one parsed benchmark line. B/op and allocs/op are
-// pointers so a measured zero (an allocation-free benchmark) is
-// distinguishable from -benchmem being off.
-type Result struct {
-	Name        string             `json:"name"`
-	Pkg         string             `json:"pkg,omitempty"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Output is the archived document.
-type Output struct {
-	GOOS    string   `json:"goos,omitempty"`
-	GOARCH  string   `json:"goarch,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []Result `json:"results"`
-}
-
 func main() {
-	out := flag.String("o", "", "output file (default stdout; suppressed under -compare)")
-	baseline := flag.String("compare", "", "baseline BENCH_*.json to gate against; exit non-zero on regression")
-	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional ns/op and allocs/op growth for -compare")
-	verbose := flag.Bool("verbose", false, "with -compare, print the per-benchmark delta table even when the gate passes")
+	goldensChanged := flag.Bool("goldens-changed", false, "the change also rewrites internal/workload/testdata/goldens.json, so trace-visible counters may move")
 	flag.Parse()
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(2)
-	}
-	var doc *Output
-	var err error
-	switch args := flag.Args(); len(args) {
-	case 0:
-		doc, err = parse(bufio.NewScanner(os.Stdin))
-	case 1:
-		doc, err = readDoc(args[0])
-	default:
-		err = fmt.Errorf("at most one input file, got %d", len(args))
-	}
-	if err != nil {
-		fail(err)
-	}
-
-	if *out != "" || *baseline == "" {
-		enc, err := json.MarshalIndent(doc, "", "  ")
+	check := func(err error) {
 		if err != nil {
-			fail(err)
-		}
-		enc = append(enc, '\n')
-		if *out == "" {
-			os.Stdout.Write(enc)
-		} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
-			fail(err)
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(2)
 		}
 	}
-
-	if *baseline != "" {
-		old, err := readDoc(*baseline)
-		if err != nil {
-			fail(err)
-		}
-		regs, compared, err := compare(old, doc, *tolerance)
-		if err != nil {
-			fail(err)
-		}
-		if *verbose {
-			if err := writeDeltaTable(os.Stderr, old, doc); err != nil {
-				fail(err)
-			}
-		}
-		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, r)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) compared against %s at +%.0f%% tolerance, %d regression(s)\n",
-			compared, *baseline, *tolerance*100, len(regs))
-		if len(regs) > 0 {
-			os.Exit(1)
-		}
+	if flag.NArg() != 1 {
+		check(fmt.Errorf("want one results file, got %d arguments", flag.NArg()))
 	}
-}
-
-// readDoc loads an archived benchjson document.
-func readDoc(path string) (*Output, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+	bounds, err := readBounds("BENCHMARK.json")
+	check(err)
+	data, err := os.ReadFile(flag.Arg(0))
+	check(err)
+	entries, err := readEntries(bytes.NewReader(data))
+	check(err)
+	v, err := compare(entries, bounds, *goldensChanged)
+	check(err)
+	check(writeDeltaTable(os.Stdout, v))
+	for _, f := range v.failures {
+		fmt.Println("FAIL", f)
 	}
-	doc := &Output{}
-	if err := json.Unmarshal(data, doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	fmt.Printf("benchjson: %d untraced pair(s) compared against the parent, %d failure(s)\n", v.pairs, len(v.failures))
+	if len(v.failures) > 0 {
+		os.Exit(1)
 	}
-	return doc, nil
-}
-
-func parse(sc *bufio.Scanner) (*Output, error) {
-	doc := &Output{}
-	pkg := ""
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			doc.GOOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-			continue
-		case strings.HasPrefix(line, "goarch:"):
-			doc.GOARCH = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-			continue
-		case strings.HasPrefix(line, "cpu:"):
-			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-			continue
-		case strings.HasPrefix(line, "pkg:"):
-			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-			continue
-		case !strings.HasPrefix(line, "Benchmark"):
-			continue
-		}
-		r, ok := parseBenchLine(line)
-		if !ok {
-			continue
-		}
-		r.Pkg = pkg
-		doc.Results = append(doc.Results, r)
-	}
-	return doc, sc.Err()
-}
-
-// parseBenchLine parses one result line:
-//
-//	BenchmarkName-8  120  9612 ns/op  432 B/op  7 allocs/op  3.2 custom_unit
-func parseBenchLine(line string) (Result, bool) {
-	fields := strings.Fields(line)
-	if len(fields) < 3 {
-		return Result{}, false
-	}
-	name := fields[0]
-	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		// Strip the GOMAXPROCS suffix.
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
-	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return Result{}, false
-	}
-	r := Result{Name: name, Iterations: iters}
-	// The remainder alternates value, unit.
-	for i := 2; i+1 < len(fields); i += 2 {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			return Result{}, false
-		}
-		switch unit := fields[i+1]; unit {
-		case "ns/op":
-			r.NsPerOp = v
-		case "B/op":
-			v := v
-			r.BytesPerOp = &v
-		case "allocs/op":
-			v := v
-			r.AllocsPerOp = &v
-		default:
-			if r.Metrics == nil {
-				r.Metrics = make(map[string]float64)
-			}
-			r.Metrics[unit] = v
-		}
-	}
-	return r, true
 }

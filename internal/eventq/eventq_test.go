@@ -170,3 +170,34 @@ func TestMonotonicProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSteadyStateChurnAllocatesNothing pins the queue's zero-alloc
+// claim exactly, on any host: once the slab has grown to the pending
+// population, scheduling, cancelling, deferring and firing reuse
+// slots and never allocate.
+func TestSteadyStateChurnAllocatesNothing(t *testing.T) {
+	var q Queue
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		q.After(phy.Micros(i%97+1), fn)
+	}
+	// Every round makes each call once, so one planted allocation in
+	// any of them shows as a whole allocation per round.
+	i := 0
+	churn := func() {
+		q.After(phy.Micros(i%131+1), fn).Cancel()
+		e := q.After(phy.Micros(i%89+1), fn)
+		e.Defer(e.At() + phy.Micros(i%67+1))
+		q.Step()
+		i++
+	}
+	for j := 0; j < 10000; j++ {
+		churn()
+	}
+	if n := testing.AllocsPerRun(10000, churn); n != 0 {
+		t.Fatalf("steady-state After/Cancel/Defer/Step allocates %v times per round, want 0", n)
+	}
+	if q.Deferrals() == 0 || q.Cancelled() == 0 {
+		t.Fatalf("churn exercised %d deferrals and %d cancels, want both", q.Deferrals(), q.Cancelled())
+	}
+}

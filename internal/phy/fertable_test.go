@@ -175,3 +175,29 @@ func BenchmarkFER(b *testing.B) {
 }
 
 var sinkInt int
+
+// TestFERLookupAllocatesNothing pins the table decision's zero-alloc
+// claim exactly: once a column is filled, fetching the lookup from
+// the shared table and deciding from it never allocate, whether the
+// bracket decides or the guard band falls back to the analytic FER.
+func TestFERLookupAllocatesNothing(t *testing.T) {
+	tbl := SharedFERTable(0)
+	tbl.Lookup(1538, Rate11Mbps)
+	rng := rand.New(rand.NewSource(11))
+	thr := ferZeroSNRdB(Rate11Mbps)
+	var lost int
+	decide := func() {
+		u, snr := rng.Float64(), rng.Float64()*thr
+		if tbl.Lookup(1538, Rate11Mbps).Lost(u, snr) {
+			lost++
+		}
+		// A draw at the exact FER lands inside the guard band.
+		if tbl.Lookup(1538, Rate11Mbps).Lost(FER(snr, 1538, Rate11Mbps), snr) {
+			lost++
+		}
+	}
+	if n := testing.AllocsPerRun(10000, decide); n != 0 {
+		t.Fatalf("SharedFERTable(0).Lookup(...).Lost allocates %v times per decision pair, want 0", n)
+	}
+	sinkInt = lost
+}
