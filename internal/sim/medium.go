@@ -460,9 +460,12 @@ func (m *medium) settleCapture(tx *transmission, elig []spCand, interf []float64
 	}
 	for _, it := range tx.overlapped {
 		row := it.row
-		far := m.net.farFor(row.power)
+		far := m.net.rowFar(row)
+		bits := row.bits
 		for j, c := range elig {
-			if l, ok := row.linkTo(c.o); ok {
+			// Most pairs are culled: one bit test, then the bracket.
+			if bitSet(bits, c.o.ID) {
+				l := row.stored(int32(c.o.ID))
 				br[j][0] += l.mw
 				br[j][1] += l.mw
 				continue

@@ -25,6 +25,14 @@ import (
 // an add outside the box) bumps the epoch too, so every row still
 // current was built on the current cells.
 //
+// Adds invalidate nothing, and extend locally the same way. An add
+// inside the box, at a power the cells cover, onto a grid filled at the
+// current epoch, appends the newcomer to its bucket and extends only
+// the rows of the nodes in its 3×3 block (addLocal); any other add
+// computes the link from every row and refills the grid. Each row
+// keeps a membership bitmap of the IDs it stores, so a culled pair
+// costs one bit test, not a search.
+//
 // Sparse mode engages when the radio is fully deterministic
 // (Env.ShadowingSigmaDB == 0 and Config.ForceDenseLinks unset). With
 // shadowing enabled, delivery draws one normal variate per candidate
@@ -178,6 +186,37 @@ func (n *Network) moveLocal(node *Node, old Position) bool {
 	return true
 }
 
+// addLocal extends the sparse rows toward node, just appended to
+// n.nodes, from the cell grid, and files node in its bucket; or it
+// reports false when the add needs every row: a grid not filled at the
+// current epoch and the previous node count, an add that would change
+// the grid's shape (a position outside the box, a transmit power above
+// the cell sizing), or a row computed at a power above the cell sizing
+// (maxRowPower). Otherwise a node outside node's 3×3 block lies more
+// than a cell edge away, beyond its row's cull radius, so the link
+// clears neither floor and the full loop would store nothing for it.
+func (n *Network) addLocal(node *Node) bool {
+	g := n.grid
+	if g == nil || g.epoch != n.posEpoch || g.nnodes != len(n.nodes)-1 ||
+		node.TxPower > g.power || n.maxRowPower > g.power || !g.covers(node.Pos) {
+		return false
+	}
+	cx, cy := g.cellOf(node.Pos)
+	g.visitBlock(cx, cy, func(o *Node) { n.extendRow(n.links[o.ID], o, node) })
+	// node has the highest ID, so appending keeps the bucket ID-sorted.
+	g.buckets[cy*g.cols+cx] = append(g.buckets[cy*g.cols+cx], node)
+	g.nnodes++
+	return true
+}
+
+// covers reports whether a fill that includes p keeps the grid's origin
+// and extent: p lies in [minX, minX+cols·cell) and likewise in Y, by
+// shapeFor's arithmetic (int(v) < cols ⇔ v < cols for v ≥ 0).
+func (g *cellGrid) covers(p Position) bool {
+	return p.X >= g.minX && p.Y >= g.minY &&
+		(p.X-g.minX)/g.cell < float64(g.cols) && (p.Y-g.minY)/g.cell < float64(g.rows)
+}
+
 // rebucket moves node from cell (ox, oy) to cell (cx, cy), keeping
 // both buckets in ID order.
 func (g *cellGrid) rebucket(node *Node, ox, oy, cx, cy int) {
@@ -309,6 +348,13 @@ func (n *Network) buildSparseRow(row *linkRow, node *Node) {
 	row.gen++ // invalidate caches keyed on this row's content
 	row.ids, row.ls = row.ids[:0], row.ls[:0]
 	row.extraIDs, row.extraLs = row.extraIDs[:0], row.extraLs[:0]
+	if words := (len(n.nodes) + 63) >> 6; cap(row.bits) < words {
+		row.bits = make([]uint64, words)
+	} else {
+		row.bits = row.bits[:words]
+		clear(row.bits)
+	}
+	n.maxRowPower = max(n.maxRowPower, row.power)
 	cx, cy := g.cellOf(node.Pos)
 	// Merge the up-to-nine ID-sorted buckets, computing links in the
 	// merged (ascending ID) order — the same per-pair linkFromTo calls
@@ -346,35 +392,61 @@ func (n *Network) buildSparseRow(row *linkRow, node *Node) {
 		runs[best] = runs[best][1:]
 		row.ids = append(row.ids, int32(o.ID))
 		row.ls = append(row.ls, n.linkFromTo(row.power, node, o))
+		row.bits[o.ID>>6] |= 1 << (o.ID & 63)
 	}
+}
+
+// setBit marks id stored, growing the bitmap when id is a node added
+// after the row was built.
+func (r *linkRow) setBit(id int) {
+	if w := id >> 6; w >= len(r.bits) {
+		r.bits = append(r.bits, make([]uint64, w+1-len(r.bits))...)
+	}
+	r.bits[id>>6] |= 1 << (id & 63)
+}
+
+// bitSet reports whether bit id of bits is set, as in a sparse row's
+// membership bitmap; bits past the end are clear.
+func bitSet(bits []uint64, id int) bool {
+	w := id >> 6
+	return w < len(bits) && bits[w]&(1<<(id&63)) != 0
 }
 
 // linkTo returns the stored link toward o and whether the row stores
 // one. A miss means o was outside the cull radius when the row was
-// built (or rebuilt last): below both the sense and decode floors.
+// built (or rebuilt last): below both the sense and decode floors. The
+// bitmap answers a miss; a hit is searched for.
 func (r *linkRow) linkTo(o *Node) (link, bool) {
 	if !r.sparse {
 		return r.to[o.ID], true
 	}
-	id := int32(o.ID)
-	lo, hi := 0, len(r.ids)
+	if !bitSet(r.bits, o.ID) {
+		return link{}, false
+	}
+	return r.stored(int32(o.ID)), true
+}
+
+// stored returns the link toward id, which the row stores: among the
+// built links if id is not above them, else among the extras.
+func (r *linkRow) stored(id int32) link {
+	if k := len(r.ids); k > 0 && id <= r.ids[k-1] {
+		return r.ls[searchID(r.ids, id)]
+	}
+	return r.extraLs[searchID(r.extraIDs, id)]
+}
+
+// searchID returns the index of id in the ascending ids, which hold it.
+func searchID(ids []int32, id int32) int {
+	lo, hi := 0, len(ids)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if r.ids[mid] < id {
+		if ids[mid] < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(r.ids) && r.ids[lo] == id {
-		return r.ls[lo], true
-	}
-	for i, eid := range r.extraIDs {
-		if eid == id {
-			return r.extraLs[i], true
-		}
-	}
-	return link{}, false
+	return lo
 }
 
 // senses reports whether o's carrier sense detects this row's
@@ -434,16 +506,22 @@ const (
 	farGuard = 1e-9
 )
 
-// farFor returns the bracket table for transmit power dBm.
-func (n *Network) farFor(power float64) *farTable {
-	f := n.farTables[power]
+// rowFar returns the bracket table for row's transmit power, one per
+// power, cached on the row so the map is consulted only when the row's
+// power changed since its last use.
+func (n *Network) rowFar(row *linkRow) *farTable {
+	if f := row.far; f != nil && f.power == row.power {
+		return f
+	}
+	f := n.farTables[row.power]
 	if f == nil {
-		f = &farTable{env: &n.cfg.Env, power: power, mw: make([]float64, farEdges)}
+		f = &farTable{env: &n.cfg.Env, power: row.power, mw: make([]float64, farEdges)}
 		if n.farTables == nil {
 			n.farTables = make(map[float64]*farTable)
 		}
-		n.farTables[power] = f
+		n.farTables[row.power] = f
 	}
+	row.far = f
 	return f
 }
 

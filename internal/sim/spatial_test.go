@@ -193,22 +193,65 @@ func TestSparseRowsMatchDense(t *testing.T) {
 		// floors) newcomers are culled at the append, or row storage
 		// would creep back toward O(N²). Build a row first so the
 		// append path (extras) is what the audit sees for the new
-		// nodes: one planted in the pinned row's neighborhood (must be
-		// mirrored) and one far outside it (must be dropped).
+		// nodes: one planted in the pinned row's neighborhood, inside
+		// the grid's box (must be mirrored, by the local path) and one
+		// far outside it (must be dropped, by the global path).
 		prow := sp.rowFor(sp.nodes[1])
 		dn.rowFor(dn.nodes[1])
-		ap, dap := sp.nodes[0], dn.nodes[0]
-		near := Position{X: sp.nodes[1].Pos.X + 4, Y: sp.nodes[1].Pos.Y + 3}
-		sp.AddStation("late", near, ap, rate.NewFixedFactory(phy.Rate11Mbps))
-		dn.AddStation("late", near, dap, rate.NewFixedFactory(phy.Rate11Mbps))
+		g := sp.spatialIndex(0)
+		inward := func(v, lo, span, step float64) float64 {
+			if v-lo > span/2 {
+				return v - step
+			}
+			return v + step
+		}
+		p1 := sp.nodes[1].Pos
+		near := Position{X: inward(p1.X, g.minX, float64(g.cols)*g.cell, 4), Y: inward(p1.Y, g.minY, float64(g.rows)*g.cell, 3)}
+		if !addTwin(t, sp, dn, "late", near) {
+			t.Fatal("an add inside the box took the global path")
+		}
 		if len(prow.extraIDs) != 1 {
 			t.Fatalf("mid-run add not mirrored into pinned sparse row: extras=%d", len(prow.extraIDs))
 		}
-		far := Position{X: sp.nodes[1].Pos.X + 700, Y: sp.nodes[1].Pos.Y + 700}
-		sp.AddStation("late2", far, ap, rate.NewFixedFactory(phy.Rate11Mbps))
-		dn.AddStation("late2", far, dap, rate.NewFixedFactory(phy.Rate11Mbps))
+		far := Position{X: p1.X + 700, Y: p1.Y + 700}
+		if addTwin(t, sp, dn, "late2", far) {
+			t.Fatal("an add outside the box took the local path")
+		}
 		if len(prow.extraIDs) != 1 {
 			t.Fatalf("inert mid-run add not culled from pinned sparse row: extras=%d", len(prow.extraIDs))
+		}
+		auditRows(t, sp, dn)
+		// A newcomer transmitting above the power the cells cover
+		// changes the grid's shape: the global path, inside the box.
+		g = sp.spatialIndex(0)
+		sp.cfg.DefaultTxPowerDBm, dn.cfg.DefaultTxPowerDBm = g.power+3, g.power+3
+		if addTwin(t, sp, dn, "loud", Position{X: near.X + 1, Y: near.Y}) {
+			t.Fatal("an add above the grid's power took the local path")
+		}
+		sp.cfg.DefaultTxPowerDBm, dn.cfg.DefaultTxPowerDBm = 15, 15
+		auditRows(t, sp, dn)
+		// A row still at a power above the cells: the loud node and
+		// node 0 step down, and a global move refills the grid at 15 dBm
+		// while their rows keep the higher power (rows pinned by
+		// in-flight transmissions are read as they are). Parked near its
+		// cell's edge, the loud node's row reaches a newcomer two cells
+		// over, outside its block: only the global path stores that.
+		loud := len(sp.nodes) - 1
+		for _, k := range []int{0, loud} {
+			sp.nodes[k].TxPower, dn.nodes[k].TxPower = 15, 15
+		}
+		move(2, Position{X: -60, Y: 450})
+		sp.rowFor(sp.nodes[1])
+		g = sp.spatialIndex(0)
+		move(loud, Position{X: g.minX + 0.9*g.cell, Y: g.minY + 0.5*g.cell})
+		if g = sp.spatialIndex(0); g.power != 15 || sp.links[loud].power <= g.power {
+			t.Fatalf("grid power %v, loud row at %v: the fixture no longer keeps a row above the cells", g.power, sp.links[loud].power)
+		}
+		if addTwin(t, sp, dn, "late3", Position{X: g.minX + 2.05*g.cell, Y: g.minY + 0.5*g.cell}) {
+			t.Fatal("an add with a row above the grid's power took the local path")
+		}
+		if !bitSet(sp.links[loud].bits, len(sp.nodes)-1) {
+			t.Fatal("the loud row does not reach the newcomer: the fixture no longer tests the row-power bound")
 		}
 		auditRows(t, sp, dn)
 		// Moves after the adds: the newcomers and an old node step
@@ -240,11 +283,154 @@ func TestSparseRowsMatchDense(t *testing.T) {
 		total.Patches += rc.Patches
 		total.LocalMoves += rc.LocalMoves
 		total.GlobalMoves += rc.GlobalMoves
+		total.LocalAdds += rc.LocalAdds
+		total.GlobalAdds += rc.GlobalAdds
 	}
-	if total.Patches == 0 || total.LocalMoves == 0 || total.GlobalMoves == 0 {
-		t.Fatalf("a move path never ran: %+v", total)
+	if total.Patches == 0 || total.LocalMoves == 0 || total.GlobalMoves == 0 || total.LocalAdds == 0 || total.GlobalAdds == 0 {
+		t.Fatalf("a move or add path never ran: %+v", total)
 	}
-	t.Logf("patches %d, local moves %d, global moves %d", total.Patches, total.LocalMoves, total.GlobalMoves)
+	t.Logf("patches %d, local moves %d, global moves %d, local adds %d, global adds %d",
+		total.Patches, total.LocalMoves, total.GlobalMoves, total.LocalAdds, total.GlobalAdds)
+}
+
+// addTwin adds a station at p to both twins and checks every sparse
+// row's extras against the O(N) reference loop: each existing row
+// computes its link toward the newcomer at the row's power and stores
+// it iff it clears a floor. It reports whether the add took the local
+// path.
+func addTwin(t *testing.T, sp, dn *Network, name string, p Position) (local bool) {
+	t.Helper()
+	type extras struct {
+		ids []int32
+		ls  []link
+	}
+	want := make([]extras, len(sp.links))
+	for i, row := range sp.links {
+		want[i] = extras{slices.Clone(row.extraIDs), slices.Clone(row.extraLs)}
+	}
+	adds := sp.rows.LocalAdds
+	node := sp.AddStation(name, p, sp.nodes[0], rate.NewFixedFactory(phy.Rate11Mbps))
+	dn.AddStation(name, p, dn.nodes[0], rate.NewFixedFactory(phy.Rate11Mbps))
+	for i, w := range want {
+		row := sp.links[i]
+		if l := sp.linkFromTo(row.power, sp.nodes[i], node); l.sense || l.snr > 0 {
+			w.ids = append(w.ids, int32(node.ID))
+			w.ls = append(w.ls, l)
+		}
+		if !slices.Equal(row.extraIDs, w.ids) || !slices.Equal(row.extraLs, w.ls) {
+			t.Fatalf("add of %s: row %d extras %v, the O(N) loop stores %v", name, i, row.extraIDs, w.ids)
+		}
+	}
+	return sp.rows.LocalAdds == adds+1
+}
+
+// linearLinkTo is the reference row lookup: a scan of the built links,
+// then of the extras.
+func linearLinkTo(r *linkRow, id int) (link, bool) {
+	for i, sid := range r.ids {
+		if int(sid) == id {
+			return r.ls[i], true
+		}
+	}
+	for i, eid := range r.extraIDs {
+		if int(eid) == id {
+			return r.extraLs[i], true
+		}
+	}
+	return link{}, false
+}
+
+// assertRowBitmaps checks every sparse row as it stands, without
+// bringing it current: a bit is set exactly for the IDs the row stores,
+// and linkTo answers every node as the linear scan does.
+func assertRowBitmaps(t *testing.T, net *Network, step string) {
+	t.Helper()
+	for i, row := range net.links {
+		for id := 0; id < max(len(net.nodes), 64*len(row.bits)); id++ {
+			want, stored := linearLinkTo(row, id)
+			if bitSet(row.bits, id) != stored {
+				t.Fatalf("%s: row %d bit for node %d is %v, stored %v", step, i, id, bitSet(row.bits, id), stored)
+			}
+			if id >= len(net.nodes) {
+				continue
+			}
+			if got, ok := row.linkTo(net.nodes[id]); ok != stored || got != want {
+				t.Fatalf("%s: row %d linkTo(%d) = %+v, %v; linear scan %+v, %v", step, i, id, got, ok, want, stored)
+			}
+		}
+	}
+}
+
+// TestRowBitmapMatchesMembership drives a sparse network through every
+// way a row's membership changes — full builds, move patches, patch
+// fallbacks, local and global moves, mid-run adds on both paths, and
+// transmit-power raises and drops — and checks every row's bitmap and
+// lookup after each step.
+func TestRowBitmapMatchesMembership(t *testing.T) {
+	var total RowCounters
+	for seed := int64(1); seed <= 3; seed++ {
+		net, _ := randomTwinNets(seed, 5, 30, 300)
+		rng := rand.New(rand.NewSource(seed * 101))
+		assertRowBitmaps(t, net, "build")
+		built := net.RowCounters()
+		ap := net.nodes[0]
+		for step := 0; step < 300; step++ {
+			k := rng.Intn(len(net.nodes))
+			o := net.nodes[k]
+			var what string
+			switch op := rng.Intn(8); op {
+			case 0:
+				what = "row use"
+				net.rowFor(o)
+			case 1:
+				what = "step"
+				net.MoveNode(o, Position{X: o.Pos.X + rng.Float64() - 0.5, Y: o.Pos.Y + rng.Float64() - 0.5})
+			case 2:
+				what = "jump"
+				net.MoveNode(o, Position{X: rng.Float64() * 300, Y: rng.Float64() * 300})
+			case 3:
+				what = "jump out"
+				net.MoveNode(o, Position{X: rng.Float64()*400 - 50, Y: rng.Float64()*400 - 50})
+			case 4:
+				what = "add"
+				p := Position{X: rng.Float64()*360 - 30, Y: rng.Float64()*360 - 30}
+				net.AddStation(fmt.Sprintf("add%d", step), p, ap, rate.NewFixedFactory(phy.Rate11Mbps))
+			case 5:
+				what = "power"
+				o.TxPower = 12 + rng.Float64()*8
+				if rng.Intn(2) == 0 {
+					net.rowFor(o)
+				}
+			case 6:
+				what = "fallback"
+				row := net.rowFor(o)
+				for _, w := range net.nodes {
+					if !bitSet(row.bits, w.ID) {
+						net.queuePatch(row, int32(w.ID))
+						break
+					}
+				}
+				net.rowFor(o)
+			default:
+				what = "all rows"
+				net.LinkStats()
+			}
+			assertRowBitmaps(t, net, fmt.Sprintf("seed %d step %d (%s)", seed, step, what))
+		}
+		// Count the steps only, not the build's adds.
+		rc := net.RowCounters()
+		total.Patches += rc.Patches
+		total.Fallbacks += rc.Fallbacks
+		total.LocalMoves += rc.LocalMoves
+		total.GlobalMoves += rc.GlobalMoves
+		total.LocalAdds += rc.LocalAdds - built.LocalAdds
+		total.GlobalAdds += rc.GlobalAdds - built.GlobalAdds
+	}
+	if total.Patches == 0 || total.Fallbacks == 0 || total.LocalMoves == 0 || total.GlobalMoves == 0 ||
+		total.LocalAdds == 0 || total.GlobalAdds == 0 {
+		t.Fatalf("a maintenance path never ran: %+v", total)
+	}
+	t.Logf("%+v", total)
 }
 
 // TestMovePatchesStayBounded pins the pending-patch rule for rows that

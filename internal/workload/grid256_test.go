@@ -25,6 +25,24 @@ func TestGrid256SparseRowLengths(t *testing.T) {
 	t.Logf("N=%d: avg row %.1f links, max %d (dense would be %d per row)", rows, avg, maxRow, rows)
 }
 
+// TestGrid256AddsStayLocal guards block-local node adds on the campus:
+// building grid256 must extend only the rows around each newcomer for
+// all but the adds that grow the grid's box. Goldens cannot catch a
+// regression here, because the global path stores the same links, only
+// in O(N) per add.
+func TestGrid256AddsStayLocal(t *testing.T) {
+	b, err := Grid256().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := b.Net.RowCounters()
+	nodes := uint64(len(b.Net.Nodes()))
+	if rc.LocalAdds+rc.GlobalAdds != nodes || rc.LocalAdds < 1200 {
+		t.Fatalf("%d of %d adds local, %d global; want ≥1200 local", rc.LocalAdds, nodes, rc.GlobalAdds)
+	}
+	t.Logf("%d nodes: %d local adds, %d global", nodes, rc.LocalAdds, rc.GlobalAdds)
+}
+
 // TestGrid256StationCount pins the scenario's headline population:
 // 16×16 APs and 1000+ stations.
 func TestGrid256StationCount(t *testing.T) {
