@@ -391,23 +391,6 @@ func BenchmarkAnalyzeStream(b *testing.B) {
 	b.ReportMetric(float64(frames), "frames")
 }
 
-// BenchmarkAnalyzeParallel measures the per-channel sharded path (one
-// goroutine per channel, deterministic merge).
-func BenchmarkAnalyzeParallel(b *testing.B) {
-	trace := sweep()
-	b.ResetTimer()
-	b.ReportAllocs()
-	var frames int64
-	for i := 0; i < b.N; i++ {
-		r, err := analysis.AnalyzeWith(analysis.Options{Parallel: true}, trace)
-		if err != nil {
-			b.Fatal(err)
-		}
-		frames = r.TotalFrames
-	}
-	b.ReportMetric(float64(frames), "frames")
-}
-
 // --- Experiment engine ------------------------------------------------
 
 // BenchmarkExperimentMatrix measures the worker-pool engine on an

@@ -251,7 +251,7 @@ func runMatrix(nSeeds int, scale float64, workers int, grid bool, jsonOut string
 			canceled, len(results), len(results)-canceled)
 		title = fmt.Sprintf("Repro matrix (%d of %d runs; interrupted)", len(results)-canceled, len(results))
 	}
-	aggs := experiment.Aggregate(results)
+	aggs := ex.Aggregates
 	experiment.AggregateTable(title, aggs).WriteTo(os.Stdout)
 	if jsonOut != "" {
 		doc := struct {

@@ -14,7 +14,7 @@
 //	wlanalyze trace.pcap
 //	wlanalyze -figure 6 trace.pcap other.pcap
 //	wlanalyze -csv -figure 8 trace.pcap > fig8.csv
-//	wlanalyze -stream -metrics util,throughput -parallel trace.pcap
+//	wlanalyze -stream -metrics util,throughput trace.pcap
 //	wlanalyze -list-metrics
 package main
 
@@ -35,7 +35,6 @@ func main() {
 		csv         = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		reliability = flag.Bool("reliability", false, "also print the beacon-reliability metric")
 		metrics     = flag.String("metrics", "", "comma-separated metric stages to run (default: all; see -list-metrics)")
-		parallel    = flag.Bool("parallel", false, "shard analysis per channel across goroutines")
 		stream      = flag.Bool("stream", false, "stream inputs in O(seconds) memory, skipping the merge sort/dedup pass (requires time-ordered captures)")
 		listMetrics = flag.Bool("list-metrics", false, "list the registered metric stages and exit")
 	)
@@ -47,7 +46,7 @@ func main() {
 		return
 	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: wlanalyze [-figure N] [-csv] [-metrics a,b] [-parallel] [-stream] trace.pcap...")
+		fmt.Fprintln(os.Stderr, "usage: wlanalyze [-figure N] [-csv] [-metrics a,b] [-stream] trace.pcap...")
 		os.Exit(2)
 	}
 	if *stream && *reliability {
@@ -55,7 +54,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := analysis.Options{Parallel: *parallel}
+	var opts analysis.Options
 	if *metrics != "" {
 		for _, n := range strings.Split(*metrics, ",") {
 			if n = strings.TrimSpace(n); n != "" {

@@ -19,10 +19,7 @@
 //	GET    /api/v1/sessions/{id}/alerts
 //	POST   /api/v1/sessions/{id}/ingest
 //
-// The original unversioned /api/sessions... paths still work as
-// deprecated aliases; they serve identical bodies plus a
-// `Deprecation: true` header and a `Link: </api/v1/...>;
-// rel="successor-version"` pointer.
+// Unversioned /api/sessions... paths answer 404.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: the listener stops
 // accepting, every session's source is canceled, and each pipeline

@@ -153,7 +153,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// must raise and the quiet tail must clear.
 	pcapPath := fixturePcap(t, 4, 4)
 	var replay monitor.View
-	code := apiDo(t, "POST", base+"/api/sessions", monitor.Config{
+	code := apiDo(t, "POST", base+"/api/v1/sessions", monitor.Config{
 		Name:   "replay",
 		Source: monitor.SourceConfig{Type: monitor.SourcePcap, Path: pcapPath},
 		Alerts: []monitor.Rule{{
@@ -167,7 +167,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	// Session B: a live scenario run from the experiment registry.
 	var live monitor.View
-	code = apiDo(t, "POST", base+"/api/sessions", monitor.Config{
+	code = apiDo(t, "POST", base+"/api/v1/sessions", monitor.Config{
 		Name:   "live",
 		Source: monitor.SourceConfig{Type: monitor.SourceScenario, Scenario: "day", Seed: 1, Scale: 0.02},
 	}, &live)
@@ -180,7 +180,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	for _, id := range []string{replay.ID, live.ID} {
 		for {
 			var m monitor.WindowMetrics
-			if code := apiDo(t, "GET", fmt.Sprintf("%s/api/sessions/%s/metrics?window=60", base, id), nil, &m); code != http.StatusOK {
+			if code := apiDo(t, "GET", fmt.Sprintf("%s/api/v1/sessions/%s/metrics?window=60", base, id), nil, &m); code != http.StatusOK {
 				t.Fatalf("metrics %s: %d", id, code)
 			}
 			if m.Seconds > 0 && m.Frames > 0 {
@@ -200,7 +200,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		History []monitor.AlertEvent  `json:"history"`
 	}
 	for {
-		if code := apiDo(t, "GET", base+"/api/sessions/"+replay.ID+"/alerts", nil, &alerts); code != http.StatusOK {
+		if code := apiDo(t, "GET", base+"/api/v1/sessions/"+replay.ID+"/alerts", nil, &alerts); code != http.StatusOK {
 			t.Fatalf("alerts: %d", code)
 		}
 		raised, cleared := false, false
@@ -229,7 +229,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	var listing struct {
 		Sessions []monitor.View `json:"sessions"`
 	}
-	if code := apiDo(t, "GET", base+"/api/sessions", nil, &listing); code != http.StatusOK || len(listing.Sessions) != 2 {
+	if code := apiDo(t, "GET", base+"/api/v1/sessions", nil, &listing); code != http.StatusOK || len(listing.Sessions) != 2 {
 		t.Fatalf("listing: %d, %d sessions", code, len(listing.Sessions))
 	}
 

@@ -53,7 +53,6 @@ import (
 	"wlan80211/internal/dispatch"
 	"wlan80211/internal/experiment"
 	"wlan80211/internal/prof"
-	"wlan80211/internal/snapshot"
 )
 
 // jsonReport is the -json document: the expanded matrix, one row per
@@ -199,26 +198,14 @@ func main() {
 	}
 	specs, results, aggs := ex.Specs, ex.Results, ex.Aggregates
 	failed, canceled := 0, 0
-	if *reduce {
-		for i, err := range ex.Errs {
-			switch {
-			case errors.Is(err, context.Canceled):
-				canceled++
-			case err != nil:
-				failed++
-				s := specs[i]
-				fmt.Fprintf(os.Stderr, "wlansweep: %s seed=%d scale=%g: %v\n", s.Name, s.Seed, s.Scale, err)
-			}
-		}
-	} else {
-		for _, r := range results {
-			switch {
-			case errors.Is(r.Err, context.Canceled):
-				canceled++
-			case r.Err != nil:
-				failed++
-				fmt.Fprintf(os.Stderr, "wlansweep: %s seed=%d scale=%g: %v\n", r.Spec.Name, r.Spec.Seed, r.Spec.Scale, r.Err)
-			}
+	for i, err := range ex.Errs {
+		switch {
+		case errors.Is(err, context.Canceled):
+			canceled++
+		case err != nil:
+			failed++
+			s := specs[i]
+			fmt.Fprintf(os.Stderr, "wlansweep: %s seed=%d scale=%g: %v\n", s.Name, s.Seed, s.Scale, err)
 		}
 	}
 	if canceled > 0 {
@@ -375,7 +362,7 @@ func runServeMode(ctx context.Context, addr string, cfg dispatch.Config, jsonOut
 	case "-":
 		os.Stdout.Write(data)
 	default:
-		if err := snapshot.AtomicWriteFile(jsonOut, data); err != nil {
+		if err := experiment.AtomicWriteFile(jsonOut, data); err != nil {
 			fatal(err)
 		}
 	}

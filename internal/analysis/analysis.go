@@ -14,9 +14,8 @@
 // Run), so peak memory is bounded by per-second accumulator state and
 // the per-device exchange tables, not by trace length. Work is sharded
 // per channel — the unit at which the paper computes every metric —
-// and optionally spread across goroutines; shards merge in ascending
-// channel order, making the parallel path deterministic and
-// bit-identical to the sequential one.
+// and shards merge in ascending channel order, so the Result does not
+// depend on how records from different channels interleave.
 //
 // The analysis consumes only capture records — what a vicinity sniffer
 // could see — never simulator ground truth, so its estimators face the
@@ -33,19 +32,11 @@ import (
 	"wlan80211/internal/phy"
 )
 
-// feedBatchSize is how many records a parallel shard receives per
-// channel send (amortizes synchronization on the hot path).
-const feedBatchSize = 512
-
 // Options configures an Analyzer.
 type Options struct {
 	// Metrics selects which registered stages run, by name
 	// (see Names). Empty runs every registered stage.
 	Metrics []string
-	// Parallel runs each channel shard on its own goroutine. Results
-	// are identical to the sequential path: shards are independent
-	// and merge in ascending channel order.
-	Parallel bool
 	// Extra appends per-shard metric stages beyond the registered
 	// set: each factory is invoked once per channel shard, exactly
 	// like a registry factory, and its stages see the same annotated
@@ -54,26 +45,17 @@ type Options struct {
 	Extra []Factory
 }
 
-// shard is the per-channel unit of work: its own decoder and metric
-// instances, fed only that channel's records.
-type shard struct {
-	dec *decoder
-
-	// Parallel mode: records flow through in; done closes when the
-	// worker drains it.
-	in   chan []capture.Record
-	buf  []capture.Record
-	done chan struct{}
-}
-
 // Analyzer consumes capture records incrementally and produces the
 // paper's Result. Feed records (in non-decreasing time order per
 // channel), then call Result once. Analyzer is not safe for
-// concurrent use; parallelism is internal, per channel shard.
+// concurrent use (Snapshot excepted).
 type Analyzer struct {
-	opts   Options
-	defs   []metricDef
-	shards map[phy.Channel]*shard
+	opts Options
+	defs []metricDef
+	// shards holds one decoder per channel — the per-channel unit of
+	// work, with its own metric instances, fed only that channel's
+	// records.
+	shards map[phy.Channel]*decoder
 	res    *Result
 
 	// Live counters behind Snapshot: readable from any goroutine
@@ -91,8 +73,7 @@ type Snapshot struct {
 	// Frames counts records accepted by Feed so far.
 	Frames int64
 	// ParseErrors counts records decoded so far whose MAC frame
-	// failed to parse. In parallel mode decoding lags Feed, so this
-	// can trail Frames' implied progress.
+	// failed to parse.
 	ParseErrors int64
 	// Channels is the number of channel shards opened.
 	Channels int
@@ -123,12 +104,12 @@ func New(opts Options) (*Analyzer, error) {
 	return &Analyzer{
 		opts:   opts,
 		defs:   defs,
-		shards: make(map[phy.Channel]*shard),
+		shards: make(map[phy.Channel]*decoder),
 	}, nil
 }
 
-// shardFor returns (creating on first use) the channel's shard.
-func (a *Analyzer) shardFor(ch phy.Channel) *shard {
+// shardFor returns (creating on first use) the channel's decoder.
+func (a *Analyzer) shardFor(ch phy.Channel) *decoder {
 	if s, ok := a.shards[ch]; ok {
 		return s
 	}
@@ -139,21 +120,7 @@ func (a *Analyzer) shardFor(ch phy.Channel) *shard {
 	for _, f := range a.opts.Extra {
 		metrics = append(metrics, f())
 	}
-	s := &shard{dec: newDecoder(metrics)}
-	if a.opts.Parallel {
-		s.in = make(chan []capture.Record, 4)
-		s.done = make(chan struct{})
-		go func() {
-			defer close(s.done)
-			for batch := range s.in {
-				for i := range batch {
-					if !s.dec.feed(batch[i]) {
-						a.snapErrors.Add(1)
-					}
-				}
-			}
-		}()
-	}
+	s := newDecoder(metrics)
 	a.shards[ch] = s
 	a.snapChannels.Add(1)
 	return s
@@ -175,16 +142,8 @@ func (a *Analyzer) Feed(rec capture.Record) {
 			break
 		}
 	}
-	if !a.opts.Parallel {
-		if !s.dec.feed(rec) {
-			a.snapErrors.Add(1)
-		}
-		return
-	}
-	s.buf = append(s.buf, rec)
-	if len(s.buf) >= feedBatchSize {
-		s.in <- s.buf
-		s.buf = make([]capture.Record, 0, feedBatchSize)
+	if !s.feed(rec) {
+		a.snapErrors.Add(1)
 	}
 }
 
@@ -232,19 +191,6 @@ func (a *Analyzer) Result() *Result {
 	if a.res != nil {
 		return a.res
 	}
-	if a.opts.Parallel {
-		for _, s := range a.shards {
-			if len(s.buf) > 0 {
-				s.in <- s.buf
-				s.buf = nil
-			}
-			close(s.in)
-		}
-		for _, s := range a.shards {
-			<-s.done
-		}
-	}
-
 	channels := make([]phy.Channel, 0, len(a.shards))
 	for ch := range a.shards {
 		channels = append(channels, ch)
@@ -254,10 +200,10 @@ func (a *Analyzer) Result() *Result {
 	res := newResult()
 	for _, ch := range channels {
 		s := a.shards[ch]
-		s.dec.close()
-		res.TotalFrames += s.dec.totalFrames
-		res.ParseErrors += s.dec.parseErrors
-		for _, m := range s.dec.metrics {
+		s.close()
+		res.TotalFrames += s.totalFrames
+		res.ParseErrors += s.parseErrors
+		for _, m := range s.metrics {
 			m.Finalize(res)
 		}
 	}

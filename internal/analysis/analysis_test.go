@@ -113,28 +113,6 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequentialAndIsDeterministic: the per-channel
-// parallel path merges shards in ascending channel order, so it is
-// bit-identical to the sequential path, run after run.
-func TestParallelMatchesSequentialAndIsDeterministic(t *testing.T) {
-	trace := syntheticTrace()
-	seq := Analyze(trace)
-	var prev *Result
-	for run := 0; run < 3; run++ {
-		par, err := AnalyzeWith(Options{Parallel: true}, trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("run %d: parallel result differs from sequential", run)
-		}
-		if prev != nil && !reflect.DeepEqual(prev, par) {
-			t.Fatalf("run %d: parallel result not deterministic", run)
-		}
-		prev = par
-	}
-}
-
 // TestRunStreamsFromPcap verifies the io.Reader entry point: analyzing
 // straight from a pcap stream equals reading the trace into memory
 // first.
@@ -284,7 +262,7 @@ func TestCustomMetricRegistration(t *testing.T) {
 
 // TestEmptyAnalyzer: a Result with no input is well-formed.
 func TestEmptyAnalyzer(t *testing.T) {
-	a, err := New(Options{Parallel: true})
+	a, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

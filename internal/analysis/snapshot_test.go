@@ -40,54 +40,52 @@ func buildSnapshotTrace() []capture.Record {
 // safe to read mid-stream; the final snapshot must agree with the
 // Result totals.
 func TestSnapshotConcurrentWithFeed(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		a, err := New(Options{Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs := buildSnapshotTrace()
+	a, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := buildSnapshotTrace()
 
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var last Snapshot
-			for {
-				s := a.Snapshot()
-				// Progress counters must be monotonic.
-				if s.Frames < last.Frames || s.ParseErrors < last.ParseErrors ||
-					s.Channels < last.Channels || s.LastTime < last.LastTime {
-					t.Errorf("parallel=%v: snapshot went backwards: %+v after %+v", parallel, s, last)
-					return
-				}
-				last = s
-				select {
-				case <-stop:
-					return
-				default:
-				}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last Snapshot
+		for {
+			s := a.Snapshot()
+			// Progress counters must be monotonic.
+			if s.Frames < last.Frames || s.ParseErrors < last.ParseErrors ||
+				s.Channels < last.Channels || s.LastTime < last.LastTime {
+				t.Errorf("snapshot went backwards: %+v after %+v", s, last)
+				return
 			}
-		}()
+			last = s
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 
-		a.FeedAll(recs)
-		r := a.Result()
-		close(stop)
-		wg.Wait()
+	a.FeedAll(recs)
+	r := a.Result()
+	close(stop)
+	wg.Wait()
 
-		s := a.Snapshot()
-		if s.Frames != r.TotalFrames {
-			t.Errorf("parallel=%v: Snapshot.Frames = %d, Result.TotalFrames = %d", parallel, s.Frames, r.TotalFrames)
-		}
-		if s.ParseErrors != r.ParseErrors || s.ParseErrors != 1 {
-			t.Errorf("parallel=%v: Snapshot.ParseErrors = %d, Result.ParseErrors = %d, want 1", parallel, s.ParseErrors, r.ParseErrors)
-		}
-		if s.Channels != 2 {
-			t.Errorf("parallel=%v: Snapshot.Channels = %d, want 2", parallel, s.Channels)
-		}
-		if want := recs[len(recs)-1].Time; s.LastTime != want {
-			t.Errorf("parallel=%v: Snapshot.LastTime = %d, want %d", parallel, s.LastTime, want)
-		}
+	s := a.Snapshot()
+	if s.Frames != r.TotalFrames {
+		t.Errorf("Snapshot.Frames = %d, Result.TotalFrames = %d", s.Frames, r.TotalFrames)
+	}
+	if s.ParseErrors != r.ParseErrors || s.ParseErrors != 1 {
+		t.Errorf("Snapshot.ParseErrors = %d, Result.ParseErrors = %d, want 1", s.ParseErrors, r.ParseErrors)
+	}
+	if s.Channels != 2 {
+		t.Errorf("Snapshot.Channels = %d, want 2", s.Channels)
+	}
+	if want := recs[len(recs)-1].Time; s.LastTime != want {
+		t.Errorf("Snapshot.LastTime = %d, want %d", s.LastTime, want)
 	}
 }
 

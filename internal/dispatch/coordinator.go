@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"wlan80211/internal/experiment"
-	"wlan80211/internal/snapshot"
 )
 
 // The coordinator's state directory mirrors a campaign directory:
@@ -446,7 +445,7 @@ func (c *Coordinator) finalize() error {
 		return err
 	}
 	data = append(data, '\n')
-	if err := snapshot.AtomicWriteFile(filepath.Join(c.cfg.Dir, reportName), data); err != nil {
+	if err := experiment.AtomicWriteFile(filepath.Join(c.cfg.Dir, reportName), data); err != nil {
 		return err
 	}
 	c.report = data

@@ -8,11 +8,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 
 	"wlan80211/internal/experiment/faultinject"
-	"wlan80211/internal/snapshot"
 )
 
 // This file makes matrix sweeps crash-resumable. A campaign lives in
@@ -41,23 +39,6 @@ const (
 	manifestName = "campaign.json"
 	journalName  = "journal.jsonl"
 )
-
-// campaignOptions configures a campaign run.
-type campaignOptions struct {
-	// Workers bounds concurrent runs; <=0 means GOMAXPROCS. Forced to
-	// 1 when an Injector is armed, so crash instants are reproducible.
-	Workers int
-	// Metrics selects analysis stages by name (empty = all).
-	Metrics []string
-	// Injector arms a deterministic crash point (tests and the CI
-	// kill-and-resume job).
-	Injector *faultinject.Injector
-	// Range restricts execution to spec indices [From, To) of the
-	// expanded matrix — a dispatch worker's leased shard. The matrix
-	// (and the journal's index space) stays global, so shard journals
-	// from different ranges fold together in global spec order.
-	Range *SpecRange
-}
 
 // Manifest is the persisted campaign identity (campaign.json).
 type Manifest struct {
@@ -121,7 +102,40 @@ func WriteJSONAtomic(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	return snapshot.AtomicWriteFile(path, append(data, '\n'))
+	return AtomicWriteFile(path, append(data, '\n'))
+}
+
+// AtomicWriteFile writes data to path via a temp file in the same
+// directory, fsync, and rename, so a crash at any instant leaves
+// either the old file or the complete new one — never a torn write.
+func AtomicWriteFile(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("experiment: atomic write %s: %w", path, err)
+	}
+	defer func() {
+		if tmp != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err := tmp.Write(data); err != nil {
+		return fmt.Errorf("experiment: atomic write %s: %w", path, err)
+	}
+	if err := tmp.Sync(); err != nil {
+		return fmt.Errorf("experiment: atomic write %s: %w", path, err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("experiment: atomic write %s: %w", path, err)
+	}
+	name := tmp.Name()
+	tmp = nil // committed past cleanup
+	if err := os.Rename(name, path); err != nil {
+		os.Remove(name)
+		return fmt.Errorf("experiment: atomic write %s: %w", path, err)
+	}
+	return nil
 }
 
 // journal is the append-only completion log.
@@ -250,15 +264,16 @@ func (j *journal) append(rec RunRecord, inj *faultinject.Injector) error {
 
 func (j *journal) close() error { return j.f.Close() }
 
-// startCampaignDir creates (or matches) the campaign manifest in dir
-// and runs the pending specs — Runner.Execute's ModeCampaign start
-// path.
-func startCampaignDir(ctx context.Context, dir string, m Matrix, opts campaignOptions) (*CampaignResult, error) {
-	specs, err := m.Expand() // before touching dir: a bad matrix leaves no campaign behind
+// createManifest writes the campaign manifest for opts' matrix into
+// dir — or, when dir already holds one, checks that it describes the
+// same campaign — and returns the expanded specs: Execute's
+// ModeCampaign start path.
+func createManifest(dir string, opts RunSpecOpts) ([]Spec, error) {
+	specs, err := opts.Matrix.Expand() // before touching dir: a bad matrix leaves no campaign behind
 	if err != nil {
 		return nil, err
 	}
-	man := Manifest{Version: 1, Matrix: m, Metrics: opts.Metrics, Range: opts.Range}
+	man := Manifest{Version: 1, Matrix: opts.Matrix, Metrics: opts.Metrics, Range: opts.Range}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -274,12 +289,13 @@ func startCampaignDir(ctx context.Context, dir string, m Matrix, opts campaignOp
 	} else if err := WriteJSONAtomic(manPath, man); err != nil {
 		return nil, err
 	}
-	return runCampaign(ctx, dir, specs, opts)
+	return specs, nil
 }
 
-// resumeCampaignDir continues the campaign in dir with the on-disk
-// manifest authoritative — Runner.Execute's ModeCampaign resume path.
-func resumeCampaignDir(ctx context.Context, dir string, opts campaignOptions) (*CampaignResult, error) {
+// resumeManifest loads dir's manifest, which is authoritative on
+// resume: it replaces opts' metrics and range, and its matrix expands
+// to the returned specs.
+func resumeManifest(dir string, opts *RunSpecOpts) ([]Spec, error) {
 	man, err := readManifest(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: resume %s: %w", dir, err)
@@ -290,7 +306,7 @@ func resumeCampaignDir(ctx context.Context, dir string, opts campaignOptions) (*
 	}
 	opts.Metrics = man.Metrics
 	opts.Range = man.Range
-	return runCampaign(ctx, dir, specs, opts)
+	return specs, nil
 }
 
 // ReadManifest loads a campaign directory's manifest.
@@ -367,13 +383,13 @@ func foldRecords(specs []Spec, recs []RunRecord) (*CampaignResult, error) {
 // aggregate folds the done records in spec order — exactly the
 // uninterrupted Aggregate path.
 func (r *CampaignResult) aggregate() {
-	var rrs []RunResult
+	var agg aggregator
 	for i := range r.Specs {
 		if r.Done[i] {
-			rrs = append(rrs, RunResult{Spec: r.Specs[i], Summary: r.Records[i].Summary})
+			agg.add(r.Specs[i], r.Records[i].Summary, nil)
 		}
 	}
-	r.Aggregates = Aggregate(rrs)
+	r.Aggregates = agg.result()
 }
 
 func readManifest(path string) (Manifest, error) {
@@ -391,16 +407,21 @@ func readManifest(path string) (Manifest, error) {
 	return man, nil
 }
 
-func runCampaign(ctx context.Context, dir string, specs []Spec, opts campaignOptions) (*CampaignResult, error) {
+// runCampaign runs specs' pending runs as a journaled campaign in dir
+// and returns the campaign state (partial on error) with the worker
+// pool's retention high-water mark. Workers journal their own run;
+// the fold places records in spec order and stops dispatch at the
+// first failed run.
+func runCampaign(ctx context.Context, dir string, specs []Spec, opts RunSpecOpts) (*CampaignResult, int, error) {
 	j, journaled, err := openJournal(filepath.Join(dir, journalName))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer j.close()
 
 	res, err := foldRecords(specs, journaled)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	// A range-restricted campaign (a dispatch worker's shard) only
@@ -412,68 +433,38 @@ func runCampaign(ctx context.Context, dir string, specs []Spec, opts campaignOpt
 		}
 	}
 
-	eng := &Engine{Workers: opts.Workers, Metrics: opts.Metrics}
 	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if opts.Injector != nil {
 		workers = 1 // reproducible crash instants
 	}
-	if workers > len(pending) {
-		workers = len(pending)
+	type cell struct {
+		rec RunRecord
+		err error
 	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rec, err := runCampaignCell(eng, specs[i], i, opts.Injector, j)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("run %d (%s seed=%d scale=%g): %w", i, specs[i].Name, specs[i].Seed, specs[i].Scale, err)
-					}
-				} else {
-					res.Records[i] = rec
-					res.Done[i] = true
-				}
-				mu.Unlock()
+	run := func(k int) cell {
+		rec, err := runCampaignCell(specs[pending[k]], opts.Metrics, pending[k], opts.Injector, j)
+		return cell{rec, err}
+	}
+	var firstErr error
+	fold := func(k int, c cell) bool {
+		i := pending[k]
+		if c.err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("run %d (%s seed=%d scale=%g): %w", i, specs[i].Name, specs[i].Seed, specs[i].Scale, c.err)
 			}
-		}()
-	}
-dispatch:
-	for _, i := range pending {
-		mu.Lock()
-		failed := firstErr != nil
-		mu.Unlock()
-		if failed {
-			break
+			return true
 		}
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
+		res.Records[i] = c.rec
+		res.Done[i] = true
+		return false
 	}
-	close(jobs)
-	wg.Wait()
+	_, peak := runOrdered(ctx, len(pending), workers, run, fold)
 	if firstErr != nil {
-		return res, firstErr
+		return res, peak, firstErr
 	}
 
 	res.aggregate()
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, peak, ctx.Err()
 }
 
 // runCampaignCell runs one pending cell from t=0 through the hashed
@@ -482,7 +473,7 @@ dispatch:
 // campaign with the on-disk state exactly as-at-crash — the
 // in-process equivalent of a SIGKILL at that instant, which is what
 // the kill-and-resume tests exercise. Real panics propagate.
-func runCampaignCell(eng *Engine, spec Spec, idx int, inj *faultinject.Injector, j *journal) (rec RunRecord, err error) {
+func runCampaignCell(spec Spec, metrics []string, idx int, inj *faultinject.Injector, j *journal) (rec RunRecord, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if c, ok := r.(faultinject.Crashed); ok {
@@ -492,7 +483,7 @@ func runCampaignCell(eng *Engine, spec Spec, idx int, inj *faultinject.Injector,
 			panic(r)
 		}
 	}()
-	rr, hash := eng.runOne(spec, true)
+	rr, hash := runOne(spec, metrics, true)
 	if rr.Err != nil {
 		return RunRecord{}, rr.Err
 	}

@@ -48,7 +48,7 @@ func TestRerunTraceHashIsDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				spec := Spec{Name: tc.name, Seed: 1, Scale: tc.scale, Scenario: sc}
-				recs[i], err = runCampaignCell(&Engine{}, spec, 0, nil, j)
+				recs[i], err = runCampaignCell(spec, nil, 0, nil, j)
 				j.close()
 				if err != nil {
 					t.Fatal(err)
@@ -183,12 +183,42 @@ func TestCampaignInterruptedContext(t *testing.T) {
 	if res == nil {
 		t.Fatal("no partial result")
 	}
+	for i, done := range res.Done {
+		if done {
+			t.Fatalf("run %d journaled although the campaign was canceled before dispatch", i)
+		}
+	}
+	if recs, err := ReadJournal(JournalPath(dir)); err != nil || len(recs) != 0 {
+		t.Fatalf("journal after pre-dispatch cancel: %d records, err %v; want none", len(recs), err)
+	}
 	resumed, err := campaign(context.Background(), RunSpecOpts{Workers: 1, CampaignDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(resumed.Aggregates, ref.Aggregates) {
 		t.Fatal("aggregates after cancel+resume differ from reference")
+	}
+}
+
+func TestAtomicWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.json")
+	if err := AtomicWriteFile(path, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := AtomicWriteFile(path, []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || string(got) != "second" {
+		t.Fatalf("read back %q, %v", got, err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Fatalf("temp files left behind: %v", ents)
 	}
 }
 

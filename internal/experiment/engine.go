@@ -139,89 +139,26 @@ type RunResult struct {
 	Err    error
 }
 
-// Engine executes matrix specs on a bounded worker pool, streaming
-// each run straight into its own sequential analyzer.
-type Engine struct {
-	// Workers bounds concurrent runs; <=0 means GOMAXPROCS.
-	Workers int
-	// Metrics selects analysis stages by name (empty = all).
-	Metrics []string
-
-	// peakPending is RunReduceContext's retention high-water mark (see
-	// PeakPending).
-	peakPending int
-}
-
-// RunContext executes every spec and returns results in spec order,
-// so downstream aggregation is deterministic regardless of worker
-// count or completion order. Per-run failures land in RunResult.Err
-// rather than aborting the matrix.
-//
-// Cancellation is cooperative: once ctx is done, no further specs are
-// dispatched; in-flight runs complete (a run is not interruptible
-// mid-stream) and every undispatched spec's RunResult carries
-// ctx.Err(). The partial results that did complete are returned
-// normally, so a CLI can still aggregate and report them after
-// SIGINT/SIGTERM.
-func (e *Engine) RunContext(ctx context.Context, specs []Spec) []RunResult {
-	results := make([]RunResult, len(specs))
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i], _ = e.runOne(specs[i], false)
-			}
-		}()
-	}
-	for i := range specs {
-		// Checked first: select picks among ready cases at random, so
-		// a free worker must not win over an already-done context.
-		if ctx.Err() == nil {
-			select {
-			case jobs <- i:
-				continue
-			case <-ctx.Done():
-			}
-		}
-		for j := i; j < len(specs); j++ {
-			results[j] = RunResult{Spec: specs[j], Err: ctx.Err()}
-		}
-		break
-	}
-	close(jobs)
-	wg.Wait()
-	return results
-}
-
 // runOne executes one cell: build, stream through the reordering
-// bridge into a fresh sequential analyzer, summarize. Runs that
-// declare multi-sniffer channels (MultiSnifferRun) stream through the
-// Dedup window first, which collapses cross-sniffer duplicates
-// exactly as the materialized path's capture.Merge does; everything
-// else keeps the direct, per-frame-overhead-free path. The analyzer
-// runs unsharded — cross-run parallelism already saturates the pool,
-// and the sequential path is the one that never retains frame bytes,
-// which is what lets the whole pipeline run without materializing.
+// bridge into a fresh sequential analyzer (stages selected by
+// metrics), summarize. Runs that declare multi-sniffer channels
+// (MultiSnifferRun) stream through the Dedup window first, which
+// collapses cross-sniffer duplicates exactly as the materialized
+// path's capture.Merge does; everything else keeps the direct,
+// per-frame-overhead-free path. The analyzer runs unsharded —
+// cross-run parallelism already saturates the pool, and the
+// sequential path is the one that never retains frame bytes, which is
+// what lets the whole pipeline run without materializing.
 //
 // With hashed set (campaign cells), a TraceHasher sits between the
 // reorder release and the analyzer and the run's trace hash is
 // returned alongside the result; collect and reduce runs skip it.
-func (e *Engine) runOne(spec Spec, hashed bool) (RunResult, string) {
+func runOne(spec Spec, metrics []string, hashed bool) (RunResult, string) {
 	run, err := spec.Scenario.Build()
 	if err != nil {
 		return RunResult{Spec: spec, Err: err}, ""
 	}
-	a, err := analysis.New(analysis.Options{Metrics: e.Metrics})
+	a, err := analysis.New(analysis.Options{Metrics: metrics})
 	if err != nil {
 		return RunResult{Spec: spec, Err: err}, ""
 	}
@@ -248,166 +185,88 @@ func (e *Engine) runOne(spec Spec, hashed bool) (RunResult, string) {
 	return rr, th.Sum()
 }
 
-// RunReduceContext executes every spec like RunContext but reduces as
-// it goes: each completed run's full analysis Result is dropped the
-// moment its Summary is extracted, and summaries fold into per-group
-// Welford accumulators in spec order (buffering at most one small
-// Summary per worker to bridge out-of-order completion). Peak
-// retention is therefore O(groups + workers) — not O(runs) — which is
-// what makes very large matrices (hundreds of cells × many seeds) run
-// in flat memory. The aggregates are bit-identical to
-// Aggregate(e.RunContext(ctx, specs)); per-spec failures land in the
-// returned error slice (nil entries for successes) and count in
-// Aggregated.Errors.
+// runOrdered is the one worker pool every run mode executes on. It
+// runs jobs 0..n-1 on up to workers goroutines (<=0 means GOMAXPROCS)
+// and hands each output to fold strictly in job order, on the calling
+// goroutine, so everything fold accumulates — every mean and stddev
+// bit, every placed record — is independent of worker count and
+// completion order.
 //
-// Cancellation mirrors RunContext: once ctx is done no further specs
-// dispatch, in-flight runs complete and fold normally, and every
-// undispatched spec gets ctx.Err() in the error slice (counting in
-// Aggregated.Errors). The partial aggregates remain deterministic:
-// completed runs fold in spec order exactly as without cancellation.
-func (e *Engine) RunReduceContext(ctx context.Context, specs []Spec) ([]Aggregated, []error) {
-	workers := e.Workers
+// Dispatch is windowed: job i is not handed out until job i-workers
+// has been folded, which caps the completed-but-unfolded buffer at
+// the worker count by construction (a slow head-of-line job may
+// briefly idle the other workers — the price of a retention bound
+// that does not degrade to O(jobs)). peak is that buffer's high-water
+// mark.
+//
+// Dispatch stops once ctx is done or fold returns true; in-flight
+// jobs still complete and fold (a run is not interruptible
+// mid-stream). dispatched is how many jobs ran, always a prefix
+// [0, dispatched) of the job indices.
+func runOrdered[T any](ctx context.Context, n, workers int, run func(i int) T, fold func(i int, out T) (stop bool)) (dispatched, peak int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	// Group bookkeeping in spec order, mirroring Aggregate.
-	type key struct {
-		name  string
-		scale float64
-	}
-	groupOf := make([]int, len(specs))
-	index := make(map[key]int)
-	var order []key
-	for i, s := range specs {
-		k := key{s.Name, s.Scale}
-		gi, ok := index[k]
-		if !ok {
-			gi = len(order)
-			index[k] = gi
-			order = append(order, k)
-		}
-		groupOf[i] = gi
-	}
-	aggs := make([]Aggregated, len(order))
-	accs := make([][]stats.Welford, len(order))
-	for gi, k := range order {
-		aggs[gi] = Aggregated{Scenario: k.name, Scale: k.scale}
-		accs[gi] = make([]stats.Welford, len(summaryFields))
-	}
-
+	workers = min(workers, n)
 	type done struct {
 		i   int
-		sum Summary
-		err error
+		out T
 	}
-	results := make(chan done)
 	jobs := make(chan int)
+	results := make(chan done)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				r, _ := e.runOne(specs[i], false)
-				r.Result = nil // reduce-as-you-go: only the Summary survives
-				results <- done{i: i, sum: r.Summary, err: r.Err}
+				results <- done{i, run(i)}
 			}
 		}()
 	}
 
-	// Fold summaries strictly in spec order so the float accumulation
-	// order — and therefore every mean and stddev bit — is independent
-	// of worker count and completion order. Dispatch is windowed: spec
-	// i is not handed out until spec i-workers has been reduced, which
-	// caps the out-of-order buffer at the worker count by construction
-	// (a slow head-of-line run may briefly idle the other workers —
-	// the price of a retention bound that does not degrade to O(runs)).
-	errs := make([]error, len(specs))
-	pending := make(map[int]done, workers)
-	sent, next, peak := 0, 0, 0
-	// total is how many specs will produce worker results; a cancel
-	// freezes it at the dispatch point so the loop only waits for
-	// in-flight runs.
-	total := len(specs)
-	apply := func(r done) {
-		gi := groupOf[r.i]
-		if r.err != nil {
-			errs[r.i] = r.err
-			aggs[gi].Errors++
-			return
-		}
-		aggs[gi].Runs++
-		for fi, f := range summaryFields {
-			accs[gi][fi].Add(f.Get(r.sum))
-		}
-	}
-	for completed := 0; completed < total; {
-		var r done
-		if sent < total && sent < next+workers {
+	pending := make(map[int]T, workers)
+	sent, next, stopped := 0, 0, false
+	for next < sent || (!stopped && sent < n) {
+		var d done
+		if !stopped && sent < n && sent < next+workers {
+			// Checked first: select picks among ready cases at
+			// random, so a free worker must not win over an
+			// already-done context.
 			if ctx.Err() != nil {
-				// As in RunContext: a done context wins over a free
-				// worker, which select alone would pick at random.
-				total = sent
+				stopped = true
 				continue
 			}
 			select {
 			case jobs <- sent:
 				sent++
 				continue
-			case r = <-results:
+			case d = <-results:
 			case <-ctx.Done():
-				total = sent
+				stopped = true
 				continue
 			}
 		} else {
-			r = <-results
+			d = <-results
 		}
-		completed++
-		pending[r.i] = r
-		if len(pending) > peak {
-			peak = len(pending)
-		}
+		pending[d.i] = d.out
+		peak = max(peak, len(pending))
 		for {
-			q, ok := pending[next]
+			out, ok := pending[next]
 			if !ok {
 				break
 			}
 			delete(pending, next)
-			apply(q)
+			if fold(next, out) {
+				stopped = true
+			}
 			next++
 		}
 	}
 	close(jobs)
 	wg.Wait()
-	e.peakPending = peak
-
-	// Undispatched specs were canceled: record the error in spec
-	// order so Aggregated.Errors matches the RunContext path.
-	if total < len(specs) {
-		cerr := ctx.Err()
-		for j := total; j < len(specs); j++ {
-			errs[j] = cerr
-			aggs[groupOf[j]].Errors++
-		}
-	}
-
-	for gi := range aggs {
-		aggs[gi].Fields = make([]FieldStat, len(summaryFields))
-		for fi, f := range summaryFields {
-			aggs[gi].Fields[fi] = FieldStat{Name: f.Name, Mean: accs[gi][fi].Mean(), Stddev: accs[gi][fi].Stddev()}
-		}
-	}
-	return aggs, errs
+	return sent, peak
 }
-
-// PeakPending reports how many completed-but-not-yet-reduced
-// summaries the last RunReduceContext held at once (≤ its worker count) —
-// the retention the reduce mode's memory claim rests on.
-func (e *Engine) PeakPending() int { return e.peakPending }
 
 // FieldStat is one aggregated summary field.
 type FieldStat struct {
@@ -456,39 +315,61 @@ func AggregateTable(title string, aggs []Aggregated) *report.Table {
 // reduces each summary field with a Welford accumulator. Failed runs
 // count in Errors and contribute no samples.
 func Aggregate(results []RunResult) []Aggregated {
-	type key struct {
-		name  string
-		scale float64
-	}
-	order := make([]key, 0, 4)
-	groups := make(map[key][]RunResult)
+	var agg aggregator
 	for _, r := range results {
-		k := key{r.Spec.Name, r.Spec.Scale}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], r)
+		agg.add(r.Spec, r.Summary, r.Err)
 	}
-	out := make([]Aggregated, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
-		agg := Aggregated{Scenario: k.name, Scale: k.scale}
-		accs := make([]stats.Welford, len(summaryFields))
-		for _, r := range g {
-			if r.Err != nil {
-				agg.Errors++
-				continue
-			}
-			agg.Runs++
-			for i, f := range summaryFields {
-				accs[i].Add(f.Get(r.Summary))
-			}
+	return agg.result()
+}
+
+// aggregator is the one summary fold behind Aggregate, reduce mode and
+// campaign aggregation: groups keyed by (name, scale) in first-seen
+// order, one Welford accumulator per summaryFields entry. Adding runs
+// in spec order makes every mean and stddev bit reproducible.
+type aggregator struct {
+	index  map[groupKey]int
+	groups []Aggregated
+	accs   [][]stats.Welford
+}
+
+type groupKey struct {
+	name  string
+	scale float64
+}
+
+// add folds one run: a failed run (err != nil) counts in its group's
+// Errors and contributes no samples.
+func (a *aggregator) add(spec Spec, sum Summary, err error) {
+	k := groupKey{spec.Name, spec.Scale}
+	gi, ok := a.index[k]
+	if !ok {
+		if a.index == nil {
+			a.index = make(map[groupKey]int)
 		}
-		agg.Fields = make([]FieldStat, len(summaryFields))
-		for i, f := range summaryFields {
-			agg.Fields[i] = FieldStat{Name: f.Name, Mean: accs[i].Mean(), Stddev: accs[i].Stddev()}
+		gi = len(a.groups)
+		a.index[k] = gi
+		a.groups = append(a.groups, Aggregated{Scenario: k.name, Scale: k.scale})
+		a.accs = append(a.accs, make([]stats.Welford, len(summaryFields)))
+	}
+	if err != nil {
+		a.groups[gi].Errors++
+		return
+	}
+	a.groups[gi].Runs++
+	for fi, f := range summaryFields {
+		a.accs[gi][fi].Add(f.Get(sum))
+	}
+}
+
+// result returns the groups with their field statistics.
+func (a *aggregator) result() []Aggregated {
+	out := make([]Aggregated, len(a.groups))
+	for gi, g := range a.groups {
+		g.Fields = make([]FieldStat, len(summaryFields))
+		for fi, f := range summaryFields {
+			g.Fields[fi] = FieldStat{Name: f.Name, Mean: a.accs[gi][fi].Mean(), Stddev: a.accs[gi][fi].Stddev()}
 		}
-		out = append(out, agg)
+		out[gi] = g
 	}
 	return out
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // fakeScenario is a registry-free Scenario whose run emits nothing and
-// invokes a hook — enough to exercise the engine's dispatch logic
+// invokes a hook — enough to exercise the worker pool's dispatch logic
 // without simulator cost.
 type fakeScenario struct {
 	name     string
@@ -39,62 +39,97 @@ func fakeSpecs(n int, onFirstStream func()) []Spec {
 	return specs
 }
 
-// TestRunContextCancel cancels the context from inside the first run:
-// the first run completes, every undispatched spec comes back with
-// ctx.Err(), and the canceled specs form a suffix (cancellation stops
+// fakeFirstRunHook is what the registered "fake" scenario's seed-1
+// run calls. Campaign mode re-expands a Matrix from the registry, so
+// a campaign test cannot hand it pre-built specs; it sets this hook
+// instead.
+var fakeFirstRunHook = func() {}
+
+func init() {
+	Register("fake", func(seed int64, scale float64) Scenario {
+		return fakeScenario{"fake", func() {
+			if seed == 1 {
+				fakeFirstRunHook()
+			}
+		}}
+	})
+}
+
+// checkCancelSuffix asserts the cancellation property shared by every
+// run mode, given which specs completed and each spec's error: the
+// first (in-flight) run completed, completed runs form a prefix, and
+// every later spec carries ctx.Err() (or, in a campaign, is simply not
+// done). The single worker's window hands out spec i+1 only after
+// spec i folds, and the pool checks ctx before dispatching, so a
+// cancel inside the first run stops dispatch right after it.
+func checkCancelSuffix(t *testing.T, done []bool, errs []error) {
+	t.Helper()
+	if !done[0] {
+		t.Fatal("first (in-flight) run did not complete")
+	}
+	completed := 0
+	for i := range done {
+		switch {
+		case done[i] && completed < i:
+			t.Fatalf("spec %d completed after a canceled spec: cancellation must be a suffix", i)
+		case done[i]:
+			completed++
+		case errs != nil && !errors.Is(errs[i], context.Canceled):
+			t.Fatalf("spec %d: error %v, want context.Canceled", i, errs[i])
+		}
+	}
+	if completed != 1 {
+		t.Fatalf("%d of %d specs completed; cancellation did not stop dispatch after the first", completed, len(done))
+	}
+}
+
+// TestRunContextCancel cancels the context from inside the first run
+// of a collect-mode Execute: the first run completes, every
+// undispatched spec comes back with ctx.Err() in its RunResult and in
+// Errs, and the canceled specs form a suffix (cancellation stops
 // dispatch, it never abandons in-flight work).
 func TestRunContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	specs := fakeSpecs(6, cancel)
-	eng := &Engine{Workers: 1}
-	results := eng.RunContext(ctx, specs)
-
-	if results[0].Err != nil {
-		t.Fatalf("first (in-flight) run failed: %v", results[0].Err)
+	ex, err := (&Runner{}).Execute(ctx, RunSpecOpts{Specs: specs, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	canceled := 0
-	for i, r := range results {
-		if errors.Is(r.Err, context.Canceled) {
-			canceled++
-		} else if canceled > 0 {
-			t.Fatalf("spec %d completed after a canceled spec: cancellation must be a suffix", i)
+	done := make([]bool, len(specs))
+	for i, r := range ex.Results {
+		done[i] = r.Err == nil
+		if r.Err != ex.Errs[i] {
+			t.Fatalf("spec %d: RunResult.Err %v != Errs %v", i, r.Err, ex.Errs[i])
 		}
 	}
-	// The dispatcher may hand out at most one more spec after the
-	// cancel races the worker becoming free; everything beyond that
-	// must be canceled.
-	if canceled < len(specs)-2 {
-		t.Fatalf("only %d specs canceled of %d; cancellation did not stop dispatch", canceled, len(specs))
-	}
+	checkCancelSuffix(t, done, ex.Errs)
 }
 
-// TestRunReduceContextCancel mirrors TestRunContextCancel on the
-// reduce-as-you-go path: canceled specs land in the error slice and
-// count in Aggregated.Errors, completed runs still fold.
+// TestRunReduceContextCancel is the same property on the
+// reduce-as-you-go path: canceled specs land in Errs and count in
+// Aggregated.Errors, completed runs still fold.
 func TestRunReduceContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	specs := fakeSpecs(6, cancel)
-	eng := &Engine{Workers: 1}
-	aggs, errs := eng.RunReduceContext(ctx, specs)
-
+	ex, err := (&Runner{}).Execute(ctx, RunSpecOpts{Mode: ModeReduce, Specs: specs, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggs := ex.Aggregates
 	if len(aggs) != 1 {
 		t.Fatalf("%d aggregate groups, want 1", len(aggs))
 	}
+	done := make([]bool, len(specs))
 	canceled := 0
-	for i, err := range errs {
-		if errors.Is(err, context.Canceled) {
+	for i, err := range ex.Errs {
+		done[i] = err == nil
+		if !done[i] {
 			canceled++
-		} else if err != nil {
-			t.Fatalf("spec %d: unexpected error %v", i, err)
-		} else if canceled > 0 {
-			t.Fatalf("spec %d completed after a canceled spec", i)
 		}
 	}
-	if canceled < len(specs)-2 {
-		t.Fatalf("only %d specs canceled of %d", canceled, len(specs))
-	}
+	checkCancelSuffix(t, done, ex.Errs)
 	if aggs[0].Errors != canceled {
 		t.Fatalf("Aggregated.Errors = %d, canceled specs = %d", aggs[0].Errors, canceled)
 	}
@@ -103,18 +138,46 @@ func TestRunReduceContextCancel(t *testing.T) {
 	}
 }
 
+// TestCampaignContextCancel is the same property in campaign mode: a
+// cancel inside the first run journals that run and nothing after it,
+// and Execute reports the context error with the partial state.
+func TestCampaignContextCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fakeFirstRunHook = cancel
+	defer func() { fakeFirstRunHook = func() {} }()
+	m := Matrix{Scenarios: []string{"fake"}, Seeds: []int64{1, 2, 3, 4, 5, 6}}
+	dir := t.TempDir()
+	res, err := campaign(ctx, RunSpecOpts{Matrix: m, Workers: 1, CampaignDir: dir})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	checkCancelSuffix(t, res.Done, nil)
+	recs, err := ReadJournal(JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Index != 0 {
+		t.Fatalf("journal holds %+v, want only run 0", recs)
+	}
+}
+
 // TestRunContextUncanceled pins that the context path is transparent
 // when the context never fires.
 func TestRunContextUncanceled(t *testing.T) {
 	specs := fakeSpecs(4, func() {})
-	eng := &Engine{Workers: 2}
-	for _, r := range eng.RunContext(context.Background(), specs) {
+	ex, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Specs: specs, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range ex.Results {
 		if r.Err != nil {
 			t.Fatalf("run failed: %v", r.Err)
 		}
 	}
-	aggs, errs := eng.RunReduceContext(context.Background(), specs)
-	for _, err := range errs {
+	red := reduce(t, 2, specs)
+	aggs := red.Aggregates
+	for _, err := range red.Errs {
 		if err != nil {
 			t.Fatalf("reduce run failed: %v", err)
 		}

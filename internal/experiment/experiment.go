@@ -19,10 +19,11 @@
 //     memory independent of trace length. The streamed Result is
 //     bit-identical to analyzing the materialized, merged trace.
 //
-//   - A worker-pool Engine (bounded by GOMAXPROCS) that executes an
-//     expanded matrix, collects per-run analysis Results, and
-//     aggregates summary metrics into deterministic mean/stddev rows
-//     keyed by scenario+scale.
+//   - One ordered worker pool (bounded by GOMAXPROCS) behind
+//     Runner.Execute that executes an expanded matrix in every run
+//     mode — collect, reduce, journaled campaign — folding runs in
+//     spec order into deterministic mean/stddev rows keyed by
+//     scenario+scale.
 package experiment
 
 import (

@@ -13,7 +13,7 @@ import (
 
 // streamResult runs the named registry scenario through the full
 // streaming bridge (emit → Reorder → sequential Analyzer), the exact
-// path Engine.runOne takes.
+// path runOne takes.
 func streamResult(t *testing.T, name string, seed int64, scale float64) *analysis.Result {
 	t.Helper()
 	sc, err := New(name, seed, scale)

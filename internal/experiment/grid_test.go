@@ -153,9 +153,9 @@ func TestRunReduceMatchesRun(t *testing.T) {
 	}
 	want := Aggregate(collect(t, 2, specsA))
 
-	eng := &Engine{Workers: 3}
-	got, errs := reduce(t, eng, specsB)
-	for i, e := range errs {
+	ex := reduce(t, 3, specsB)
+	got := ex.Aggregates
+	for i, e := range ex.Errs {
 		if e != nil {
 			t.Fatalf("reduce run %d: %v", i, e)
 		}
@@ -163,7 +163,7 @@ func TestRunReduceMatchesRun(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("reduced aggregates differ from materialized:\n got %+v\nwant %+v", got, want)
 	}
-	if peak := eng.PeakPending(); peak > 3 {
+	if peak := ex.PeakPending; peak > 3 {
 		t.Errorf("reduce mode retained %d pending summaries; want ≤ workers (3), independent of the %d runs",
 			peak, len(specsB))
 	}
@@ -183,8 +183,8 @@ func TestRunReduceCountsErrors(t *testing.T) {
 		{Name: "err", Scale: 1, Scenario: errScenario{}},
 		{Name: "err", Scale: 1, Scenario: errScenario{}},
 	}
-	eng := &Engine{Workers: 2}
-	aggs, errs := reduce(t, eng, specs)
+	ex := reduce(t, 2, specs)
+	aggs, errs := ex.Aggregates, ex.Errs
 	if errs[0] == nil || errs[1] == nil {
 		t.Fatalf("errors not reported: %v", errs)
 	}

@@ -17,11 +17,10 @@ import (
 type RunMode string
 
 const (
-	// ModeCollect runs every spec and retains per-run results
-	// (Engine.RunContext).
+	// ModeCollect runs every spec and retains per-run results.
 	ModeCollect RunMode = "collect"
-	// ModeReduce folds summaries as runs complete, retaining only
-	// aggregates — O(groups+workers) memory (Engine.RunReduceContext).
+	// ModeReduce folds summaries as runs complete, dropping each
+	// run's full analysis Result — O(groups+workers) memory.
 	ModeReduce RunMode = "reduce"
 	// ModeCampaign runs as a crash-resumable journaled campaign in
 	// CampaignDir.
@@ -98,37 +97,43 @@ type Execution struct {
 	Specs []Spec
 	// Results holds per-run results in spec order (ModeCollect only).
 	Results []RunResult
-	// Errs holds per-spec errors in spec order (ModeReduce only; nil
-	// entries for successes).
+	// Errs holds per-spec errors in spec order, nil entries for
+	// successes; undispatched specs of an interrupted run carry the
+	// context error (ModeCollect and ModeReduce).
 	Errs []error
 	// Aggregates are the scenario+scale group reductions.
 	Aggregates []Aggregated
 	// Campaign is the campaign state (ModeCampaign only), including
 	// partial state when the run was interrupted.
 	Campaign *CampaignResult
+	// PeakPending is how many completed-but-not-yet-folded runs the
+	// worker pool held at once (≤ the worker count) — the retention
+	// reduce mode's memory claim rests on.
+	PeakPending int
 }
 
-// Runner executes experiment matrices. The zero value is ready to
-// use; Engine pins a specific engine (its Workers/Metrics override
-// the opts', and reduce bookkeeping like PeakPending lands on it).
-type Runner struct {
-	// Engine, when non-nil, is the engine to execute on. Nil means a
-	// fresh engine configured from the opts.
-	Engine *Engine
-}
+// Runner executes experiment matrices. The zero value is ready to use.
+type Runner struct{}
 
 // Execute runs one experiment described by opts and returns its
-// Execution. On cooperative cancellation the completed runs are still
-// aggregated and returned: collect and reduce mark the undispatched
-// specs with the context error, and a campaign returns its partial
-// state alongside it.
+// Execution. Every mode runs on one ordered worker pool and differs
+// only in what it keeps of each run: collect keeps the RunResult,
+// reduce drops the analysis Result once summarized, and a campaign
+// journals each run and places its record. On cooperative
+// cancellation no further runs are dispatched, in-flight runs finish,
+// and the completed runs are still aggregated and returned: collect
+// and reduce mark the undispatched specs with the context error, and
+// a campaign returns its partial state alongside it.
 func (r *Runner) Execute(ctx context.Context, opts RunSpecOpts) (*Execution, error) {
 	mode := opts.Mode
 	if mode == "" {
 		mode = ModeCollect
 	}
 	if mode == ModeCampaign {
-		return r.executeCampaign(ctx, opts)
+		return executeCampaign(ctx, opts)
+	}
+	if mode != ModeCollect && mode != ModeReduce {
+		return nil, fmt.Errorf("experiment: unknown run mode %q", mode)
 	}
 
 	specs := opts.Specs
@@ -144,50 +149,61 @@ func (r *Runner) Execute(ctx context.Context, opts RunSpecOpts) (*Execution, err
 	if opts.Range != nil {
 		specs = specs[opts.Range.From:opts.Range.To]
 	}
-	eng := r.Engine
-	if eng == nil {
-		eng = &Engine{Workers: opts.Workers, Metrics: opts.Metrics}
-	}
 
-	switch mode {
-	case ModeCollect:
-		results := eng.RunContext(ctx, specs)
-		return &Execution{Specs: specs, Results: results, Aggregates: Aggregate(results)}, nil
-	case ModeReduce:
-		aggs, errs := eng.RunReduceContext(ctx, specs)
-		return &Execution{Specs: specs, Errs: errs, Aggregates: aggs}, nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown run mode %q", mode)
+	ex := &Execution{Specs: specs, Errs: make([]error, len(specs))}
+	if mode == ModeCollect {
+		ex.Results = make([]RunResult, len(specs))
 	}
+	var agg aggregator
+	fold := func(i int, rr RunResult) bool {
+		ex.Errs[i] = rr.Err
+		agg.add(rr.Spec, rr.Summary, rr.Err)
+		if ex.Results != nil {
+			ex.Results[i] = rr
+		}
+		return false
+	}
+	run := func(i int) RunResult {
+		rr, _ := runOne(specs[i], opts.Metrics, false)
+		if mode == ModeReduce {
+			rr.Result = nil // reduce-as-you-go: only the Summary survives
+		}
+		return rr
+	}
+	n, peak := runOrdered(ctx, len(specs), opts.Workers, run, fold)
+	for j := n; j < len(specs); j++ {
+		fold(j, RunResult{Spec: specs[j], Err: ctx.Err()})
+	}
+	ex.Aggregates = agg.result()
+	ex.PeakPending = peak
+	return ex, nil
 }
 
 // executeCampaign is Execute's ModeCampaign arm: create-or-continue
 // (Resume=false, Matrix authoritative and checked against any existing
 // manifest) or resume (Resume=true, manifest authoritative).
-func (r *Runner) executeCampaign(ctx context.Context, opts RunSpecOpts) (*Execution, error) {
+func executeCampaign(ctx context.Context, opts RunSpecOpts) (*Execution, error) {
 	if opts.CampaignDir == "" {
 		return nil, fmt.Errorf("experiment: ModeCampaign requires CampaignDir")
 	}
 	if opts.Specs != nil {
 		return nil, fmt.Errorf("experiment: ModeCampaign runs from a Matrix, not pre-built Specs (the journal must re-expand them on resume)")
 	}
-	copts := campaignOptions{
-		Workers:  opts.Workers,
-		Metrics:  opts.Metrics,
-		Injector: opts.Injector,
-		Range:    opts.Range,
-	}
 	var (
-		res *CampaignResult
-		err error
+		specs []Spec
+		err   error
 	)
 	if opts.Resume {
-		res, err = resumeCampaignDir(ctx, opts.CampaignDir, copts)
+		specs, err = resumeManifest(opts.CampaignDir, &opts)
 	} else {
-		res, err = startCampaignDir(ctx, opts.CampaignDir, opts.Matrix, copts)
+		specs, err = createManifest(opts.CampaignDir, opts)
 	}
+	if err != nil {
+		return nil, err
+	}
+	res, peak, err := runCampaign(ctx, opts.CampaignDir, specs, opts)
 	if res == nil {
 		return nil, err
 	}
-	return &Execution{Specs: res.Specs, Aggregates: res.Aggregates, Campaign: res}, err
+	return &Execution{Specs: res.Specs, Aggregates: res.Aggregates, Campaign: res, PeakPending: peak}, err
 }

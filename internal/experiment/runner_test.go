@@ -16,15 +16,14 @@ func collect(t testing.TB, workers int, specs []Spec) []RunResult {
 	return ex.Results
 }
 
-// reduce runs pre-built specs through Execute's reduce mode on eng, so
-// the reduce bookkeeping (PeakPending) lands on it.
-func reduce(t testing.TB, eng *Engine, specs []Spec) ([]Aggregated, []error) {
+// reduce runs pre-built specs through Execute's reduce mode.
+func reduce(t testing.TB, workers int, specs []Spec) *Execution {
 	t.Helper()
-	ex, err := (&Runner{Engine: eng}).Execute(context.Background(), RunSpecOpts{Mode: ModeReduce, Specs: specs})
+	ex, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Mode: ModeReduce, Specs: specs, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ex.Aggregates, ex.Errs
+	return ex
 }
 
 // campaign starts (or, with opts.Resume, continues) a campaign through

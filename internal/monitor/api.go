@@ -7,17 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"wlan80211/internal/capture"
 	"wlan80211/internal/phy"
 )
 
-// NewServer builds the daemon's HTTP handler over a manager. The
-// versioned surface lives under /api/v1; the original unversioned
-// /api/... paths remain as compatibility aliases that serve the same
-// handlers plus a `Deprecation: true` header and a `Link:
-// </api/v1/...>; rel="successor-version"` pointer. Routes:
+// NewServer builds the daemon's HTTP handler over a manager. Every
+// session route lives under /api/v1. Routes:
 //
 //	GET    /healthz                         — liveness + session count
 //	GET    /api/v1/sessions                 — list sessions
@@ -35,12 +31,6 @@ import (
 // fields ("record", "field", "value") beside the error message.
 func NewServer(mgr *Manager) http.Handler {
 	mux := http.NewServeMux()
-	// reg registers one logical route twice: canonical under /api/v1,
-	// legacy alias under /api with the deprecation headers.
-	reg := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /api/v1"+path, h)
-		mux.HandleFunc(method+" /api"+path, deprecated(h))
-	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":       "ok",
@@ -48,7 +38,7 @@ func NewServer(mgr *Manager) http.Handler {
 			"max_sessions": mgr.Max(),
 		})
 	})
-	reg("GET", "/sessions", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /api/v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		sessions := mgr.List()
 		views := make([]View, len(sessions))
 		for i, s := range sessions {
@@ -56,7 +46,7 @@ func NewServer(mgr *Manager) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"sessions": views})
 	})
-	reg("POST", "/sessions", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /api/v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var cfg Config
 		if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding config: %w", err))
@@ -69,17 +59,17 @@ func NewServer(mgr *Manager) http.Handler {
 		}
 		writeJSON(w, http.StatusCreated, s.View())
 	})
-	reg("GET", "/sessions/{id}", withSession(mgr, func(w http.ResponseWriter, r *http.Request, s *Session) {
+	mux.HandleFunc("GET /api/v1/sessions/{id}", withSession(mgr, func(w http.ResponseWriter, r *http.Request, s *Session) {
 		writeJSON(w, http.StatusOK, s.View())
 	}))
-	reg("DELETE", "/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /api/v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := mgr.Delete(r.PathValue("id")); err != nil {
 			writeErr(w, statusFor(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"deleted": r.PathValue("id")})
 	})
-	reg("GET", "/sessions/{id}/metrics", withSession(mgr, func(w http.ResponseWriter, r *http.Request, s *Session) {
+	mux.HandleFunc("GET /api/v1/sessions/{id}/metrics", withSession(mgr, func(w http.ResponseWriter, r *http.Request, s *Session) {
 		window := 0
 		if q := r.URL.Query().Get("window"); q != "" {
 			n, err := strconv.Atoi(q)
@@ -91,7 +81,7 @@ func NewServer(mgr *Manager) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, s.Metrics(window))
 	}))
-	reg("GET", "/sessions/{id}/series", withSession(mgr, func(w http.ResponseWriter, r *http.Request, s *Session) {
+	mux.HandleFunc("GET /api/v1/sessions/{id}/series", withSession(mgr, func(w http.ResponseWriter, r *http.Request, s *Session) {
 		n := DefaultMetricsWindowSec
 		if q := r.URL.Query().Get("seconds"); q != "" {
 			v, err := strconv.Atoi(q)
@@ -107,7 +97,7 @@ func NewServer(mgr *Manager) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"seconds": buckets})
 	}))
-	reg("GET", "/sessions/{id}/alerts", withSession(mgr, func(w http.ResponseWriter, r *http.Request, s *Session) {
+	mux.HandleFunc("GET /api/v1/sessions/{id}/alerts", withSession(mgr, func(w http.ResponseWriter, r *http.Request, s *Session) {
 		eng := s.Alerts()
 		status := eng.Status()
 		if status == nil {
@@ -119,7 +109,7 @@ func NewServer(mgr *Manager) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"status": status, "history": history})
 	}))
-	reg("POST", "/sessions/{id}/ingest", withSession(mgr, func(w http.ResponseWriter, r *http.Request, s *Session) {
+	mux.HandleFunc("POST /api/v1/sessions/{id}/ingest", withSession(mgr, func(w http.ResponseWriter, r *http.Request, s *Session) {
 		// Cap the request body: an oversized (or unbounded) push must
 		// fail with 413 before it can balloon the daemon's memory, not
 		// be read to completion first.
@@ -171,18 +161,6 @@ func NewServer(mgr *Manager) http.Handler {
 		})
 	}))
 	return mux
-}
-
-// deprecated wraps a legacy unversioned route's handler with the
-// sunset signals (RFC 8594 style): a Deprecation header and a Link to
-// the same resource under /api/v1. The response body is identical —
-// aliases never fork behavior.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</api/v1`+strings.TrimPrefix(r.URL.Path, "/api")+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // withSession resolves {id} and 404s unknown sessions.

@@ -81,14 +81,14 @@ func TestAPIContract(t *testing.T) {
 	wantKeys(t, body, "status", "sessions", "max_sessions")
 
 	// Empty listing.
-	code, body = do(t, "GET", srv.URL+"/api/sessions", nil)
+	code, body = do(t, "GET", srv.URL+"/api/v1/sessions", nil)
 	if code != http.StatusOK {
 		t.Fatalf("list: %d", code)
 	}
 	wantKeys(t, body, "sessions")
 
 	// Create a push session with an alert rule.
-	code, body = do(t, "POST", srv.URL+"/api/sessions", Config{
+	code, body = do(t, "POST", srv.URL+"/api/v1/sessions", Config{
 		Name:   "contract",
 		Source: SourceConfig{Type: SourcePush},
 		Alerts: []Rule{{
@@ -123,7 +123,7 @@ func TestAPIContract(t *testing.T) {
 			"frame_hex": hex.EncodeToString(r.Frame),
 		})
 	}
-	code, body = do(t, "POST", srv.URL+"/api/sessions/"+id+"/ingest",
+	code, body = do(t, "POST", srv.URL+"/api/v1/sessions/"+id+"/ingest",
 		map[string]any{"records": wire})
 	if code != http.StatusOK {
 		t.Fatalf("ingest: %d\n%s", code, body)
@@ -141,7 +141,7 @@ func TestAPIContract(t *testing.T) {
 	var metrics WindowMetrics
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		code, body = do(t, "GET", srv.URL+"/api/sessions/"+id+"/metrics?window=10", nil)
+		code, body = do(t, "GET", srv.URL+"/api/v1/sessions/"+id+"/metrics?window=10", nil)
 		if code != http.StatusOK {
 			t.Fatalf("metrics: %d\n%s", code, body)
 		}
@@ -168,7 +168,7 @@ func TestAPIContract(t *testing.T) {
 	}
 
 	// The alert raised; status and history have stable shapes.
-	code, body = do(t, "GET", srv.URL+"/api/sessions/"+id+"/alerts", nil)
+	code, body = do(t, "GET", srv.URL+"/api/v1/sessions/"+id+"/alerts", nil)
 	if code != http.StatusOK {
 		t.Fatalf("alerts: %d", code)
 	}
@@ -188,53 +188,52 @@ func TestAPIContract(t *testing.T) {
 	}
 
 	// Series endpoint.
-	code, body = do(t, "GET", srv.URL+"/api/sessions/"+id+"/series?seconds=5", nil)
+	code, body = do(t, "GET", srv.URL+"/api/v1/sessions/"+id+"/series?seconds=5", nil)
 	if code != http.StatusOK {
 		t.Fatalf("series: %d", code)
 	}
 	wantKeys(t, body, "seconds")
 
 	// Bad requests.
-	if code, _ = do(t, "GET", srv.URL+"/api/sessions/"+id+"/metrics?window=x", nil); code != http.StatusBadRequest {
+	if code, _ = do(t, "GET", srv.URL+"/api/v1/sessions/"+id+"/metrics?window=x", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad window param: %d, want 400", code)
 	}
-	if code, body = do(t, "POST", srv.URL+"/api/sessions", Config{Source: SourceConfig{Type: "tape"}}); code != http.StatusBadRequest {
+	if code, body = do(t, "POST", srv.URL+"/api/v1/sessions", Config{Source: SourceConfig{Type: "tape"}}); code != http.StatusBadRequest {
 		t.Fatalf("bad source type: %d\n%s", code, body)
 	}
 	wantKeys(t, body, "error")
 
 	// Unknown session: 404 everywhere.
 	for _, ep := range []string{"", "/metrics", "/alerts", "/series"} {
-		if code, _ = do(t, "GET", srv.URL+"/api/sessions/nope"+ep, nil); code != http.StatusNotFound {
+		if code, _ = do(t, "GET", srv.URL+"/api/v1/sessions/nope"+ep, nil); code != http.StatusNotFound {
 			t.Fatalf("GET unknown session%s: %d, want 404", ep, code)
 		}
 	}
 
 	// Cap: one slot left, fill it, then 429.
-	if code, _ = do(t, "POST", srv.URL+"/api/sessions", Config{Source: SourceConfig{Type: SourcePush}}); code != http.StatusCreated {
+	if code, _ = do(t, "POST", srv.URL+"/api/v1/sessions", Config{Source: SourceConfig{Type: SourcePush}}); code != http.StatusCreated {
 		t.Fatalf("second create: %d", code)
 	}
-	code, body = do(t, "POST", srv.URL+"/api/sessions", Config{Source: SourceConfig{Type: SourcePush}})
+	code, body = do(t, "POST", srv.URL+"/api/v1/sessions", Config{Source: SourceConfig{Type: SourcePush}})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-cap create: %d, want 429\n%s", code, body)
 	}
 
 	// Delete frees the slot; the session is gone.
-	if code, _ = do(t, "DELETE", srv.URL+"/api/sessions/"+id, nil); code != http.StatusOK {
+	if code, _ = do(t, "DELETE", srv.URL+"/api/v1/sessions/"+id, nil); code != http.StatusOK {
 		t.Fatalf("delete: %d", code)
 	}
-	if code, _ = do(t, "GET", srv.URL+"/api/sessions/"+id, nil); code != http.StatusNotFound {
+	if code, _ = do(t, "GET", srv.URL+"/api/v1/sessions/"+id, nil); code != http.StatusNotFound {
 		t.Fatalf("deleted session still served: %d", code)
 	}
-	if code, _ = do(t, "DELETE", srv.URL+"/api/sessions/"+id, nil); code != http.StatusNotFound {
+	if code, _ = do(t, "DELETE", srv.URL+"/api/v1/sessions/"+id, nil); code != http.StatusNotFound {
 		t.Fatalf("double delete: %d, want 404", code)
 	}
 }
 
-// TestAPIVersionedRoutes pins the /api/v1 surface introduced
-// alongside the dispatch API: every route serves identically under
-// /api/v1, legacy /api aliases keep working but carry the deprecation
-// headers, and the canonical routes carry none.
+// TestAPIVersionedRoutes pins the /api/v1 surface: every session
+// route serves under /api/v1, and the retired unversioned /api paths
+// answer 404 for every method.
 func TestAPIVersionedRoutes(t *testing.T) {
 	mgr := NewManager(context.Background(), 2)
 	defer mgr.Close()
@@ -253,43 +252,25 @@ func TestAPIVersionedRoutes(t *testing.T) {
 	}
 	id := created.ID
 
-	// The same session is visible through both route sets, with equal
-	// bodies — aliases never fork behavior.
+	// Only /api/v1 serves the session; the unversioned paths are gone.
 	for _, path := range []string{
 		"/sessions", "/sessions/" + id, "/sessions/" + id + "/metrics",
 		"/sessions/" + id + "/series", "/sessions/" + id + "/alerts",
 	} {
-		v1Resp, err := http.Get(srv.URL + "/api/v1" + path)
-		if err != nil {
-			t.Fatal(err)
+		if code, body := do(t, "GET", srv.URL+"/api/v1"+path, nil); code != http.StatusOK {
+			t.Fatalf("/api/v1%s: %d\n%s", path, code, body)
 		}
-		var v1Body bytes.Buffer
-		v1Body.ReadFrom(v1Resp.Body)
-		v1Resp.Body.Close()
-		legacyResp, err := http.Get(srv.URL + "/api" + path)
-		if err != nil {
-			t.Fatal(err)
+		if code, _ := do(t, "GET", srv.URL+"/api"+path, nil); code != http.StatusNotFound {
+			t.Fatalf("/api%s: %d, want 404", path, code)
 		}
-		var legacyBody bytes.Buffer
-		legacyBody.ReadFrom(legacyResp.Body)
-		legacyResp.Body.Close()
-
-		if v1Resp.StatusCode != http.StatusOK || legacyResp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: v1=%d legacy=%d", path, v1Resp.StatusCode, legacyResp.StatusCode)
+	}
+	for _, path := range []string{"/sessions", "/sessions/" + id + "/ingest"} {
+		if code, _ := do(t, "POST", srv.URL+"/api"+path, map[string]any{}); code != http.StatusNotFound {
+			t.Fatalf("POST /api%s: %d, want 404", path, code)
 		}
-		if v1Body.String() != legacyBody.String() {
-			t.Fatalf("%s: v1 and legacy bodies differ:\n%s\n%s", path, v1Body.String(), legacyBody.String())
-		}
-		if got := v1Resp.Header.Get("Deprecation"); got != "" {
-			t.Fatalf("/api/v1%s carries Deprecation: %q", path, got)
-		}
-		if got := legacyResp.Header.Get("Deprecation"); got != "true" {
-			t.Fatalf("/api%s Deprecation = %q, want \"true\"", path, got)
-		}
-		wantLink := `</api/v1` + path + `>; rel="successor-version"`
-		if got := legacyResp.Header.Get("Link"); got != wantLink {
-			t.Fatalf("/api%s Link = %q, want %q", path, got, wantLink)
-		}
+	}
+	if code, _ := do(t, "DELETE", srv.URL+"/api/sessions/"+id, nil); code != http.StatusNotFound {
+		t.Fatalf("DELETE /api/sessions/%s: %d, want 404", id, code)
 	}
 
 	// Errors version the same way.
@@ -309,7 +290,7 @@ func TestAPIPcapSession(t *testing.T) {
 	defer srv.Close()
 
 	path := writePcap(t, busyQuietTrace(2, 1))
-	code, body := do(t, "POST", srv.URL+"/api/sessions", Config{
+	code, body := do(t, "POST", srv.URL+"/api/v1/sessions", Config{
 		Source: SourceConfig{Type: SourcePcap, Path: path},
 	})
 	if code != http.StatusCreated {
@@ -321,7 +302,7 @@ func TestAPIPcapSession(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		code, body = do(t, "GET", srv.URL+"/api/sessions/"+v.ID, nil)
+		code, body = do(t, "GET", srv.URL+"/api/v1/sessions/"+v.ID, nil)
 		if code != http.StatusOK {
 			t.Fatalf("get: %d", code)
 		}
@@ -344,7 +325,7 @@ func TestAPIPcapSession(t *testing.T) {
 // pushSession creates a push session and returns its id.
 func pushSession(t *testing.T, srv *httptest.Server) string {
 	t.Helper()
-	code, body := do(t, "POST", srv.URL+"/api/sessions", Config{
+	code, body := do(t, "POST", srv.URL+"/api/v1/sessions", Config{
 		Source: SourceConfig{Type: SourcePush},
 	})
 	if code != http.StatusCreated {
@@ -369,7 +350,7 @@ func TestIngestBodyTooLarge(t *testing.T) {
 
 	// One giant frame_hex string pushes the body just past the cap.
 	huge := strings.Repeat("a", MaxIngestBytes+1024)
-	code, body := do(t, "POST", srv.URL+"/api/sessions/"+id+"/ingest",
+	code, body := do(t, "POST", srv.URL+"/api/v1/sessions/"+id+"/ingest",
 		map[string]any{"records": []map[string]any{{"frame_hex": huge}}})
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized ingest: %d, want 413\n%.200s", code, body)
@@ -387,7 +368,7 @@ func TestIngestBodyTooLarge(t *testing.T) {
 
 	// A body just under the cap is still parsed (and rejected for what
 	// it says, not for its size).
-	code, body = do(t, "POST", srv.URL+"/api/sessions/"+id+"/ingest",
+	code, body = do(t, "POST", srv.URL+"/api/v1/sessions/"+id+"/ingest",
 		map[string]any{"records": []map[string]any{}})
 	if code != http.StatusOK {
 		t.Fatalf("small ingest after oversized one: %d\n%s", code, body)
@@ -407,7 +388,7 @@ func TestIngestMalformedHexStructuredError(t *testing.T) {
 		"frame_hex": hex.EncodeToString(beaconRec(1000, 1).Frame)}
 	bad := map[string]any{"time_us": 2000, "rate": 10, "channel": 1,
 		"frame_hex": "zz-not-hex"}
-	code, body := do(t, "POST", srv.URL+"/api/sessions/"+id+"/ingest",
+	code, body := do(t, "POST", srv.URL+"/api/v1/sessions/"+id+"/ingest",
 		map[string]any{"records": []map[string]any{good, bad}})
 	if code != http.StatusBadRequest {
 		t.Fatalf("malformed hex: %d, want 400\n%s", code, body)

@@ -3,41 +3,7 @@ package snapshot
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 )
-
-// AtomicWriteFile writes data to path via a temp file in the same
-// directory, fsync, and rename, so a crash at any instant leaves
-// either the old file or the complete new one — never a torn write.
-func AtomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("snapshot: atomic write %s: %w", path, err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return fmt.Errorf("snapshot: atomic write %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("snapshot: atomic write %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("snapshot: atomic write %s: %w", path, err)
-	}
-	name := tmp.Name()
-	tmp = nil // committed past cleanup
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("snapshot: atomic write %s: %w", path, err)
-	}
-	return nil
-}
 
 // ReadFile reads and fully validates a snapshot file.
 func ReadFile(path string) (*File, error) {

@@ -105,35 +105,13 @@ func TestParseHostileLengths(t *testing.T) {
 	}
 }
 
-func TestAtomicWriteFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "out.snap")
-	if err := AtomicWriteFile(path, []byte("first")); err != nil {
-		t.Fatal(err)
-	}
-	if err := AtomicWriteFile(path, []byte("second")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "second" {
-		t.Fatalf("read back %q, %v", got, err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Fatalf("temp files left behind: %v", ents)
-	}
-}
-
 func TestReadFileValidates(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.snap")
 	b := NewBuilder()
 	b.Section(tagA, []byte("m"))
 	data := b.Finish()
-	if err := AtomicWriteFile(path, data); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadFile(path); err != nil {
