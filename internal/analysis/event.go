@@ -46,6 +46,9 @@ type FrameEvent struct {
 	// Rec is the raw capture record.
 	Rec capture.Record
 	// Parsed is the decoded MAC frame (zero when Kind is KindInvalid).
+	// Parsed.Frame points into a frame the decoder reuses: it is
+	// valid only during the OnFrame call. A stage that retains it
+	// must copy the frame value.
 	Parsed dot11.Parsed
 	// Kind classifies the frame.
 	Kind Kind
@@ -121,7 +124,8 @@ type decoder struct {
 	totalFrames int64
 	parseErrors int64
 
-	ev FrameEvent // reused between records
+	parser dot11.Parser // owns the frames ev.Parsed points to
+	ev     FrameEvent   // reused between records
 }
 
 func newDecoder(metrics []Metric) *decoder {
@@ -152,7 +156,7 @@ func (d *decoder) feed(rec capture.Record) bool {
 	ev := &d.ev
 	*ev = FrameEvent{Rec: rec, Second: d.second, RateIdx: rateIdx(rec.Rate)}
 
-	p, err := dot11.Parse(rec.Frame)
+	p, err := d.parser.Parse(rec.Frame)
 	if err != nil {
 		d.parseErrors++
 		d.dispatch(ev) // stages still see the record (capture counts)

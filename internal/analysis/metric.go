@@ -16,7 +16,9 @@ import (
 // Finalize needs no locking and merged aggregates are deterministic.
 type Metric interface {
 	// OnFrame observes one decoded, annotated record. The event
-	// pointer is reused between frames and must not be retained.
+	// pointer and the frame ev.Parsed.Frame points to are reused
+	// between frames: both are valid only during the call, and a
+	// stage that retains the frame must copy it.
 	OnFrame(ev *FrameEvent)
 	// OnSecond closes second sec (frames observed since the previous
 	// OnSecond belong to it).

@@ -68,8 +68,9 @@ func MeasureBeaconReliability(recs []capture.Record, windowSeconds int) *BeaconR
 		seen     bool
 	}
 	aps := make(map[dot11.Addr]*apState)
+	var parser dot11.Parser
 	for i := range recs {
-		p, err := dot11.Parse(recs[i].Frame)
+		p, err := parser.Parse(recs[i].Frame)
 		if err != nil {
 			continue
 		}

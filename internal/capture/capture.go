@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"slices"
 
 	"wlan80211/internal/pcapio"
@@ -134,23 +135,33 @@ func (w *Writer) Flush() error { return w.pw.Flush() }
 // ReadAll reads an entire radiotap pcap stream into capture records.
 // Records that fail radiotap decoding are skipped (counted in the
 // second return), matching the tolerant behaviour of trace tooling.
+// A read error or a cut-short record ends the trace: ReadAll returns
+// the records before it with pcapio.ErrTruncated.
+//
+// The stream is read once into one buffer, and every record's Frame
+// aliases it, so the records hold the file's memory for as long as
+// any of them is kept. Each Frame is capped at its own length:
+// appending to it copies rather than overwriting the next record.
 func ReadAll(rd io.Reader) ([]Record, int, error) {
-	pr, err := pcapio.NewReader(rd)
+	buf, rerr := readStream(rd)
+	im, err := pcapio.NewImage(buf)
 	if err != nil {
 		return nil, 0, err
 	}
-	if pr.LinkType() != pcapio.LinkTypeRadiotap {
+	if im.LinkType() != pcapio.LinkTypeRadiotap {
 		return nil, 0, ErrLinkType
 	}
-	var recs []Record
+	recs := make([]Record, 0, im.Count())
 	skipped := 0
 	for {
-		p, err := pr.Next()
-		if err == io.EOF {
+		p, err := im.Next()
+		if err == io.EOF && rerr == nil {
 			return recs, skipped, nil
 		}
 		if err != nil {
-			return recs, skipped, err
+			// A stream that failed after its last whole record
+			// ends cut short too.
+			return recs, skipped, pcapio.ErrTruncated
 		}
 		r, err := FromPcap(p)
 		if err != nil {
@@ -158,6 +169,35 @@ func ReadAll(rd io.Reader) ([]Record, int, error) {
 			continue
 		}
 		recs = append(recs, r)
+	}
+}
+
+// readStream reads rd to its end into one buffer. An *os.File whose
+// Stat reports a size starts the buffer at that size, as os.ReadFile
+// does, so a regular file reads without regrowing; any other reader
+// starts small and grows as io.ReadAll does.
+func readStream(rd io.Reader) ([]byte, error) {
+	var size int64
+	if f, ok := rd.(*os.File); ok {
+		if st, err := f.Stat(); err == nil {
+			size = st.Size()
+		}
+	}
+	// The spare byte lets the final read see EOF without growing the
+	// buffer; a file that grew since Stat still reads whole.
+	b := make([]byte, 0, max(size+1, 512))
+	for {
+		n, err := rd.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
 	}
 }
 

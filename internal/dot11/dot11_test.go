@@ -2,6 +2,7 @@ package dot11
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -442,6 +443,70 @@ func TestEncodedFramesRoundTripThroughParse(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// parserFrames is one encoded frame of every type Parse dispatches to.
+func parserFrames() [][]byte {
+	var out [][]byte
+	for _, f := range []Frame{
+		NewRTS(addr(1), addr(2), 100),
+		NewCTS(addr(1), 50),
+		NewACK(addr(1)),
+		NewData(addr(1), addr(2), addr(3), 1, []byte("hi")),
+		NewBeacon(addr(4), "ssid", 6, 1, 1),
+		NewAssocReq(addr(1), addr(2), "s", 2),
+	} {
+		out = append(out, f.AppendTo(nil))
+	}
+	return out
+}
+
+// TestParserAllocs parses the same frames again and again, so the
+// beacon's SSID repeats and its string is reused; a beacon whose SSID
+// differs from the previous one costs one allocation.
+func TestParserAllocs(t *testing.T) {
+	var p Parser
+	frames := parserFrames()
+	if n := testing.AllocsPerRun(100, func() {
+		for _, b := range frames {
+			if _, err := p.Parse(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Parser.Parse: %v allocs per %d frames, want 0", n, len(frames))
+	}
+}
+
+// TestParserMatchesParse: one Parser reused over a mixed sequence of
+// valid, truncated and random frames returns what a fresh Parse does
+// for each, so no field of an earlier frame leaks into a later one.
+func TestParserMatchesParse(t *testing.T) {
+	var p Parser
+	valid := parserFrames()
+	f := func(picks []uint8, noise [][]byte) bool {
+		for i, k := range picks {
+			var b []byte
+			switch {
+			case int(k)%8 < len(valid):
+				b = valid[int(k)%8]
+				if k >= 128 {
+					b = b[:int(k)%len(b)]
+				}
+			case i < len(noise):
+				b = noise[i]
+			}
+			got, gerr := p.Parse(b)
+			want, werr := Parse(b)
+			if gerr != werr || got.FC != want.FC || !reflect.DeepEqual(got.Frame, want.Frame) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -155,11 +155,18 @@ func (f *Beacon) DecodeFromBytes(data []byte) error {
 	f.Timestamp = binary.LittleEndian.Uint64(f.Body)
 	f.BeaconInterval = binary.LittleEndian.Uint16(f.Body[8:])
 	f.Capability = binary.LittleEndian.Uint16(f.Body[10:])
+	last := f.SSID
 	f.SSID, f.Channel = "", 0
 	return ParseElements(f.Body[12:], func(e Element) bool {
 		switch e.ID {
 		case ElemSSID:
-			f.SSID = string(e.Data)
+			// A Beacon decoded into again keeps the previous
+			// decode's string when the SSID repeats, as it does
+			// for consecutive beacons of one network; a different
+			// SSID allocates a new string.
+			if f.SSID = last; string(e.Data) != last {
+				f.SSID = string(e.Data)
+			}
 		case ElemDSParameter:
 			if len(e.Data) == 1 {
 				f.Channel = e.Data[0]

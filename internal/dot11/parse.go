@@ -3,17 +3,31 @@ package dot11
 import "encoding/binary"
 
 // Parsed is the result of Parse: the frame-control word plus the
-// decoded frame, one of *RTS, *CTS, *ACK, *Data, or *Management.
+// decoded frame, one of *RTS, *CTS, *ACK, *Data, *Beacon, or
+// *Management.
 type Parsed struct {
 	FC    FrameControl
 	Frame Frame
+}
+
+// Parser decodes frames into values it owns, so a long-lived Parser
+// parses without allocating. The frame in a returned Parsed is
+// overwritten by the Parser's next Parse; a caller that keeps it
+// past that must copy it.
+type Parser struct {
+	rts    RTS
+	cts    CTS
+	ack    ACK
+	data   Data
+	beacon Beacon
+	mgmt   Management
 }
 
 // Parse decodes an 802.11 MAC frame (without FCS) by dispatching on
 // the frame-control word. Snap-length truncated frames parse as long
 // as the fixed header survives (the paper captured only 250 bytes per
 // frame; Sec 4.2).
-func Parse(data []byte) (Parsed, error) {
+func (p *Parser) Parse(data []byte) (Parsed, error) {
 	if len(data) < 2 {
 		return Parsed{}, ErrTruncated
 	}
@@ -26,21 +40,21 @@ func Parse(data []byte) (Parsed, error) {
 	case TypeCtrl:
 		switch fc.Subtype {
 		case SubtypeRTS:
-			f = new(RTS)
+			f = &p.rts
 		case SubtypeCTS:
-			f = new(CTS)
+			f = &p.cts
 		case SubtypeACK:
-			f = new(ACK)
+			f = &p.ack
 		default:
 			return Parsed{}, ErrWrongType
 		}
 	case TypeData:
-		f = new(Data)
+		f = &p.data
 	case TypeMgmt:
 		if fc.Subtype == SubtypeBeacon {
-			f = new(Beacon)
+			f = &p.beacon
 		} else {
-			f = new(Management)
+			f = &p.mgmt
 		}
 	default:
 		return Parsed{}, ErrWrongType
@@ -50,6 +64,10 @@ func Parse(data []byte) (Parsed, error) {
 	}
 	return Parsed{FC: fc, Frame: f}, nil
 }
+
+// Parse decodes one frame with a fresh Parser, so the returned frame
+// is the caller's to keep.
+func Parse(data []byte) (Parsed, error) { return new(Parser).Parse(data) }
 
 // Encode serializes a frame and appends its FCS, producing the
 // complete over-the-air MAC frame.

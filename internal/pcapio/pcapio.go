@@ -118,89 +118,178 @@ func (w *Writer) WriteRecord(r Record) error {
 // Flush flushes buffered records to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Reader reads a pcap file.
-type Reader struct {
-	r        *bufio.Reader
-	order    binary.ByteOrder
-	nanos    bool
+// format is what a pcap file header says about the records after it.
+type format struct {
+	big      bool // big-endian headers
+	nanos    bool // nanosecond timestamps
 	snapLen  int
 	linkType uint32
+}
+
+const (
+	fileHeaderLen   = 24
+	recordHeaderLen = 16
+	maxCapLen       = 1 << 24
+)
+
+// parseFileHeader decodes the 24-byte file header.
+func parseFileHeader(hdr []byte) (format, error) {
+	var f format
+	magicLE := binary.LittleEndian.Uint32(hdr)
+	magicBE := binary.BigEndian.Uint32(hdr)
+	switch {
+	case magicLE == magicMicros:
+	case magicLE == magicNanos:
+		f.nanos = true
+	case magicBE == magicMicros:
+		f.big = true
+	case magicBE == magicNanos:
+		f.big, f.nanos = true, true
+	default:
+		return format{}, ErrBadMagic
+	}
+	f.snapLen = int(f.u32(hdr[16:]))
+	f.linkType = f.u32(hdr[20:])
+	return f, nil
+}
+
+func (f *format) u32(b []byte) uint32 {
+	if f.big {
+		return binary.BigEndian.Uint32(b)
+	}
+	return binary.LittleEndian.Uint32(b)
+}
+
+// recordHeader decodes a 16-byte record header: the timestamp in
+// microseconds, the captured and the original length. A captured
+// length over 16 MiB is taken as a corrupt header (ErrTruncated).
+func (f *format) recordHeader(hdr []byte) (ts int64, capLen, origLen int, err error) {
+	sec := int64(f.u32(hdr[0:]))
+	sub := int64(f.u32(hdr[4:]))
+	capLen = int(f.u32(hdr[8:]))
+	origLen = int(f.u32(hdr[12:]))
+	if capLen < 0 || capLen > maxCapLen {
+		return 0, 0, 0, ErrTruncated
+	}
+	ts = sec * 1_000_000
+	if f.nanos {
+		ts += sub / 1000
+	} else {
+		ts += sub
+	}
+	return ts, capLen, origLen, nil
+}
+
+// LinkType returns the file's link type.
+func (f *format) LinkType() uint32 { return f.linkType }
+
+// SnapLen returns the file's snap length.
+func (f *format) SnapLen() int { return f.snapLen }
+
+// Reader reads a pcap file from a stream, one record at a time.
+type Reader struct {
+	format
+	r *bufio.Reader
 }
 
 // NewReader parses the pcap file header and prepares to read records.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	hdr := make([]byte, 24)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	var hdr [fileHeaderLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, ErrTruncated
 	}
-	pr := &Reader{r: br}
-	magicLE := binary.LittleEndian.Uint32(hdr)
-	magicBE := binary.BigEndian.Uint32(hdr)
-	switch {
-	case magicLE == magicMicros:
-		pr.order = binary.LittleEndian
-	case magicLE == magicNanos:
-		pr.order, pr.nanos = binary.LittleEndian, true
-	case magicBE == magicMicros:
-		pr.order = binary.BigEndian
-	case magicBE == magicNanos:
-		pr.order, pr.nanos = binary.BigEndian, true
-	default:
-		return nil, ErrBadMagic
+	f, err := parseFileHeader(hdr[:])
+	if err != nil {
+		return nil, err
 	}
-	pr.snapLen = int(pr.order.Uint32(hdr[16:]))
-	pr.linkType = pr.order.Uint32(hdr[20:])
-	return pr, nil
+	return &Reader{format: f, r: br}, nil
 }
 
-// LinkType returns the file's link type.
-func (r *Reader) LinkType() uint32 { return r.linkType }
-
-// SnapLen returns the file's snap length.
-func (r *Reader) SnapLen() int { return r.snapLen }
-
-// Next reads the next record. It returns io.EOF cleanly at end of
-// file and ErrTruncated if a record is cut short.
+// Next reads the next record into a newly allocated buffer. It
+// returns io.EOF cleanly at end of file and ErrTruncated if a record
+// is cut short.
 func (r *Reader) Next() (Record, error) {
-	var hdr [16]byte
+	var hdr [recordHeaderLen]byte
 	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return Record{}, io.EOF
 		}
 		return Record{}, ErrTruncated
 	}
-	sec := int64(r.order.Uint32(hdr[0:]))
-	sub := int64(r.order.Uint32(hdr[4:]))
-	capLen := int(r.order.Uint32(hdr[8:]))
-	origLen := int(r.order.Uint32(hdr[12:]))
-	if capLen < 0 || capLen > 1<<24 {
-		return Record{}, ErrTruncated
+	ts, capLen, origLen, err := r.recordHeader(hdr[:])
+	if err != nil {
+		return Record{}, err
 	}
 	data := make([]byte, capLen)
 	if _, err := io.ReadFull(r.r, data); err != nil {
 		return Record{}, ErrTruncated
 	}
-	ts := sec * 1_000_000
-	if r.nanos {
-		ts += sub / 1000
-	} else {
-		ts += sub
-	}
 	return Record{TimestampMicros: ts, OrigLen: origLen, Data: data}, nil
 }
 
-// ReadAll drains the reader into a slice.
-func ReadAll(r *Reader) ([]Record, error) {
-	var recs []Record
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
+// Image reads the records of a pcap file held whole in memory. A
+// record's Data aliases the image, capped at its own length, so
+// reading allocates nothing per record and appending to one record's
+// Data never overwrites the next record.
+type Image struct {
+	format
+	recs []byte // the records, after the file header
+	off  int    // offset in recs of the next record
+}
+
+// NewImage parses the file header at the start of b. The errors are
+// NewReader's for the same bytes.
+func NewImage(b []byte) (*Image, error) {
+	if len(b) < fileHeaderLen {
+		return nil, ErrTruncated
+	}
+	f, err := parseFileHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	return &Image{format: f, recs: b[fileHeaderLen:]}, nil
+}
+
+// at decodes the record at off and returns it with the offset of the
+// record after it. Its errors are Reader.Next's at the same position.
+func (im *Image) at(off int) (Record, int, error) {
+	rest := im.recs[off:]
+	if len(rest) == 0 {
+		return Record{}, off, io.EOF
+	}
+	if len(rest) < recordHeaderLen {
+		return Record{}, off, ErrTruncated
+	}
+	ts, capLen, origLen, err := im.recordHeader(rest)
+	if err != nil {
+		return Record{}, off, err
+	}
+	end := recordHeaderLen + capLen
+	if len(rest) < end {
+		return Record{}, off, ErrTruncated
+	}
+	return Record{TimestampMicros: ts, OrigLen: origLen, Data: rest[recordHeaderLen:end:end]}, off + end, nil
+}
+
+// Next returns the next record, io.EOF cleanly at the end of the
+// image and ErrTruncated if a record is cut short or corrupt, as
+// Reader.Next does.
+func (im *Image) Next() (Record, error) {
+	r, next, err := im.at(im.off)
+	im.off = next
+	return r, err
+}
+
+// Count returns how many records Next will return before its first
+// error (io.EOF included), walking only the record headers.
+func (im *Image) Count() int {
+	n := 0
+	for off := im.off; ; n++ {
+		_, next, err := im.at(off)
 		if err != nil {
-			return recs, err
+			return n
 		}
-		recs = append(recs, rec)
+		off = next
 	}
 }

@@ -28,17 +28,20 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewReader(&buf)
+	im, err := NewImage(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LinkType() != LinkTypeRadiotap {
-		t.Errorf("link type = %d", r.LinkType())
+	if im.LinkType() != LinkTypeRadiotap {
+		t.Errorf("link type = %d", im.LinkType())
 	}
-	if r.SnapLen() != 65535 {
-		t.Errorf("snap len = %d", r.SnapLen())
+	if im.SnapLen() != 65535 {
+		t.Errorf("snap len = %d", im.SnapLen())
 	}
-	got, err := ReadAll(r)
+	if n := im.Count(); n != len(recs) {
+		t.Errorf("Count() = %d, want %d", n, len(recs))
+	}
+	got, err := readImage(im)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +204,102 @@ func TestReadAllStopsOnError(t *testing.T) {
 	w.WriteRecord(Record{Data: []byte{2}})
 	w.Flush()
 	full := buf.Bytes()
-	r, _ := NewReader(bytes.NewReader(full[:len(full)-1]))
-	recs, err := ReadAll(r)
+	im, _ := NewImage(full[:len(full)-1])
+	if n := im.Count(); n != 1 {
+		t.Errorf("Count() = %d, want 1", n)
+	}
+	recs, err := readImage(im)
 	if err != ErrTruncated {
 		t.Errorf("err = %v", err)
 	}
 	if len(recs) != 1 {
 		t.Errorf("recovered %d records, want 1", len(recs))
+	}
+}
+
+// readImage drains an image into a slice, stopping at the first error
+// (io.EOF gives a nil error).
+func readImage(im *Image) ([]Record, error) {
+	var recs []Record
+	for {
+		rec, err := im.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// TestImageMatchesReader: on arbitrary bytes behind a valid file
+// header, the image yields the records, the count and the final error
+// the streaming reader does.
+func TestImageMatchesReader(t *testing.T) {
+	var hdr bytes.Buffer
+	w, _ := NewWriter(&hdr, LinkTypeRadiotap, 0)
+	w.Flush()
+	f := func(tail []byte, caps []uint8) bool {
+		// Splice a few plausible record headers into the noise.
+		for i, c := range caps {
+			if at := i * 7; at+12 <= len(tail) {
+				binary.LittleEndian.PutUint32(tail[at+8:], uint32(c%32))
+			}
+		}
+		data := append(append([]byte(nil), hdr.Bytes()...), tail...)
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return false
+		}
+		im, err := NewImage(data)
+		if err != nil {
+			return false
+		}
+		n := im.Count()
+		for i := 0; ; i++ {
+			want, werr := r.Next()
+			got, gerr := im.Next()
+			if werr != gerr || got.TimestampMicros != want.TimestampMicros ||
+				got.OrigLen != want.OrigLen || !bytes.Equal(got.Data, want.Data) {
+				return false
+			}
+			if werr != nil {
+				return i == n
+			}
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestImageDataCapped: a record's Data ends at its own length, so an
+// append copies instead of overwriting the next record's header.
+func TestImageDataCapped(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, LinkTypeRadiotap, 0)
+	w.WriteRecord(Record{TimestampMicros: 1, Data: []byte{1, 2}})
+	w.WriteRecord(Record{TimestampMicros: 2, Data: []byte{3, 4}})
+	w.Flush()
+	im, _ := NewImage(buf.Bytes())
+	first, _ := im.Next()
+	if cap(first.Data) != len(first.Data) {
+		t.Fatalf("cap(Data) = %d, want %d", cap(first.Data), len(first.Data))
+	}
+	_ = append(first.Data, 0xff, 0xff, 0xff, 0xff)
+	second, err := im.Next()
+	if err != nil || second.TimestampMicros != 2 || !bytes.Equal(second.Data, []byte{3, 4}) {
+		t.Errorf("second record = %+v, %v", second, err)
+	}
+}
+
+func TestImageErrors(t *testing.T) {
+	if _, err := NewImage([]byte{1, 2, 3}); err != ErrTruncated {
+		t.Errorf("short header: %v", err)
+	}
+	if _, err := NewImage(make([]byte, 24)); err != ErrBadMagic {
+		t.Errorf("bad magic: %v", err)
 	}
 }
 

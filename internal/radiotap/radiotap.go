@@ -12,6 +12,7 @@ package radiotap
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 
 	"wlan80211/internal/phy"
 )
@@ -211,43 +212,43 @@ func fieldSizeAlign(id int) (int, int) {
 
 // Decode parses a radiotap header from data, which must begin at the
 // radiotap version byte. The 802.11 frame follows at data[h.Length:].
-func Decode(data []byte) (*Header, error) {
+// Decode does not allocate.
+func Decode(data []byte) (Header, error) {
 	if len(data) < 8 {
-		return nil, ErrTruncated
+		return Header{}, ErrTruncated
 	}
 	if data[0] != 0 {
-		return nil, ErrVersion
+		return Header{}, ErrVersion
 	}
 	length := int(binary.LittleEndian.Uint16(data[2:]))
 	if length < 8 || length > len(data) {
-		return nil, ErrTruncated
+		return Header{}, ErrTruncated
 	}
-	// Collect present words (bit 31 chains another word).
-	var words []uint32
-	off := 4
+	// The present words (bit 31 chains another) end where the fields
+	// begin.
+	fields := 4
 	for {
-		if off+4 > length {
-			return nil, ErrTruncated
+		if fields+4 > length {
+			return Header{}, ErrTruncated
 		}
-		w := binary.LittleEndian.Uint32(data[off:])
-		words = append(words, w)
-		off += 4
+		w := binary.LittleEndian.Uint32(data[fields:])
+		fields += 4
 		if w&(1<<bitExt) == 0 {
 			break
 		}
 	}
-	h := &Header{Length: length}
-	for wi, w := range words {
-		for bit := 0; bit < 31; bit++ {
-			if w&(1<<bit) == 0 {
-				continue
-			}
+	h := Header{Length: length}
+	off := fields
+	for wo := 4; wo < fields; wo += 4 {
+		w := binary.LittleEndian.Uint32(data[wo:])
+		for m := w &^ (1 << bitExt); m != 0; m &= m - 1 {
+			bit := bits.TrailingZeros32(m)
 			size, al := fieldSizeAlign(bit)
 			off = align(off, al)
 			if off+size > length {
-				return nil, ErrTruncated
+				return Header{}, ErrTruncated
 			}
-			if wi == 0 { // only the first word's fields are interpreted
+			if wo == 4 { // only the first word's fields are interpreted
 				switch bit {
 				case bitTSFT:
 					h.TSFT = binary.LittleEndian.Uint64(data[off:])

@@ -217,3 +217,108 @@ func TestDecodeNeverPanics(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestDecodeAllocs(t *testing.T) {
+	b := fullHeader().Encode()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(b); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Decode: %v allocs/op, want 0", n)
+	}
+}
+
+// decodeRef is the decoder that collected the present words into a
+// slice before walking them, kept as the reference Decode must match.
+func decodeRef(data []byte) (Header, error) {
+	if len(data) < 8 {
+		return Header{}, ErrTruncated
+	}
+	if data[0] != 0 {
+		return Header{}, ErrVersion
+	}
+	length := int(binary.LittleEndian.Uint16(data[2:]))
+	if length < 8 || length > len(data) {
+		return Header{}, ErrTruncated
+	}
+	var words []uint32
+	off := 4
+	for {
+		if off+4 > length {
+			return Header{}, ErrTruncated
+		}
+		w := binary.LittleEndian.Uint32(data[off:])
+		words = append(words, w)
+		off += 4
+		if w&(1<<bitExt) == 0 {
+			break
+		}
+	}
+	h := Header{Length: length}
+	for wi, w := range words {
+		for bit := 0; bit < 31; bit++ {
+			if w&(1<<bit) == 0 {
+				continue
+			}
+			size, al := fieldSizeAlign(bit)
+			off = align(off, al)
+			if off+size > length {
+				return Header{}, ErrTruncated
+			}
+			if wi == 0 {
+				switch bit {
+				case bitTSFT:
+					h.TSFT, h.HaveTSFT = binary.LittleEndian.Uint64(data[off:]), true
+				case bitFlags:
+					h.Flags, h.HaveFlags = data[off], true
+				case bitRate:
+					if r, ok := phy.RateFromRadiotap(data[off]); ok {
+						h.Rate, h.HaveRate = r, true
+					}
+				case bitChannel:
+					if c, ok := phy.ChannelFromFreq(int(binary.LittleEndian.Uint16(data[off:]))); ok {
+						h.Channel, h.HaveChannel = c, true
+					}
+				case bitAntennaSignal:
+					h.SignalDBm, h.HaveSignal = int8(data[off]), true
+				case bitAntennaNoise:
+					h.NoiseDBm, h.HaveNoise = int8(data[off]), true
+				}
+			}
+			off += size
+		}
+	}
+	return h, nil
+}
+
+// TestDecodeMatchesReference: for version-0 headers with arbitrary
+// present words, lengths and field bytes, Decode returns the
+// reference decoder's header and error.
+func TestDecodeMatchesReference(t *testing.T) {
+	f := func(words [3]uint32, nwords uint8, length uint8, body [48]byte) bool {
+		b := make([]byte, 0, 8+len(body))
+		b = append(b, 0, 0, 0, 0)
+		for i := 0; i <= int(nwords%3); i++ {
+			w := words[i] &^ (1 << bitExt)
+			if i < int(nwords%3) {
+				w |= 1 << bitExt
+			}
+			b = binary.LittleEndian.AppendUint32(b, w)
+		}
+		b = append(b, body[:]...)
+		binary.LittleEndian.PutUint16(b[2:], uint16(int(length)%len(b)))
+		got, gerr := Decode(b)
+		want, werr := decodeRef(b)
+		return got == want && gerr == werr
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	full := fullHeader().Encode()
+	got, gerr := Decode(full)
+	want, werr := decodeRef(full)
+	if got != want || gerr != werr {
+		t.Errorf("full header: %+v, %v; reference %+v, %v", got, gerr, want, werr)
+	}
+}
