@@ -33,6 +33,8 @@
 //	wlansweep -serve :8410 -dispatch DIR -scenarios grid -runs 8   # coordinator
 //	wlansweep -worker http://HOST:8410 -workdir W1                 # as many as you like
 //	wlansweep -serve :8410 -resume DIR                             # resume a coordinator
+//	wlansweep -resume DIR                                          # or finish its campaign
+//	                                                               # in one process
 package main
 
 import (
@@ -303,14 +305,13 @@ func runCampaignMode(ctx context.Context, opts experiment.RunSpecOpts, jsonOut s
 		if merr != nil {
 			fatal(merr)
 		}
-		doc := res.Report(man)
+		data, jerr := res.ReportJSON(man)
+		if jerr != nil {
+			fatal(jerr)
+		}
 		if jsonOut == "-" {
-			enc, jerr := json.MarshalIndent(doc, "", "  ")
-			if jerr != nil {
-				fatal(jerr)
-			}
-			os.Stdout.Write(append(enc, '\n'))
-		} else if werr := experiment.WriteJSONAtomic(jsonOut, doc); werr != nil {
+			os.Stdout.Write(data)
+		} else if werr := experiment.AtomicWriteFile(jsonOut, data); werr != nil {
 			fatal(werr)
 		}
 	}
@@ -331,6 +332,7 @@ func runServeMode(ctx context.Context, addr string, cfg dispatch.Config, jsonOut
 	if err != nil {
 		fatal(err)
 	}
+	defer co.Close()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fatal(err)

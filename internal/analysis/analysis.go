@@ -35,13 +35,16 @@ import (
 // Options configures an Analyzer.
 type Options struct {
 	// Metrics selects which registered stages run, by name
-	// (see Names). Empty runs every registered stage.
+	// (see Names). Empty runs every registered stage — unless Extra
+	// is set, when empty runs none.
 	Metrics []string
 	// Extra appends per-shard metric stages beyond the registered
 	// set: each factory is invoked once per channel shard, exactly
 	// like a registry factory, and its stages see the same annotated
 	// FrameEvents. This is how embedding layers (the live monitor)
-	// tap the decoder without registering globally.
+	// tap the decoder without registering globally; such a layer
+	// runs only the registered stages it names, since it pays for
+	// every stage's state and may never read the Result.
 	Extra []Factory
 }
 
@@ -97,9 +100,12 @@ func (a *Analyzer) Snapshot() Snapshot {
 // New builds an Analyzer. It fails only when Options.Metrics names an
 // unregistered stage.
 func New(opts Options) (*Analyzer, error) {
-	defs, err := lookup(opts.Metrics)
-	if err != nil {
-		return nil, err
+	var defs []metricDef
+	if len(opts.Metrics) > 0 || len(opts.Extra) == 0 {
+		var err error
+		if defs, err = lookup(opts.Metrics); err != nil {
+			return nil, err
+		}
 	}
 	return &Analyzer{
 		opts:   opts,

@@ -128,6 +128,27 @@ func TestOptionsExtra(t *testing.T) {
 	}
 }
 
+// TestOptionsExtraAloneRunsNoRegisteredStage: with Extra set and no
+// Metrics named, only the Extra stages run — the registered util
+// stage builds no per-second series.
+func TestOptionsExtraAloneRunsNoRegisteredStage(t *testing.T) {
+	var frames int64
+	a, err := New(Options{Extra: []Factory{func() Metric {
+		return &funcMetric{onFrame: func(*FrameEvent) { frames++ }, onSecond: func(int64) {}}
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.FeedAll(buildSnapshotTrace())
+	r := a.Result()
+	if frames == 0 || frames != r.TotalFrames {
+		t.Fatalf("extra stage saw %d frames, result has %d", frames, r.TotalFrames)
+	}
+	if len(r.PerChannel) != 0 {
+		t.Fatalf("registered util stage ran: %d channel series", len(r.PerChannel))
+	}
+}
+
 // funcMetric adapts closures to the Metric interface for tests.
 type funcMetric struct {
 	onFrame  func(*FrameEvent)

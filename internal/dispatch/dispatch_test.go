@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +32,14 @@ func testMatrix() experiment.Matrix {
 // writes them.
 func referenceReport(t *testing.T, m experiment.Matrix) []byte {
 	t.Helper()
+	rep, _ := referenceCampaign(t, m)
+	return rep
+}
+
+// referenceCampaign is referenceReport plus the campaign's records, as
+// read back from its journal and indexed by spec index.
+func referenceCampaign(t *testing.T, m experiment.Matrix) ([]byte, []experiment.RunRecord) {
+	t.Helper()
 	dir := t.TempDir()
 	ex, err := (&experiment.Runner{}).Execute(context.Background(), experiment.RunSpecOpts{
 		Mode: experiment.ModeCampaign, Matrix: m, Workers: 2, CampaignDir: dir,
@@ -45,7 +56,15 @@ func referenceReport(t *testing.T, m experiment.Matrix) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(data, '\n')
+	journaled, err := experiment.ReadJournal(experiment.JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]experiment.RunRecord, len(res.Specs))
+	for _, rec := range journaled {
+		recs[rec.Index] = rec
+	}
+	return append(data, '\n'), recs
 }
 
 // TestDistributedReportMatchesSingleProcess is the tentpole
@@ -337,5 +356,211 @@ func TestAPIContract(t *testing.T) {
 	// Method mismatches 405 under Go 1.22+ pattern routing.
 	if got, _ := post("/api/v1/campaign", `{}`); got != http.StatusMethodNotAllowed {
 		t.Errorf("POST /api/v1/campaign = %d, want 405", got)
+	}
+}
+
+// TestUploadConflictWithinOneRequest: two different records for one
+// run in a single upload are a conflict like any other — ErrConflict
+// (409 over HTTP), and the journal gains no line.
+func TestUploadConflictWithinOneRequest(t *testing.T) {
+	m := testMatrix()
+	dir := t.TempDir()
+	co, err := dispatch.New(dispatch.Config{Dir: dir, Matrix: m, ShardSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := func() string {
+		t.Helper()
+		data, err := os.ReadFile(experiment.JournalPath(dir))
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	a := fakeRecord(t, m, 0, "aaaa")
+	b := fakeRecord(t, m, 0, "bbbb")
+	before := journal()
+	up, err := co.Upload(dispatch.UploadRequest{Shard: 0, Records: []experiment.RunRecord{a, b}})
+	if !errors.Is(err, dispatch.ErrConflict) {
+		t.Fatalf("two records for run 0 in one upload: got %+v, %v; want ErrConflict", up, err)
+	}
+	if after := journal(); after != before {
+		t.Fatalf("rejected upload wrote to the journal:\n%s", after)
+	}
+
+	srv := httptest.NewServer(dispatch.NewServer(co))
+	defer srv.Close()
+	body, _ := json.Marshal(dispatch.UploadRequest{Shard: 0, Records: []experiment.RunRecord{a, b}})
+	resp, err := http.Post(srv.URL+"/api/v1/leases/x/journal", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("POST journal with an in-request conflict = %d, want 409", resp.StatusCode)
+	}
+	if after := journal(); after != before {
+		t.Fatalf("rejected HTTP upload wrote to the journal:\n%s", after)
+	}
+	if st := co.Status(); st.RunsDone != 0 {
+		t.Fatalf("rejected uploads folded runs: %+v", st)
+	}
+}
+
+// TestCoordinatorResumePartialShard: every accepted record is durable,
+// not only whole shards — one of a three-run shard's records survives
+// a coordinator restart.
+func TestCoordinatorResumePartialShard(t *testing.T) {
+	m := testMatrix()
+	dir := t.TempDir()
+	co, err := dispatch.New(dispatch.Config{Dir: dir, Matrix: m, ShardSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Upload(dispatch.UploadRequest{Shard: 0, Records: []experiment.RunRecord{fakeRecord(t, m, 1, "aaaa")}}); err != nil {
+		t.Fatal(err)
+	}
+	co2, err := dispatch.New(dispatch.Config{Dir: dir, ShardSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := co2.Status(); st.RunsDone != 1 || st.ShardsDone != 0 || st.Done {
+		t.Fatalf("restarted status: %+v, want 1 run done in an unfinished shard", st)
+	}
+}
+
+// TestCoordinatorRestartNewShardSize: the shard size only shapes
+// leases, so a coordinator restarted with a different one finishes the
+// campaign to the single-process report, and its directory holds
+// exactly a campaign directory's files.
+func TestCoordinatorRestartNewShardSize(t *testing.T) {
+	m := testMatrix()
+	want, recs := referenceCampaign(t, m)
+	dir := t.TempDir()
+	co, err := dispatch.New(dispatch.Config{Dir: dir, Matrix: m, ShardSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Upload(dispatch.UploadRequest{Shard: 0, Records: recs[:1]}); err != nil {
+		t.Fatal(err)
+	}
+
+	co2, err := dispatch.New(dispatch.Config{Dir: dir, ShardSize: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("restart with a different shard size: %v", err)
+	}
+	if st := co2.Status(); st.Shards != 2 || st.RunsDone != 1 {
+		t.Fatalf("restarted status: %+v", st)
+	}
+	if up, err := co2.Upload(dispatch.UploadRequest{Shard: 0, Records: recs[:2]}); err != nil || up.Accepted != 1 || !up.ShardDone {
+		t.Fatalf("upload shard [0,2): %+v, %v", up, err)
+	}
+	if up, err := co2.Upload(dispatch.UploadRequest{Shard: 1, Records: recs[2:]}); err != nil || !up.CampaignDone {
+		t.Fatalf("upload shard [2,3): %+v, %v", up, err)
+	}
+	got, ok := co2.Report()
+	if !ok || !bytes.Equal(got, want) {
+		t.Fatalf("report after a shard-size change differs from the single-process reference:\n%s\nvs\n%s", got, want)
+	}
+	onDisk, err := os.ReadFile(filepath.Join(dir, "report.json"))
+	if err != nil || !bytes.Equal(onDisk, want) {
+		t.Fatalf("report.json differs from the reference (%v)", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "campaign.json journal.jsonl report.json" {
+		t.Fatalf("coordinator directory holds %q, want a campaign directory", got)
+	}
+}
+
+// TestCoordinatorDirResumesAsCampaign: there is one resume mechanism.
+// A coordinator directory holding some uploaded runs is finished by a
+// plain single-process campaign resume, to the reference report
+// bytes, and a coordinator reopened on it comes back done.
+func TestCoordinatorDirResumesAsCampaign(t *testing.T) {
+	m := testMatrix()
+	want, recs := referenceCampaign(t, m)
+	dir := t.TempDir()
+	co, err := dispatch.New(dispatch.Config{Dir: dir, Matrix: m, ShardSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2} {
+		if _, err := co.Upload(dispatch.UploadRequest{Shard: i, Records: recs[i : i+1]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := co.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ex, err := (&experiment.Runner{}).Execute(context.Background(), experiment.RunSpecOpts{
+		Mode: experiment.ModeCampaign, CampaignDir: dir, Resume: true, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Campaign.FromJournal != 2 {
+		t.Fatalf("FromJournal = %d, want the 2 uploaded runs", ex.Campaign.FromJournal)
+	}
+	man, err := experiment.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ex.Campaign.ReportJSON(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("campaign resume of a coordinator directory differs from the reference:\n%s\nvs\n%s", got, want)
+	}
+
+	co2, err := dispatch.New(dispatch.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co2.Close()
+	if rep, ok := co2.Report(); !ok || !bytes.Equal(rep, want) {
+		t.Fatal("coordinator reopened on the resumed directory is not done with the reference report")
+	}
+}
+
+// TestCoordinatorOpensDirWithShardFiles: a coordinator directory from
+// before the journal layout — campaign.json plus shards/shard-N.json —
+// still opens. The shard files are neither read nor touched, so their
+// runs are leased again.
+func TestCoordinatorOpensDirWithShardFiles(t *testing.T) {
+	m := testMatrix()
+	dir := t.TempDir()
+	if err := experiment.WriteJSONAtomic(filepath.Join(dir, "campaign.json"), experiment.Manifest{Version: 1, Matrix: m}); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "shards", "shard-0.json")
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	content := `{"shard":0,"from":0,"to":1,"records":[{"index":0,"name":"day","seed":1,"scale":0.1,"trace_hash":"aaaa"}]}`
+	if err := os.WriteFile(old, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	co, err := dispatch.New(dispatch.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if st := co.Status(); st.RunsDone != 0 || st.Shards != 3 {
+		t.Fatalf("status: %+v, want 3 pending shards", st)
+	}
+	if r := co.Claim("w"); r.Lease == nil || r.Lease.Shard != 0 {
+		t.Fatalf("shard 0 not leased again: %+v", r)
+	}
+	if data, err := os.ReadFile(old); err != nil || string(data) != content {
+		t.Fatalf("shard file touched: %q, %v", data, err)
 	}
 }

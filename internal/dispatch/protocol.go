@@ -23,10 +23,11 @@ var (
 	// issued — the worker should claim again (its finished work still
 	// uploads fine).
 	ErrLeaseGone = errors.New("dispatch: lease gone")
-	// ErrConflict means two uploads disagreed about a run's record.
-	// Runs are deterministic, so this is corruption or version skew
-	// between workers — never a retryable race.
-	ErrConflict = errors.New("dispatch: conflicting record")
+	// ErrConflict means an upload disagreed about a run's record —
+	// with the journal or within itself. Runs are deterministic, so
+	// this is corruption or version skew between workers — never a
+	// retryable race. It is the campaign fold's own sentinel.
+	ErrConflict = experiment.ErrConflict
 )
 
 // ClaimRequest asks the coordinator for work.

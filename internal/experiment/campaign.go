@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -22,6 +23,9 @@ import (
 //	                  O_APPEND in a single write; each line carries a
 //	                  CRC32 of its record, so a torn tail from a crash
 //	                  mid-append is detected and truncated on resume
+//	report.json     — the final report, written only by a dispatch
+//	                  coordinator (whose directory is a campaign
+//	                  directory; see Campaign.WriteReport)
 //
 // Determinism contract: a campaign that crashes at ANY instant and is
 // resumed produces aggregates and per-run trace hashes bit-identical
@@ -32,13 +36,20 @@ import (
 // reruns it from t=0; runs are deterministic, so the rerun journals
 // exactly the record the lost run would have. The journaled
 // trace_hash is the divergence check: every fold of records — a
-// resume's own journal, a dispatch coordinator's shard uploads —
-// rejects two records for one run that disagree.
+// resume's own journal, a dispatch coordinator's uploads — goes
+// through CampaignResult.fold, which rejects two records for one run
+// that disagree.
 
 const (
 	manifestName = "campaign.json"
 	journalName  = "journal.jsonl"
+	reportName   = "report.json"
 )
+
+// ErrConflict marks two records for one run that disagree. Runs are
+// deterministic, so this is corruption or version skew between
+// processes — never a retryable race.
+var ErrConflict = errors.New("experiment: conflicting records")
 
 // Manifest is the persisted campaign identity (campaign.json).
 type Manifest struct {
@@ -84,6 +95,18 @@ func (r *CampaignResult) Report(man Manifest) CampaignReport {
 		}
 	}
 	return rep
+}
+
+// ReportJSON returns the report's bytes exactly as `wlansweep
+// -campaign -json` writes them: indented JSON plus a trailing
+// newline. A dispatch coordinator's report.json and its GET
+// /api/v1/report serve the same bytes.
+func (r *CampaignResult) ReportJSON(man Manifest) ([]byte, error) {
+	data, err := json.MarshalIndent(r.Report(man), "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // CampaignReport is the JSON report shape.
@@ -177,9 +200,10 @@ func scanJournal(path string, data []byte) ([]RunRecord, int, error) {
 }
 
 // ReadJournal reads a campaign journal without opening it for writing
-// and without truncating a torn tail — the read-only view a dispatch
-// worker uses to collect its shard's completed records for upload.
-// A missing journal yields no records and no error.
+// and without truncating a torn tail — a read-only view for tools
+// that inspect a campaign another process ran (perfbench checks a
+// finished campaign's records this way). A missing journal yields no
+// records and no error.
 func ReadJournal(path string) ([]RunRecord, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -264,50 +288,117 @@ func (j *journal) append(rec RunRecord, inj *faultinject.Injector) error {
 
 func (j *journal) close() error { return j.f.Close() }
 
-// createManifest writes the campaign manifest for opts' matrix into
-// dir — or, when dir already holds one, checks that it describes the
-// same campaign — and returns the expanded specs: Execute's
-// ModeCampaign start path.
-func createManifest(dir string, opts RunSpecOpts) ([]Spec, error) {
-	specs, err := opts.Matrix.Expand() // before touching dir: a bad matrix leaves no campaign behind
-	if err != nil {
-		return nil, err
-	}
-	man := Manifest{Version: 1, Matrix: opts.Matrix, Metrics: opts.Metrics, Range: opts.Range}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	manPath := filepath.Join(dir, manifestName)
-	if prev, err := readManifest(manPath); err == nil {
-		a, _ := json.Marshal(man)
-		b, _ := json.Marshal(prev)
-		if !bytes.Equal(a, b) {
-			return nil, fmt.Errorf("experiment: %s already holds a different campaign (use -resume, or a fresh directory)", dir)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	} else if err := WriteJSONAtomic(manPath, man); err != nil {
-		return nil, err
-	}
-	return specs, nil
+// Campaign is an open campaign directory: its manifest, the records
+// folded from its journal, and the journal open for appending. It is
+// the one way into a campaign directory — Runner.Execute's campaign
+// mode and the dispatch coordinator both open theirs here, so a
+// coordinator's directory resumes as a plain campaign and vice versa.
+type Campaign struct {
+	// Manifest is the directory's campaign identity.
+	Manifest Manifest
+	// Result holds the folded records in spec order; Aggregates is
+	// unset until the campaign finishes.
+	Result *CampaignResult
+
+	dir string
+	j   *journal
 }
 
-// resumeManifest loads dir's manifest, which is authoritative on
-// resume: it replaces opts' metrics and range, and its matrix expands
-// to the returned specs.
-func resumeManifest(dir string, opts *RunSpecOpts) ([]Spec, error) {
-	man, err := readManifest(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("experiment: resume %s: %w", dir, err)
+// OpenCampaign opens the campaign in dir. A nil man resumes: dir's
+// manifest is authoritative. Otherwise man (Version is set here) is
+// written to a fresh dir, or must equal the manifest already there.
+// The journal is then read — a torn tail truncated — and folded.
+func OpenCampaign(dir string, man *Manifest) (*Campaign, error) {
+	var (
+		m   Manifest
+		err error
+	)
+	if man == nil {
+		if m, err = ReadManifest(dir); err != nil {
+			return nil, fmt.Errorf("experiment: resume %s: %w", dir, err)
+		}
+	} else {
+		m = *man
+		m.Version = 1
 	}
-	specs, err := man.Matrix.Expand()
+	specs, err := m.Matrix.Expand() // before touching dir: a bad matrix leaves no campaign behind
 	if err != nil {
 		return nil, err
 	}
-	opts.Metrics = man.Metrics
-	opts.Range = man.Range
-	return specs, nil
+	if man != nil {
+		if err := writeManifest(dir, m); err != nil {
+			return nil, err
+		}
+	}
+	j, journaled, err := openJournal(filepath.Join(dir, journalName))
+	if err != nil {
+		return nil, err
+	}
+	res, err := foldRecords(specs, journaled)
+	if err != nil {
+		j.close()
+		return nil, err
+	}
+	return &Campaign{Manifest: m, Result: res, dir: dir, j: j}, nil
 }
+
+// writeManifest writes man into dir — or, when dir already holds a
+// manifest, checks that it describes the same campaign.
+func writeManifest(dir string, man Manifest) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(dir, manifestName)
+	prev, err := readManifest(path)
+	if os.IsNotExist(err) {
+		return WriteJSONAtomic(path, man)
+	}
+	if err != nil {
+		return err
+	}
+	a, _ := json.Marshal(man)
+	b, _ := json.Marshal(prev)
+	if !bytes.Equal(a, b) {
+		return fmt.Errorf("experiment: %s already holds a different campaign (use -resume, or a fresh directory)", dir)
+	}
+	return nil
+}
+
+// Add folds recs through the resume fold — each must match the
+// matrix, lie in rng (nil means anywhere), and agree with every record
+// already folded or earlier in recs — then journals the new ones. No
+// record is folded or written unless all pass. It returns how many
+// records were new.
+func (c *Campaign) Add(recs []RunRecord, rng *SpecRange) (int, error) {
+	fresh, err := c.Result.fold(recs, rng)
+	if err != nil {
+		return 0, err
+	}
+	for i, rec := range fresh {
+		if err := c.j.append(rec, nil); err != nil {
+			c.Result.unplace(fresh[i:]) // memory never runs ahead of the journal
+			return i, err
+		}
+	}
+	return len(fresh), nil
+}
+
+// WriteReport aggregates the folded records, writes the report to
+// dir/report.json atomically, and returns its bytes (ReportJSON).
+func (c *Campaign) WriteReport() ([]byte, error) {
+	c.Result.aggregate()
+	data, err := c.Result.ReportJSON(c.Manifest)
+	if err != nil {
+		return nil, err
+	}
+	if err := AtomicWriteFile(filepath.Join(c.dir, reportName), data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// Close closes the journal.
+func (c *Campaign) Close() error { return c.j.close() }
 
 // ReadManifest loads a campaign directory's manifest.
 func ReadManifest(dir string) (Manifest, error) {
@@ -319,26 +410,26 @@ func ReadManifest(dir string) (Manifest, error) {
 // match what the matrix expands to at that index.
 func validateRecord(specs []Spec, rec RunRecord) error {
 	if rec.Index < 0 || rec.Index >= len(specs) {
-		return fmt.Errorf("experiment: journal records run %d, matrix has %d runs", rec.Index, len(specs))
+		return fmt.Errorf("experiment: record for run %d, matrix has %d runs", rec.Index, len(specs))
 	}
 	sp := specs[rec.Index]
 	if rec.Name != sp.Name || rec.Seed != sp.Seed || rec.Scale != sp.Scale {
-		return fmt.Errorf("experiment: journal run %d is %s/seed=%d/scale=%g, matrix expands to %s/seed=%d/scale=%g",
+		return fmt.Errorf("experiment: record for run %d is %s/seed=%d/scale=%g, matrix expands to %s/seed=%d/scale=%g",
 			rec.Index, rec.Name, rec.Seed, rec.Scale, sp.Name, sp.Seed, sp.Scale)
 	}
 	return nil
 }
 
 // FoldRecords assembles a CampaignResult from journal records gathered
-// out of band — the dispatch coordinator folding worker shard uploads,
-// or a partition test folding per-range journals. Records may arrive
-// in any order and from overlapping leases: duplicates for a spec
-// index are fine when bit-identical (runs are deterministic, so a
-// rerun of the same spec journals the same record) and a hard error
-// when they differ, because that means two workers disagreed on a
-// deterministic computation. Done records fold in global spec order,
-// so the aggregates — and the report built from the result — are
-// byte-identical to a single-process campaign over the same matrix.
+// out of band, such as the journals of a partitioned campaign's
+// ranges. Records may arrive in any order and from overlapping
+// ranges: duplicates for a spec index are fine when bit-identical
+// (runs are deterministic, so a rerun of the same spec journals the
+// same record) and a hard error when they differ, because that means
+// two workers disagreed on a deterministic computation. Done records
+// fold in global spec order, so the aggregates — and the report built
+// from the result — are byte-identical to a single-process campaign
+// over the same matrix.
 func FoldRecords(man Manifest, recs []RunRecord) (*CampaignResult, error) {
 	specs, err := man.Matrix.Expand()
 	if err != nil {
@@ -352,32 +443,58 @@ func FoldRecords(man Manifest, recs []RunRecord) (*CampaignResult, error) {
 	return res, nil
 }
 
-// foldRecords validates recs against the expanded matrix and places
-// each in its spec slot — FoldRecords' fold, which a campaign's own
-// journal goes through too, so conflicting records fail wherever they
-// are read. The result's Aggregates are left unset.
+// foldRecords places recs in a fresh result over specs — the fold a
+// campaign's own journal goes through on open, and FoldRecords' too,
+// so conflicting records fail wherever they are read. The result's
+// Aggregates are left unset.
 func foldRecords(specs []Spec, recs []RunRecord) (*CampaignResult, error) {
 	res := &CampaignResult{
 		Specs:   specs,
 		Records: make([]RunRecord, len(specs)),
 		Done:    make([]bool, len(specs)),
 	}
+	fresh, err := res.fold(recs, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.FromJournal = len(fresh)
+	return res, nil
+}
+
+// fold validates each record against the expanded matrix and rng (nil
+// means anywhere) and places it in its spec slot. A duplicate of a
+// placed record — placed earlier or earlier in recs — is skipped when
+// identical and an ErrConflict when not. All or nothing: on error no
+// record of recs stays placed. It returns the newly placed records.
+func (r *CampaignResult) fold(recs []RunRecord, rng *SpecRange) ([]RunRecord, error) {
+	var fresh []RunRecord
 	for _, rec := range recs {
-		if err := validateRecord(specs, rec); err != nil {
+		err := validateRecord(r.Specs, rec)
+		switch {
+		case err != nil:
+		case !rng.Contains(rec.Index):
+			err = fmt.Errorf("experiment: record for run %d is outside range [%d,%d)", rec.Index, rng.From, rng.To)
+		case r.Done[rec.Index] && rec != r.Records[rec.Index]:
+			err = fmt.Errorf("%w for run %d (%s seed=%d scale=%g): trace %s vs %s",
+				ErrConflict, rec.Index, rec.Name, rec.Seed, rec.Scale, rec.TraceHash, r.Records[rec.Index].TraceHash)
+		}
+		if err != nil {
+			r.unplace(fresh)
 			return nil, err
 		}
-		if res.Done[rec.Index] {
-			if rec != res.Records[rec.Index] {
-				return nil, fmt.Errorf("experiment: conflicting records for run %d (%s seed=%d scale=%g): trace %s vs %s",
-					rec.Index, rec.Name, rec.Seed, rec.Scale, rec.TraceHash, res.Records[rec.Index].TraceHash)
-			}
-			continue
+		if !r.Done[rec.Index] {
+			r.Records[rec.Index], r.Done[rec.Index] = rec, true
+			fresh = append(fresh, rec)
 		}
-		res.Records[rec.Index] = rec
-		res.Done[rec.Index] = true
-		res.FromJournal++
 	}
-	return res, nil
+	return fresh, nil
+}
+
+// unplace empties the spec slots of recs.
+func (r *CampaignResult) unplace(recs []RunRecord) {
+	for _, rec := range recs {
+		r.Records[rec.Index], r.Done[rec.Index] = RunRecord{}, false
+	}
 }
 
 // aggregate folds the done records in spec order — exactly the
@@ -407,22 +524,12 @@ func readManifest(path string) (Manifest, error) {
 	return man, nil
 }
 
-// runCampaign runs specs' pending runs as a journaled campaign in dir
-// and returns the campaign state (partial on error) with the worker
-// pool's retention high-water mark. Workers journal their own run;
-// the fold places records in spec order and stops dispatch at the
-// first failed run.
-func runCampaign(ctx context.Context, dir string, specs []Spec, opts RunSpecOpts) (*CampaignResult, int, error) {
-	j, journaled, err := openJournal(filepath.Join(dir, journalName))
-	if err != nil {
-		return nil, 0, err
-	}
-	defer j.close()
-
-	res, err := foldRecords(specs, journaled)
-	if err != nil {
-		return nil, 0, err
-	}
+// runCampaign runs camp's pending runs and returns the campaign state
+// (partial on error) with the worker pool's retention high-water
+// mark. Workers journal their own run; the fold places records in
+// spec order and stops dispatch at the first failed run.
+func runCampaign(ctx context.Context, camp *Campaign, opts RunSpecOpts) (*CampaignResult, int, error) {
+	res, specs, j := camp.Result, camp.Result.Specs, camp.j
 
 	// A range-restricted campaign (a dispatch worker's shard) only
 	// runs its leased indices; the journal and fold stay global.

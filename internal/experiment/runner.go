@@ -189,21 +189,16 @@ func executeCampaign(ctx context.Context, opts RunSpecOpts) (*Execution, error) 
 	if opts.Specs != nil {
 		return nil, fmt.Errorf("experiment: ModeCampaign runs from a Matrix, not pre-built Specs (the journal must re-expand them on resume)")
 	}
-	var (
-		specs []Spec
-		err   error
-	)
-	if opts.Resume {
-		specs, err = resumeManifest(opts.CampaignDir, &opts)
-	} else {
-		specs, err = createManifest(opts.CampaignDir, opts)
+	var man *Manifest
+	if !opts.Resume {
+		man = &Manifest{Matrix: opts.Matrix, Metrics: opts.Metrics, Range: opts.Range}
 	}
+	c, err := OpenCampaign(opts.CampaignDir, man)
 	if err != nil {
 		return nil, err
 	}
-	res, peak, err := runCampaign(ctx, opts.CampaignDir, specs, opts)
-	if res == nil {
-		return nil, err
-	}
+	defer c.Close()
+	opts.Metrics, opts.Range = c.Manifest.Metrics, c.Manifest.Range
+	res, peak, err := runCampaign(ctx, c, opts)
 	return &Execution{Specs: res.Specs, Aggregates: res.Aggregates, Campaign: res, PeakPending: peak}, err
 }

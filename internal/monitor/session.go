@@ -169,9 +169,11 @@ func newSession(ctx context.Context, id string, cfg Config) (*Session, error) {
 		return nil, err
 	}
 	win := NewWindow(cfg.WindowSec)
+	// Only the collector runs: nothing reads the analyzer's Result,
+	// and a registered stage's per-second state would grow with trace
+	// time instead of staying within the Window's ring.
 	analyzer, err := analysis.New(analysis.Options{
-		Metrics: []string{"util"},
-		Extra:   []analysis.Factory{newCollectorFactory(win, alerts)},
+		Extra: []analysis.Factory{newCollectorFactory(win, alerts)},
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package monitor
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -154,6 +155,37 @@ func TestPushSessionIngest(t *testing.T) {
 	}
 	if _, _, _, err := s.Ingest(recs); err == nil {
 		t.Fatal("ingest after stop succeeded")
+	}
+}
+
+// TestPushSessionSparseTraceBoundedMemory: a session's memory is
+// bounded by its Window ring, not by trace time. Three beacons
+// spanning 10⁶ trace seconds must not allocate per gap second.
+func TestPushSessionSparseTraceBoundedMemory(t *testing.T) {
+	s, err := newSession(context.Background(), "s1", Config{
+		Source: SourceConfig{Type: SourcePush},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const span = 1_000_000 // trace seconds
+	recs := []capture.Record{
+		beaconRec(0, phy.Channel1),
+		beaconRec(span/2*phy.MicrosPerSecond, phy.Channel1),
+		beaconRec(span*phy.MicrosPerSecond, phy.Channel1),
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if accepted, _, _, err := s.Ingest(recs); err != nil || accepted != len(recs) {
+		t.Fatalf("ingest: %d accepted, %v", accepted, err)
+	}
+	s.Stop()
+	runtime.ReadMemStats(&after)
+	if v := s.View(); v.Frames != int64(len(recs)) {
+		t.Fatalf("analyzer saw %d of %d frames", v.Frames, len(recs))
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 16 {
+		t.Fatalf("a push spanning %d s allocated %.1f MB, want < 16", span, mb)
 	}
 }
 
