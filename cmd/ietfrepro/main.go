@@ -15,20 +15,18 @@
 //	ietfrepro                 # everything, default scale
 //	ietfrepro -scale 0.5      # faster, smaller runs
 //	ietfrepro -only 8         # just Figure 8
-//	ietfrepro -sweep 4        # seeds×scales robustness matrix instead of figures
-//	ietfrepro -sweep 4 -grid  # matrix including the multi-cell grid scenarios
-//	                          # (beyond the paper: interference grids, roaming
-//	                          # mobiles, mixed b/g, ≥2 sniffers per channel)
+//
+// For a seeds × scales robustness matrix of the headline numbers, run
+// the same scenarios through wlansweep:
+//
+//	wlansweep -scenarios day,plenary,ladder -runs 4 -scales 1
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"wlan80211/internal/experiment"
 	"wlan80211/internal/prof"
@@ -45,9 +43,7 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "scenario scale factor (0..1]")
 		only    = flag.Int("only", 0, "print only this figure number (0 = everything)")
 		workers = flag.Int("workers", 0, "concurrent scenario runs (0 = GOMAXPROCS)")
-		sweep   = flag.Int("sweep", 0, "run the day/plenary/ladder matrix over N seeds and print mean±stddev aggregates instead of figures")
-		grid    = flag.Bool("grid", false, "include the multi-cell grid scenarios in the -sweep matrix (implies -sweep 1 when unset)")
-		jsonOut = flag.String("json", "", "also write the run summaries (or -sweep aggregates) as JSON to this path, atomically")
+		jsonOut = flag.String("json", "", "also write the run summaries as JSON to this path, atomically")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write an allocs/heap profile to this file at exit")
 	)
@@ -66,14 +62,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ietfrepro: no figure %d (have 4-15)\n", *only)
 		profStop()
 		os.Exit(2)
-	}
-
-	if *grid && *sweep <= 0 {
-		*sweep = 1
-	}
-	if *sweep > 0 {
-		runMatrix(*sweep, *scale, *workers, *grid, *jsonOut)
-		return
 	}
 
 	day := workload.DaySession().Scale(*scale)
@@ -184,10 +172,6 @@ func main() {
 	}
 }
 
-// runMatrix is the -sweep mode: the three repro scenarios × N seeds
-// at the given scale (plus the grid scenarios with -grid), aggregated
-// to mean±stddev per scenario — a robustness check that the headline
-// numbers are not one-seed flukes.
 // writeSummariesJSON archives the figure-mode run summaries as JSON,
 // via temp-file+rename so an interrupt never leaves a torn report.
 func writeSummariesJSON(path string, scale float64, results []experiment.RunResult) error {
@@ -204,74 +188,4 @@ func writeSummariesJSON(path string, scale float64, results []experiment.RunResu
 		doc.Runs = append(doc.Runs, row{Scenario: res.Spec.Name, Scale: res.Spec.Scale, Summary: res.Summary})
 	}
 	return experiment.WriteJSONAtomic(path, doc)
-}
-
-func runMatrix(nSeeds int, scale float64, workers int, grid bool, jsonOut string) {
-	m := experiment.Matrix{
-		Scenarios: []string{"day", "plenary", "ladder"},
-		Scales:    []float64{scale},
-	}
-	if grid {
-		m.Scenarios = append(m.Scenarios, "grid", "grid9")
-	}
-	for s := int64(1); s <= int64(nSeeds); s++ {
-		m.Seeds = append(m.Seeds, s)
-	}
-	specs, err := m.Expand()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ietfrepro:", err)
-		profStop()
-		os.Exit(1)
-	}
-	// SIGINT/SIGTERM stops dispatching further seeds; completed runs
-	// still aggregate, so an interrupted robustness sweep reports the
-	// seeds it finished.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	ex, err := (&experiment.Runner{}).Execute(ctx, experiment.RunSpecOpts{Specs: specs, Workers: workers})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ietfrepro:", err)
-		profStop()
-		os.Exit(1)
-	}
-	results := ex.Results
-	failed, canceled := 0, 0
-	for _, res := range results {
-		switch {
-		case errors.Is(res.Err, context.Canceled):
-			canceled++
-		case res.Err != nil:
-			failed++
-			fmt.Fprintf(os.Stderr, "ietfrepro: %s seed=%d: %v\n", res.Spec.Name, res.Spec.Seed, res.Err)
-		}
-	}
-	title := fmt.Sprintf("Repro matrix (%d runs)", len(results))
-	if canceled > 0 {
-		fmt.Fprintf(os.Stderr, "ietfrepro: interrupted: %d of %d runs canceled, aggregating the %d completed\n",
-			canceled, len(results), len(results)-canceled)
-		title = fmt.Sprintf("Repro matrix (%d of %d runs; interrupted)", len(results)-canceled, len(results))
-	}
-	aggs := ex.Aggregates
-	experiment.AggregateTable(title, aggs).WriteTo(os.Stdout)
-	if jsonOut != "" {
-		doc := struct {
-			Scenarios  []string                `json:"scenarios"`
-			Seeds      []int64                 `json:"seeds"`
-			Scales     []float64               `json:"scales"`
-			Aggregates []experiment.Aggregated `json:"aggregates"`
-		}{m.Scenarios, m.Seeds, m.Scales, aggs}
-		if err := experiment.WriteJSONAtomic(jsonOut, doc); err != nil {
-			fmt.Fprintln(os.Stderr, "ietfrepro:", err)
-			profStop()
-			os.Exit(1)
-		}
-	}
-	if failed > 0 {
-		profStop()
-		os.Exit(1)
-	}
-	if canceled > 0 {
-		profStop()
-		os.Exit(130)
-	}
 }

@@ -1,20 +1,26 @@
-// Command wlanalyze runs the paper's congestion analysis over a
-// radiotap pcap trace (synthetic from wlansim, or any real monitor-
-// mode 802.11b capture) and prints the summary, tables, and figures.
+// Command wlanalyze runs the paper's congestion analysis over radiotap
+// pcap traces (synthetic from wlansim, or any real monitor-mode
+// 802.11b capture) and prints the summary, tables, and figures.
 //
-// By default inputs are read into memory, merged (timestamp sort plus
-// cross-sniffer dedup), and analyzed — the behaviour the batch
-// analyzer always had. With -stream, inputs flow straight from disk
-// through the metric pipeline in O(seconds) memory; that skips the
-// merge pass, so it expects time-ordered captures without duplicates
-// (any pcap a single sniffer wrote qualifies).
+// Several inputs are one capture, as the paper merged its sniffers'
+// traces. wlanalyze streams them all at once, in memory independent of
+// trace length, and analyzes the records in start-time order (ties in
+// input order) with duplicate captures of one transmission dropped:
+// what merging the whole files gives. It orders the records through a
+// window of experiment.ReorderHorizon() (~33 ms), so no record's
+// airtime may exceed the horizon, and a record may start at most the
+// horizon before the newest end (start + airtime) already read from
+// its file; time-sorted files and files a sniffer wrote in capture
+// order qualify. An input that breaks the rule is an error naming the
+// file and the record (counting from 1), and wlanalyze exits 1
+// without printing an analysis.
 //
 // Usage:
 //
 //	wlanalyze trace.pcap
 //	wlanalyze -figure 6 trace.pcap other.pcap
 //	wlanalyze -csv -figure 8 trace.pcap > fig8.csv
-//	wlanalyze -stream -metrics util,throughput trace.pcap
+//	wlanalyze -metrics util,throughput trace.pcap
 //	wlanalyze -list-metrics
 package main
 
@@ -35,7 +41,6 @@ func main() {
 		csv         = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		reliability = flag.Bool("reliability", false, "also print the beacon-reliability metric")
 		metrics     = flag.String("metrics", "", "comma-separated metric stages to run (default: all; see -list-metrics)")
-		stream      = flag.Bool("stream", false, "stream inputs in O(seconds) memory, skipping the merge sort/dedup pass (requires time-ordered captures)")
 		listMetrics = flag.Bool("list-metrics", false, "list the registered metric stages and exit")
 	)
 	flag.Parse()
@@ -46,11 +51,7 @@ func main() {
 		return
 	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: wlanalyze [-figure N] [-csv] [-metrics a,b] [-stream] trace.pcap...")
-		os.Exit(2)
-	}
-	if *stream && *reliability {
-		fmt.Fprintln(os.Stderr, "wlanalyze: -reliability is a batch pass over the merged trace; drop -stream to use it")
+		fmt.Fprintln(os.Stderr, "usage: wlanalyze [-figure N] [-csv] [-metrics a,b] [-reliability] trace.pcap...")
 		os.Exit(2)
 	}
 
@@ -67,53 +68,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wlanalyze:", err)
 		os.Exit(2)
 	}
-
-	var merged []capture.Record
-	if *stream {
-		for _, path := range flag.Args() {
-			f, err := os.Open(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "wlanalyze:", err)
-				os.Exit(1)
-			}
-			skipped, err := a.Run(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "wlanalyze: %s: %v\n", path, err)
-				os.Exit(1)
-			}
-			if skipped > 0 {
-				fmt.Fprintf(os.Stderr, "wlanalyze: %s: skipped %d undecodable records\n", path, skipped)
-			}
+	sink := a.Feed
+	var beacons *analysis.BeaconCounter
+	if *reliability {
+		beacons = analysis.NewBeaconCounter(10)
+		sink = func(rec capture.Record) {
+			a.Feed(rec)
+			beacons.Add(&rec)
 		}
-	} else {
-		var traces [][]capture.Record
-		for _, path := range flag.Args() {
-			f, err := os.Open(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "wlanalyze:", err)
-				os.Exit(1)
-			}
-			recs, skipped, err := capture.ReadAll(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "wlanalyze: %s: %v\n", path, err)
-				os.Exit(1)
-			}
-			if skipped > 0 {
-				fmt.Fprintf(os.Stderr, "wlanalyze: %s: skipped %d undecodable records\n", path, skipped)
-			}
-			traces = append(traces, recs)
-		}
-		merged = capture.Merge(traces...)
-		a.FeedAll(merged)
+	}
+	if err := analyze(flag.Args(), sink); err != nil {
+		fmt.Fprintln(os.Stderr, "wlanalyze:", err)
+		os.Exit(1)
 	}
 	r := a.Result()
 
 	tables := selectTables(r, *figure)
 	if *reliability {
-		rel := analysis.MeasureBeaconReliability(merged, 10)
-		tables = append(tables, report.Reliability(rel))
+		tables = append(tables, report.Reliability(beacons.Result()))
 	}
 	if len(tables) == 0 {
 		fmt.Fprintf(os.Stderr, "wlanalyze: no figure %d\n", *figure)

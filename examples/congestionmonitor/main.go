@@ -5,7 +5,7 @@
 // the stage classifies each finished second, and an alert fires
 // whenever the channel's congestion class changes. Records flow in
 // incrementally (here from a live simulation, in production from a
-// monitor-mode interface via Analyzer.Run).
+// monitor-mode capture read record by record by a capture.Cursor).
 package main
 
 import (

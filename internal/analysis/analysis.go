@@ -10,8 +10,7 @@
 // parses each record once, tracks DCF exchange state, and fans
 // annotated FrameEvents out to independent Metric stages — one per
 // paper figure group — selected through Options.Metrics. Records
-// arrive incrementally via Feed (or straight from a pcap stream via
-// Run), so peak memory is bounded by per-second accumulator state and
+// arrive incrementally via Feed, so peak memory is bounded by per-second accumulator state and
 // the per-device exchange tables, not by trace length. Work is sharded
 // per channel — the unit at which the paper computes every metric —
 // and shards merge in ascending channel order, so the Result does not
@@ -23,12 +22,10 @@
 package analysis
 
 import (
-	"io"
 	"sort"
 	"sync/atomic"
 
 	"wlan80211/internal/capture"
-	"wlan80211/internal/pcapio"
 	"wlan80211/internal/phy"
 )
 
@@ -157,36 +154,6 @@ func (a *Analyzer) Feed(rec capture.Record) {
 func (a *Analyzer) FeedAll(recs []capture.Record) {
 	for i := range recs {
 		a.Feed(recs[i])
-	}
-}
-
-// Run streams a radiotap pcap directly into the analyzer, record by
-// record, without materializing the trace. It returns the number of
-// records skipped because their radiotap header failed to decode
-// (matching capture.ReadAll's tolerance). Run may be called for
-// several streams before Result.
-func (a *Analyzer) Run(rd io.Reader) (skipped int, err error) {
-	pr, err := pcapio.NewReader(rd)
-	if err != nil {
-		return 0, err
-	}
-	if pr.LinkType() != pcapio.LinkTypeRadiotap {
-		return 0, capture.ErrLinkType
-	}
-	for {
-		p, err := pr.Next()
-		if err == io.EOF {
-			return skipped, nil
-		}
-		if err != nil {
-			return skipped, err
-		}
-		r, err := capture.FromPcap(p)
-		if err != nil {
-			skipped++
-			continue
-		}
-		a.Feed(r)
 	}
 }
 

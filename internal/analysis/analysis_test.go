@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"sort"
 	"testing"
@@ -113,10 +114,10 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestRunStreamsFromPcap verifies the io.Reader entry point: analyzing
-// straight from a pcap stream equals reading the trace into memory
-// first.
-func TestRunStreamsFromPcap(t *testing.T) {
+// TestCursorStreamsFromPcap: feeding the analyzer from a capture
+// cursor, record by record, equals analyzing the trace read into
+// memory first.
+func TestCursorStreamsFromPcap(t *testing.T) {
 	trace := syntheticTrace()
 	var buf bytes.Buffer
 	w, err := capture.NewWriter(&buf, 0)
@@ -141,30 +142,26 @@ func TestRunStreamsFromPcap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skipped, err := a.Run(bytes.NewReader(pcapBytes))
+	cur, err := capture.NewCursor(bytes.NewReader(pcapBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 0 {
-		t.Fatalf("skipped %d records", skipped)
+	for {
+		rec, err := cur.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Feed(rec)
+	}
+	if cur.Skipped() != 0 {
+		t.Fatalf("skipped %d records", cur.Skipped())
 	}
 	got := a.Result()
 	if !reflect.DeepEqual(want, got) {
-		t.Error("Run(pcap) result differs from in-memory analysis")
-	}
-}
-
-// TestRunRejectsWrongLinkType: a non-radiotap pcap is refused.
-func TestRunRejectsWrongLinkType(t *testing.T) {
-	a, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An ethernet pcap header (link type 1).
-	hdr := []byte{0xd4, 0xc3, 0xb2, 0xa1, 2, 0, 4, 0,
-		0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0, 0, 1, 0, 0, 0}
-	if _, err := a.Run(bytes.NewReader(hdr)); err != capture.ErrLinkType {
-		t.Errorf("err = %v, want ErrLinkType", err)
+		t.Error("cursor-fed result differs from in-memory analysis")
 	}
 }
 

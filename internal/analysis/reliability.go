@@ -57,67 +57,84 @@ func (p ReliabilityPoint) Ratio() float64 {
 // interval is read from the beacons themselves (Sec 5.1 assumes the
 // standard ~100 ms interval; APs advertise theirs in time units).
 func MeasureBeaconReliability(recs []capture.Record, windowSeconds int) *BeaconReliability {
+	c := NewBeaconCounter(windowSeconds)
+	for i := range recs {
+		c.Add(&recs[i])
+	}
+	return c.Result()
+}
+
+// BeaconCounter computes beacon reliability one record at a time, in
+// memory proportional to the APs and windows seen rather than to the
+// trace: MeasureBeaconReliability is a BeaconCounter fed a whole
+// trace. Feed it the records in trace order; an AP's advertised
+// interval is the last one seen.
+type BeaconCounter struct {
+	windowSeconds int
+	aps           map[dot11.Addr]*beaconState
+	parser        dot11.Parser
+}
+
+type beaconState struct {
+	counts   map[int64]int
+	interval phy.Micros // advertised beacon interval
+	first    int64      // first window seen
+	last     int64      // last window seen
+}
+
+// NewBeaconCounter starts a count over windows of the given length
+// (UserWindowSeconds when it is not positive).
+func NewBeaconCounter(windowSeconds int) *BeaconCounter {
 	if windowSeconds <= 0 {
 		windowSeconds = UserWindowSeconds
 	}
-	type apState struct {
-		counts   map[int64]int
-		interval phy.Micros // advertised beacon interval
-		first    int64      // first window seen
-		last     int64      // last window seen
-		seen     bool
-	}
-	aps := make(map[dot11.Addr]*apState)
-	var parser dot11.Parser
-	for i := range recs {
-		p, err := parser.Parse(recs[i].Frame)
-		if err != nil {
-			continue
-		}
-		b, ok := p.Frame.(*dot11.Beacon)
-		if !ok {
-			continue
-		}
-		st := aps[b.SA]
-		if st == nil {
-			st = &apState{counts: make(map[int64]int)}
-			aps[b.SA] = st
-		}
-		w := int64(recs[i].Time / phy.MicrosPerSecond / phy.Micros(windowSeconds))
-		st.counts[w]++
-		iv := phy.Micros(b.BeaconInterval) * 1024
-		if iv > 0 {
-			st.interval = iv
-		}
-		if !st.seen || w < st.first {
-			st.first = w
-		}
-		if !st.seen || w > st.last {
-			st.last = w
-		}
-		st.seen = true
-	}
+	return &BeaconCounter{windowSeconds: windowSeconds, aps: make(map[dot11.Addr]*beaconState)}
+}
 
-	out := &BeaconReliability{
-		WindowSeconds: windowSeconds,
-		Series:        make(map[dot11.Addr][]ReliabilityPoint, len(aps)),
+// Add counts rec if it is a beacon. It reads rec only during the
+// call.
+func (c *BeaconCounter) Add(rec *capture.Record) {
+	p, err := c.parser.Parse(rec.Frame)
+	if err != nil {
+		return
 	}
-	for addr, st := range aps {
-		if !st.seen {
-			continue
-		}
+	b, ok := p.Frame.(*dot11.Beacon)
+	if !ok {
+		return
+	}
+	w := int64(rec.Time / phy.MicrosPerSecond / phy.Micros(c.windowSeconds))
+	st := c.aps[b.SA]
+	if st == nil {
+		st = &beaconState{counts: make(map[int64]int), first: w, last: w}
+		c.aps[b.SA] = st
+	}
+	st.counts[w]++
+	if iv := phy.Micros(b.BeaconInterval) * 1024; iv > 0 {
+		st.interval = iv
+	}
+	st.first = min(st.first, w)
+	st.last = max(st.last, w)
+}
+
+// Result returns the reliability series of every AP counted so far.
+func (c *BeaconCounter) Result() *BeaconReliability {
+	out := &BeaconReliability{
+		WindowSeconds: c.windowSeconds,
+		Series:        make(map[dot11.Addr][]ReliabilityPoint, len(c.aps)),
+	}
+	for addr, st := range c.aps {
 		interval := st.interval
 		if interval <= 0 {
 			interval = phy.Micros(dot11.BeaconIntervalTU) * 1024
 		}
-		expected := int(phy.Micros(windowSeconds) * phy.MicrosPerSecond / interval)
+		expected := int(phy.Micros(c.windowSeconds) * phy.MicrosPerSecond / interval)
 		if expected < 1 {
 			expected = 1
 		}
 		var series []ReliabilityPoint
 		for w := st.first; w <= st.last; w++ {
 			series = append(series, ReliabilityPoint{
-				WindowStart: w * int64(windowSeconds),
+				WindowStart: w * int64(c.windowSeconds),
 				Received:    st.counts[w],
 				Expected:    expected,
 			})

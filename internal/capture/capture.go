@@ -172,6 +172,58 @@ func ReadAll(rd io.Reader) ([]Record, int, error) {
 	}
 }
 
+// Cursor reads a radiotap pcap stream one record at a time, in
+// stream order, in memory independent of the stream's length. Each
+// Record's Frame aliases a buffer the Cursor reuses, so it is valid
+// only until the next call to Next; a caller that keeps a record must
+// copy its Frame. Records that fail radiotap decoding are skipped and
+// counted, and every error is ReadAll's for the same bytes.
+type Cursor struct {
+	pr      *pcapio.Reader
+	pos     int
+	skipped int
+}
+
+// NewCursor parses the stream's pcap file header. Like ReadAll, it
+// fails on a bad header and with ErrLinkType on a link type other
+// than radiotap.
+func NewCursor(rd io.Reader) (*Cursor, error) {
+	pr, err := pcapio.NewReader(rd)
+	if err != nil {
+		return nil, err
+	}
+	if pr.LinkType() != pcapio.LinkTypeRadiotap {
+		return nil, ErrLinkType
+	}
+	return &Cursor{pr: pr}, nil
+}
+
+// Next returns the next decodable record: io.EOF at the clean end of
+// the stream, pcapio.ErrTruncated when it ends inside a record or a
+// read fails.
+func (c *Cursor) Next() (Record, error) {
+	for {
+		p, err := c.pr.Next()
+		if err != nil {
+			return Record{}, err
+		}
+		c.pos++
+		r, err := FromPcap(p)
+		if err == nil {
+			return r, nil
+		}
+		c.skipped++
+	}
+}
+
+// Pos returns the position in the stream of the record Next last
+// returned, counting from 1 (as Wireshark numbers packets) and
+// counting skipped records.
+func (c *Cursor) Pos() int { return c.pos }
+
+// Skipped returns how many undecodable records Next has passed over.
+func (c *Cursor) Skipped() int { return c.skipped }
+
 // readStream reads rd to its end into one buffer. An *os.File whose
 // Stat reports a size starts the buffer at that size, as os.ReadFile
 // does, so a regular file reads without regrowing; any other reader
@@ -255,7 +307,7 @@ func Merge(traces ...[]Record) []Record {
 	for i, r := range out {
 		dup := false
 		for j := i - 1; j >= 0 && out[j].Time == r.Time; j-- {
-			if sameAir(&out[j], &r) {
+			if SameAir(&out[j], &r) {
 				dup = true
 				break
 			}
@@ -376,9 +428,10 @@ func sortConcat(traces [][]Record, total int) []Record {
 	return merged
 }
 
-// sameAir reports whether two records describe the same over-the-air
-// transmission seen by different sniffers.
-func sameAir(a, b *Record) bool {
+// SameAir reports whether two records describe the same over-the-air
+// transmission seen by different sniffers: equal start time, channel,
+// rate and captured frame bytes.
+func SameAir(a, b *Record) bool {
 	if a.Time != b.Time || a.Channel != b.Channel || a.Rate != b.Rate || len(a.Frame) != len(b.Frame) {
 		return false
 	}

@@ -123,6 +123,16 @@ func TestReadAllWrongLinkType(t *testing.T) {
 	}
 }
 
+// TestCursorRejectsWrongLinkType: a non-radiotap pcap is refused.
+func TestCursorRejectsWrongLinkType(t *testing.T) {
+	// An ethernet pcap header (link type 1).
+	hdr := []byte{0xd4, 0xc3, 0xb2, 0xa1, 2, 0, 4, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0, 0, 1, 0, 0, 0}
+	if _, err := NewCursor(bytes.NewReader(hdr)); err != ErrLinkType {
+		t.Errorf("err = %v, want ErrLinkType", err)
+	}
+}
+
 func TestReadAllSkipsBadRadiotap(t *testing.T) {
 	var buf bytes.Buffer
 	pw, _ := pcapio.NewWriter(&buf, pcapio.LinkTypeRadiotap, 0)
@@ -228,7 +238,7 @@ func refMerge(traces ...[]Record) []Record {
 	for i, r := range all {
 		dup := false
 		for j := i - 1; j >= 0 && all[j].Time == r.Time; j-- {
-			if sameAir(&all[j], &r) {
+			if SameAir(&all[j], &r) {
 				dup = true
 				break
 			}

@@ -14,8 +14,9 @@ import (
 	"wlan80211/internal/phy"
 )
 
-// readAllRef is the record-at-a-time read ReadAll must agree with:
-// the streaming pcapio.Reader, one FromPcap per record.
+// readAllRef is the record-at-a-time read ReadAll and the Cursor
+// must agree with: the streaming pcapio.Reader, one FromPcap per
+// record, each Frame copied out of the reader's reused buffer.
 func readAllRef(rd io.Reader) ([]Record, int, error) {
 	pr, err := pcapio.NewReader(rd)
 	if err != nil {
@@ -39,6 +40,28 @@ func readAllRef(rd io.Reader) ([]Record, int, error) {
 			skipped++
 			continue
 		}
+		r.Frame = bytes.Clone(r.Frame)
+		recs = append(recs, r)
+	}
+}
+
+// readCursor drains a Cursor the way ReadAll reads a stream: its
+// records (Frames copied), skips and error, io.EOF giving nil.
+func readCursor(rd io.Reader) ([]Record, int, error) {
+	c, err := NewCursor(rd)
+	if err != nil {
+		return nil, 0, err
+	}
+	var recs []Record
+	for {
+		r, err := c.Next()
+		if err == io.EOF {
+			return recs, c.Skipped(), nil
+		}
+		if err != nil {
+			return recs, c.Skipped(), err
+		}
+		r.Frame = bytes.Clone(r.Frame)
 		recs = append(recs, r)
 	}
 }
@@ -118,10 +141,10 @@ func sameRecords(a, b []Record) bool {
 }
 
 // FuzzReadAll: for any bytes, read whole or failing after failAt
-// bytes (failAt < 0: never), ReadAll returns the reference read's
-// records, skip count and error — from an in-memory reader, from a
-// regular file, and from readers that report the failure with or
-// after the last data.
+// bytes (failAt < 0: never), ReadAll and a drained Cursor each return
+// the reference read's records, skip count and error — from an
+// in-memory reader, from a regular file, and from readers that report
+// the failure with or after the last data.
 func FuzzReadAll(f *testing.F) {
 	le := pcapBytes(f, 5)
 	cutBody := le[:len(le)-3]
@@ -167,10 +190,15 @@ func FuzzReadAll(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, failAt int) {
 		check := func(name string, mk func() io.Reader) {
 			want, wantSkip, wantErr := readAllRef(mk())
-			got, gotSkip, gotErr := ReadAll(mk())
-			if gotErr != wantErr || gotSkip != wantSkip || !sameRecords(got, want) {
-				t.Fatalf("%s: ReadAll = %d records, %d skipped, %v; reference %d, %d, %v",
-					name, len(got), gotSkip, gotErr, len(want), wantSkip, wantErr)
+			for _, read := range []struct {
+				name string
+				f    func(io.Reader) ([]Record, int, error)
+			}{{"ReadAll", ReadAll}, {"Cursor", readCursor}} {
+				got, gotSkip, gotErr := read.f(mk())
+				if gotErr != wantErr || gotSkip != wantSkip || !sameRecords(got, want) {
+					t.Fatalf("%s: %s = %d records, %d skipped, %v; reference %d, %d, %v",
+						name, read.name, len(got), gotSkip, gotErr, len(want), wantSkip, wantErr)
+				}
 			}
 		}
 		if failAt < 0 {
@@ -246,5 +274,29 @@ func TestReadAllAllocs(t *testing.T) {
 	small, large := allocs(1000), allocs(10000)
 	if small != large {
 		t.Errorf("ReadAll allocs: %v for 1k records, %v for 10k; want equal", small, large)
+	}
+}
+
+// TestCursorNextAllocatesNothing: once its buffer has grown to the
+// largest record, the cursor reads and decodes a record without
+// allocating.
+func TestCursorNextAllocatesNothing(t *testing.T) {
+	const n = 2000
+	c, err := NewCursor(bytes.NewReader(pcapBytes(t, n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := c.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(n-20, func() {
+		if _, err := c.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Next: %v allocs per record, want 0", allocs)
 	}
 }

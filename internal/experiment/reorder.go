@@ -37,14 +37,6 @@ var maxAirtime = phy.Airtime(MaxReorderWire, phy.Rate1Mbps)
 // behind the stream's end-time watermark.
 func ReorderHorizon() phy.Micros { return maxAirtime }
 
-// pendingRec is one buffered record; rec.Frame aliases buf, which is
-// recycled once the record is released.
-type pendingRec struct {
-	rec capture.Record
-	buf []byte
-	seq uint64 // arrival order, the tie-break for equal start times
-}
-
 // Reorder is the streaming bridge's sorting stage: records added in
 // observation (end-time) order are released to the sink in start-time
 // order, ties broken by sniffer ID then arrival — exactly the order
@@ -52,15 +44,23 @@ type pendingRec struct {
 // (Merge sorts the concatenation of per-sniffer traces, so its tie
 // order is sniffer registration order, then within-trace capture
 // order). Not safe for concurrent use; each run gets its own Reorder.
+//
+// The pending records sit in a ring sorted by (start, sniffer,
+// arrival), so the next release is always at the head. An arrival is
+// placed by scanning back from the tail: an end-ordered stream is
+// almost start-ordered too, so nearly every record lands at or within
+// a few slots of the tail, and only the records after it move.
 type Reorder struct {
 	sink Sink
-	// heap is a binary min-heap on (rec.Time, rec.SnifferID, seq).
-	heap []pendingRec
-	free [][]byte
-	seq  uint64
+	// ring[(head+i)&(len(ring)-1)] for i < n are the pending records
+	// in release order; len(ring) is a power of two. A slot keeps its
+	// frame buffer after its record is released, for the next record
+	// that lands in it.
+	ring    []capture.Record
+	head, n int
 	// watermark is the newest observation end time seen.
 	watermark phy.Micros
-	// maxPending is the high-water mark of the heap, exposed for the
+	// maxPending is the high-water mark of the ring, exposed for the
 	// bounded-memory test.
 	maxPending int
 }
@@ -80,35 +80,48 @@ func (r *Reorder) Add(rec capture.Record) {
 		// fail loudly rather than silently mis-sort.
 		panic(fmt.Sprintf("experiment: frame airtime %dµs exceeds reorder horizon %dµs", air, maxAirtime))
 	}
-
-	// Copy the frame into a pooled buffer; the incoming bytes alias a
-	// simulator buffer that dies when this call returns.
-	var buf []byte
-	if n := len(r.free); n > 0 {
-		buf = r.free[n-1][:0]
-		r.free = r.free[:n-1]
+	if r.n == len(r.ring) {
+		r.grow()
 	}
-	buf = append(buf, rec.Frame...)
-	rec.Frame = buf
+	mask := len(r.ring) - 1
 
-	r.push(pendingRec{rec: rec, buf: buf, seq: r.seq})
-	r.seq++
-	if len(r.heap) > r.maxPending {
-		r.maxPending = len(r.heap)
+	// rec goes after every pending record that sorts at or before it;
+	// it arrived last, so it also follows its ties.
+	at := r.n
+	for at > 0 {
+		p := &r.ring[(r.head+at-1)&mask]
+		if p.Time < rec.Time || p.Time == rec.Time && p.SnifferID <= rec.SnifferID {
+			break
+		}
+		at--
+	}
+	// Move the records after it up one slot. The free slot at the tail
+	// lends its buffer to rec, whose incoming bytes alias a producer
+	// buffer that dies when this call returns.
+	buf := r.ring[(r.head+r.n)&mask].Frame[:0]
+	for i := r.n; i > at; i-- {
+		r.ring[(r.head+i)&mask] = r.ring[(r.head+i-1)&mask]
+	}
+	slot := &r.ring[(r.head+at)&mask]
+	*slot = rec
+	slot.Frame = append(buf, rec.Frame...)
+	r.n++
+	if r.n > r.maxPending {
+		r.maxPending = r.n
 	}
 
 	if end := rec.Time + air; end > r.watermark {
 		r.watermark = end
 	}
 	// Every future arrival starts at or after watermark-maxAirtime.
-	for len(r.heap) > 0 && r.heap[0].rec.Time <= r.watermark-maxAirtime {
+	for r.n > 0 && r.ring[r.head].Time <= r.watermark-maxAirtime {
 		r.release()
 	}
 }
 
 // Flush releases everything still buffered; call once the run ends.
 func (r *Reorder) Flush() {
-	for len(r.heap) > 0 {
+	for r.n > 0 {
 		r.release()
 	}
 }
@@ -116,60 +129,20 @@ func (r *Reorder) Flush() {
 // MaxPending reports the deepest the buffer ever got.
 func (r *Reorder) MaxPending() int { return r.maxPending }
 
-// release pops the minimum record, hands it to the sink, and recycles
-// its buffer.
+// release hands the head record to the sink; its slot, buffer
+// included, becomes the ring's last free slot.
 func (r *Reorder) release() {
-	p := r.pop()
-	r.sink(p.rec)
-	r.free = append(r.free, p.buf)
+	r.sink(r.ring[r.head])
+	r.head = (r.head + 1) & (len(r.ring) - 1)
+	r.n--
 }
 
-// less orders the heap by (start time, sniffer ID, arrival), the
-// materialized path's stable order.
-func (r *Reorder) less(a, b pendingRec) bool {
-	if a.rec.Time != b.rec.Time {
-		return a.rec.Time < b.rec.Time
+// grow doubles the full ring, unwrapping the pending records to the
+// front of the new one.
+func (r *Reorder) grow() {
+	ring := make([]capture.Record, max(2*len(r.ring), 64))
+	for i := 0; i < r.n; i++ {
+		ring[i] = r.ring[(r.head+i)&(len(r.ring)-1)]
 	}
-	if a.rec.SnifferID != b.rec.SnifferID {
-		return a.rec.SnifferID < b.rec.SnifferID
-	}
-	return a.seq < b.seq
-}
-
-func (r *Reorder) push(p pendingRec) {
-	r.heap = append(r.heap, p)
-	i := len(r.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !r.less(r.heap[i], r.heap[parent]) {
-			break
-		}
-		r.heap[i], r.heap[parent] = r.heap[parent], r.heap[i]
-		i = parent
-	}
-}
-
-func (r *Reorder) pop() pendingRec {
-	top := r.heap[0]
-	last := len(r.heap) - 1
-	r.heap[0] = r.heap[last]
-	r.heap[last] = pendingRec{}
-	r.heap = r.heap[:last]
-	i := 0
-	for {
-		l, rt := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(r.heap) && r.less(r.heap[l], r.heap[smallest]) {
-			smallest = l
-		}
-		if rt < len(r.heap) && r.less(r.heap[rt], r.heap[smallest]) {
-			smallest = rt
-		}
-		if smallest == i {
-			break
-		}
-		r.heap[i], r.heap[smallest] = r.heap[smallest], r.heap[i]
-		i = smallest
-	}
-	return top
+	r.ring, r.head = ring, 0
 }

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,7 +14,6 @@ import (
 	"wlan80211/internal/analysis"
 	"wlan80211/internal/capture"
 	"wlan80211/internal/experiment"
-	"wlan80211/internal/pcapio"
 	"wlan80211/internal/phy"
 )
 
@@ -296,37 +296,36 @@ func (s *Session) replayPcap(ctx context.Context) error {
 		return err
 	}
 	defer f.Close()
-	pr, err := pcapio.NewReader(f)
+	cur, err := capture.NewCursor(f)
 	if err != nil {
 		return err
-	}
-	if pr.LinkType() != pcapio.LinkTypeRadiotap {
-		return capture.ErrLinkType
 	}
 	speed := s.cfg.Source.Speed
 	var base phy.Micros
 	var start time.Time
 	first := true
+	skipped := 0
 	for {
 		if ctx.Err() != nil {
 			return errStopped
 		}
-		prec, err := pr.Next()
+		rec, err := cur.Next()
+		if n := cur.Skipped(); n > skipped {
+			s.rejected.Add(int64(n - skipped)) // undecodable radiotap
+			skipped = n
+		}
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		rec, err := capture.FromPcap(prec)
-		if err != nil {
-			s.rejected.Add(1) // undecodable radiotap, like capture.ReadAll's skip
-			continue
-		}
 		if err := validateRecord(rec); err != nil {
 			s.rejected.Add(1)
 			continue
 		}
+		// The cursor reuses rec's frame buffer; the queue outlives it.
+		rec.Frame = bytes.Clone(rec.Frame)
 		if speed > 0 {
 			if first {
 				base, start, first = rec.Time, time.Now(), false

@@ -1,13 +1,18 @@
 package monitor
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
 	"wlan80211/internal/capture"
+	"wlan80211/internal/experiment"
+	"wlan80211/internal/pcapio"
 	"wlan80211/internal/phy"
 )
 
@@ -51,6 +56,41 @@ func TestPcapSessionReplayToDone(t *testing.T) {
 	}
 }
 
+// TestPcapSessionRejectsUndecodable: a replayed record whose radiotap
+// header fails to decode is counted as rejected, and the records
+// around it still flow.
+func TestPcapSessionRejectsUndecodable(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := pcapio.NewWriter(&buf, pcapio.LinkTypeRadiotap, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []pcapio.Record{
+		capture.ToPcap(beaconRec(0, phy.Channel1)),
+		{TimestampMicros: 1, Data: []byte{9, 9}},
+		capture.ToPcap(beaconRec(100_000, phy.Channel1)),
+	} {
+		if err := w.WriteRecord(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.pcap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSession(context.Background(), "s1", Config{Source: SourceConfig{Type: SourcePcap, Path: path}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s)
+	if v := s.View(); v.State != StateDone || v.Accepted != 2 || v.Rejected != 1 || v.ParseErrors != 0 {
+		t.Fatalf("replay with one undecodable record: %+v, want done, 2 accepted, 1 rejected, no parse errors", v)
+	}
+}
+
 func TestPcapSessionPacedReplay(t *testing.T) {
 	// A 100ms trace replayed at 10x finishes quickly but still paces:
 	// two beacons 100ms apart arrive ≥10ms apart on the wall clock.
@@ -74,11 +114,29 @@ func TestPcapSessionPacedReplay(t *testing.T) {
 	}
 }
 
+// endlessRun streams beacons for ever: a scenario source that cannot
+// finish before its session is stopped.
+type endlessRun struct{}
+
+func (endlessRun) Name() string                   { return "endless" }
+func (endlessRun) Params() []experiment.Param     { return nil }
+func (endlessRun) Build() (experiment.Run, error) { return endlessRun{}, nil }
+
+func (endlessRun) Stream(sink experiment.Sink) error {
+	for tm := phy.Micros(0); ; tm += 100_000 {
+		sink(beaconRec(tm, phy.Channel1))
+	}
+}
+
+func init() {
+	experiment.Register("endless", func(int64, float64) experiment.Scenario { return endlessRun{} })
+}
+
 func TestScenarioSessionStop(t *testing.T) {
 	s, err := newSession(context.Background(), "s1", Config{
-		Source: SourceConfig{Type: SourceScenario, Scenario: "day", Seed: 1, Scale: 0.05},
-		// A tiny queue forces the source to block so Stop interrupts
-		// it mid-stream rather than after a complete run.
+		Source: SourceConfig{Type: SourceScenario, Scenario: "endless"},
+		// A tiny queue keeps the source blocked on the pump, so Stop
+		// interrupts it mid-stream.
 		QueueSize: 1,
 	})
 	if err != nil {

@@ -189,7 +189,9 @@ func (f *format) SnapLen() int { return f.snapLen }
 // Reader reads a pcap file from a stream, one record at a time.
 type Reader struct {
 	format
-	r *bufio.Reader
+	r   *bufio.Reader
+	hdr [recordHeaderLen]byte
+	buf []byte // the last record's bytes, reused by the next
 }
 
 // NewReader parses the pcap file header and prepares to read records.
@@ -206,22 +208,25 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{format: f, r: br}, nil
 }
 
-// Next reads the next record into a newly allocated buffer. It
-// returns io.EOF cleanly at end of file and ErrTruncated if a record
-// is cut short.
+// Next reads the next record. Its Data aliases a buffer the Reader
+// reuses, so it is valid only until the next call; a caller that
+// keeps a record must copy its Data. Next returns io.EOF cleanly at
+// end of file and ErrTruncated if a record is cut short.
 func (r *Reader) Next() (Record, error) {
-	var hdr [recordHeaderLen]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
 		if err == io.EOF {
 			return Record{}, io.EOF
 		}
 		return Record{}, ErrTruncated
 	}
-	ts, capLen, origLen, err := r.recordHeader(hdr[:])
+	ts, capLen, origLen, err := r.recordHeader(r.hdr[:])
 	if err != nil {
 		return Record{}, err
 	}
-	data := make([]byte, capLen)
+	if cap(r.buf) < capLen {
+		r.buf = make([]byte, max(capLen, 512))
+	}
+	data := r.buf[:capLen:capLen]
 	if _, err := io.ReadFull(r.r, data); err != nil {
 		return Record{}, ErrTruncated
 	}
