@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"wlan80211/internal/capture"
@@ -49,7 +48,7 @@ func (in *input) advance() error {
 	case air > horizon:
 		return fmt.Errorf("%s: record %d: airtime %d µs (%d bytes at %v) exceeds the reorder horizon of %d µs",
 			in.name, in.cur.Pos(), air, rec.OrigLen, rec.Rate, horizon)
-	case rec.Time < 0 || rec.Time > math.MaxInt64-air:
+	case !experiment.InReorderRange(rec.Time, air):
 		return fmt.Errorf("%s: record %d: timestamp %d µs out of range", in.name, in.cur.Pos(), rec.Time)
 	case rec.Time < in.newest-horizon:
 		return fmt.Errorf("%s: record %d starts at %d µs, more than the reorder horizon of %d µs before an earlier record's end at %d µs",
@@ -65,9 +64,9 @@ func (in *input) advance() error {
 // start-time order, ties in input order then file order, with
 // same-air duplicates dropped — the records and the order
 // capture.Merge gives for the same files. One cursor per file feeds a
-// merge by end time into one Reorder window, whose releases pass
-// through an airDedup. The sink's records alias buffers valid only
-// during the call.
+// merge by end time into one Reorder window, which sorts and drops
+// the duplicates. The sink's records alias buffers valid only during
+// the call.
 func analyze(paths []string, sink experiment.Sink) error {
 	inputs := make([]*input, len(paths))
 	for i, path := range paths {
@@ -85,12 +84,7 @@ func analyze(paths []string, sink experiment.Sink) error {
 		}
 		inputs[i] = in
 	}
-	var dd airDedup
-	ro := experiment.NewReorder(func(rec capture.Record) {
-		if dd.keep(rec) {
-			sink(rec)
-		}
-	})
+	ro := experiment.NewReorder(sink)
 	for {
 		// A linear scan for the earliest end: the inputs are a
 		// handful of sniffers' files.
@@ -115,39 +109,4 @@ func analyze(paths []string, sink experiment.Sink) error {
 		}
 	}
 	return nil
-}
-
-// airDedup drops same-air duplicates (capture.SameAir) from a
-// start-ordered stream, keeping the first copy, as capture.Merge
-// does. Every copy of one transmission has its start time, so a
-// record is compared only with the records kept since the start time
-// last changed.
-type airDedup struct {
-	// group[:n] are the kept records with the current start time;
-	// their Frames are private copies, and the buffers of
-	// group[n:] wait for reuse.
-	group []capture.Record
-	n     int
-}
-
-// keep reports whether rec is the first copy of its transmission,
-// remembering it if so.
-func (d *airDedup) keep(rec capture.Record) bool {
-	if d.n > 0 && d.group[0].Time != rec.Time {
-		d.n = 0
-	}
-	for i := range d.group[:d.n] {
-		if capture.SameAir(&d.group[i], &rec) {
-			return false
-		}
-	}
-	if d.n == len(d.group) {
-		d.group = append(d.group, capture.Record{})
-	}
-	g := &d.group[d.n]
-	buf := g.Frame[:0]
-	*g = rec
-	g.Frame = append(buf, rec.Frame...)
-	d.n++
-	return true
 }

@@ -7,6 +7,7 @@
 package capture
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -432,15 +433,7 @@ func sortConcat(traces [][]Record, total int) []Record {
 // transmission seen by different sniffers: equal start time, channel,
 // rate and captured frame bytes.
 func SameAir(a, b *Record) bool {
-	if a.Time != b.Time || a.Channel != b.Channel || a.Rate != b.Rate || len(a.Frame) != len(b.Frame) {
-		return false
-	}
-	for i := range a.Frame {
-		if a.Frame[i] != b.Frame[i] {
-			return false
-		}
-	}
-	return true
+	return a.Time == b.Time && a.Channel == b.Channel && a.Rate == b.Rate && bytes.Equal(a.Frame, b.Frame)
 }
 
 // SplitByChannel partitions a merged trace by channel, the unit at

@@ -9,9 +9,13 @@ import (
 // capture.Merge collapses duplicate observations of one transmission
 // (equal start time, channel, rate, and frame bytes) and keeps the
 // first copy in its stable sort order — the lowest-registered
-// sniffer's. Before this stage existed the streaming path simply
-// required ≤1 sniffer per channel. Dedup lifts that restriction: it
-// sits ahead of Reorder and collapses the same duplicates on the fly.
+// sniffer's. The streaming pipelines do the same inside Reorder, which
+// compares each release with the records released at its start time.
+// Dedup is an independent way to the same answer, kept as the
+// reference: it runs ahead of Reorder, hashes and copies every frame
+// in arrival order, and remembers what it has seen for one horizon.
+// The tests hold Reorder to it and to Merge, and perfbench's traced
+// pipeline times it as its own stage. No shipped pipeline builds one.
 //
 // Records arrive in observation (transmission-end) order, and all
 // copies of one transmission share its start time, so an entry can be
@@ -20,7 +24,7 @@ import (
 // after watermark-maxAirtime. That is the dedup window — the same
 // horizon Reorder uses — and it bounds the table at the number of
 // frames that can end within one maxAirtime, independent of trace
-// length, preserving the engine's flat-memory guarantee.
+// length.
 //
 // Boundary contract (pinned by TestDedupHorizonBoundary): an entry
 // whose start time is exactly watermark-maxAirtime is evicted, which
@@ -31,12 +35,14 @@ import (
 // pathological maximum-airtime frame — is forwarded, not dropped:
 // late duplicates are counted (double-counted downstream) rather than
 // risking the loss of a genuinely new observation. This mirrors the
-// materialized path's behavior only within the horizon; beyond it the
-// streaming path deliberately degrades to over-counting, never to
-// dropping.
+// materialized path's behavior only within the horizon; beyond it
+// Dedup degrades to over-counting, never to dropping. Reorder has no
+// such edge: a maximum-airtime frame's twin still meets it among the
+// records released at its start time, and is dropped as Merge drops
+// it.
 
 // dedupEntry is one remembered observation, keyed exactly as
-// capture.Merge's sameAir compares records: start time, channel,
+// capture.SameAir compares records: start time, channel,
 // rate, and (captured) frame bytes — OrigLen deliberately excluded so
 // the streaming and materialized criteria cannot diverge. buf holds a
 // private copy of the frame bytes (the incoming record's alias dies
@@ -50,7 +56,7 @@ type dedupEntry struct {
 }
 
 // Dedup is the streaming same-air deduplication stage. Records pass
-// through in arrival order; duplicates (as capture.Merge's sameAir
+// through in arrival order; duplicates (as capture.SameAir
 // defines them) are dropped, keeping the first arrival — taps fire in
 // sniffer registration order, so that is the same copy Merge keeps.
 // Not safe for concurrent use; each run gets its own Dedup.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -116,50 +117,128 @@ func TestDedupFuzzMatchesReference(t *testing.T) {
 }
 
 // TestDedupReorderMatchesMerge is the streaming bridge's multi-sniffer
-// acceptance property: for randomized jittered k-sniffer streams, the
-// dedup window followed by the reordering stage must reproduce
-// capture.Merge of the materialized per-sniffer traces bit for bit —
-// duplicates collapsed to the same copy, order identical including
-// equal-time tie-breaks.
+// acceptance property: for randomized jittered k-sniffer streams, a
+// bare Reorder window, and the Dedup stage followed by one, must each
+// reproduce capture.Merge of the materialized per-sniffer traces bit
+// for bit — duplicates collapsed to the same copy, order identical
+// including equal-time tie-breaks. The fixed cases pin the window's
+// edges: copies arriving in descending sniffer order, a same-air pair
+// whose airtime equals the horizon (released before its twin
+// arrives), and a group of equal-start records that straddles a ring
+// grow.
 func TestDedupReorderMatchesMerge(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := 2 + rng.Intn(3)
 		txs := genObservations(rng, 500, k)
 
-		// Materialized path: per-sniffer traces in capture order.
+		// Per-sniffer traces in capture order, and the stream the
+		// sniffers deliver.
 		traces := make([][]capture.Record, k)
+		var arrivals []capture.Record
 		for _, tx := range txs {
 			for _, s := range tx.captured {
 				traces[s] = append(traces[s], snifferCopy(tx, s))
+				arrivals = append(arrivals, snifferCopy(tx, s))
 			}
 		}
 		want := capture.Merge(traces...)
+		ro := checkWindow(t, fmt.Sprintf("seed %d", seed), arrivals, want)
+		if wantDropped := int64(len(arrivals) - len(want)); ro.Dropped != wantDropped {
+			t.Fatalf("seed %d: window dropped %d, want %d", seed, ro.Dropped, wantDropped)
+		}
 
-		// Streaming path: interleaved arrival, dedup, reorder.
 		var got []capture.Record
-		ro := NewReorder(func(rec capture.Record) {
-			cp := rec
-			cp.Frame = append([]byte(nil), rec.Frame...)
-			got = append(got, cp)
-		})
-		dd := NewDedup(ro.Add)
+		dro := NewReorder(func(rec capture.Record) { got = append(got, copyRec(rec)) })
+		dd := NewDedup(dro.Add)
+		for _, rec := range arrivals {
+			dd.Add(rec)
+		}
+		dro.Flush()
+		sameRecords(t, fmt.Sprintf("seed %d: Dedup then Reorder", seed), got, want)
+	}
+
+	t.Run("descending-sniffer-order", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		txs := genObservations(rng, 300, 3)
+		traces := make([][]capture.Record, 3)
+		var arrivals []capture.Record
 		for _, tx := range txs {
-			for _, s := range tx.captured {
-				dd.Add(snifferCopy(tx, s))
+			for i := len(tx.captured) - 1; i >= 0; i-- {
+				s := tx.captured[i]
+				traces[s] = append(traces[s], snifferCopy(tx, s))
+				arrivals = append(arrivals, snifferCopy(tx, s))
 			}
 		}
-		ro.Flush()
+		checkWindow(t, "descending", arrivals, capture.Merge(traces...))
+	})
 
-		if !reflect.DeepEqual(got, want) {
-			if len(got) != len(want) {
-				t.Fatalf("seed %d: streamed %d records, merged %d", seed, len(got), len(want))
+	t.Run("airtime-equals-horizon", func(t *testing.T) {
+		// A maximum-airtime frame releases on its own Add, before its
+		// twin arrives; the twin still meets it in the group.
+		long := boundaryRec(1000, MaxReorderWire, phy.Rate1Mbps, 'L')
+		if phy.Airtime(long.OrigLen, long.Rate) != ReorderHorizon() {
+			t.Fatal("test frame's airtime is not the horizon")
+		}
+		twin := long
+		twin.SnifferID = 2
+		after := boundaryRec(long.Time+ReorderHorizon(), 60, phy.Rate11Mbps, 'a')
+		traces := [][]capture.Record{{long, after}, {twin}}
+		ro := checkWindow(t, "horizon", []capture.Record{long, twin, after}, capture.Merge(traces...))
+		if ro.Dropped != 1 {
+			t.Fatalf("dropped %d, want the twin", ro.Dropped)
+		}
+	})
+
+	t.Run("group-straddles-grow", func(t *testing.T) {
+		// 40 maximum-airtime transmissions share one start time, so
+		// each releases on arrival, and with the second sniffer's
+		// copies the group outgrows the first ring; the copies after
+		// the grow meet the first sniffer's across it.
+		const n = 40
+		traces := make([][]capture.Record, 2)
+		var arrivals []capture.Record
+		for s := range traces {
+			for i := 0; i < n; i++ {
+				rec := boundaryRec(5000, MaxReorderWire, phy.Rate1Mbps, byte(i))
+				rec.SnifferID = s + 1
+				traces[s] = append(traces[s], rec)
+				arrivals = append(arrivals, rec)
 			}
-			for i := range got {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("seed %d: record %d differs:\n streamed %+v\n merged   %+v", seed, i, got[i], want[i])
-				}
-			}
+		}
+		ro := checkWindow(t, "grow", arrivals, capture.Merge(traces...))
+		if ro.Dropped != n {
+			t.Fatalf("dropped %d, want %d", ro.Dropped, n)
+		}
+	})
+}
+
+// checkWindow streams arrivals through a bare Reorder and fails unless
+// it releases exactly want; it returns the window for its counters.
+func checkWindow(t *testing.T, name string, arrivals, want []capture.Record) *Reorder {
+	t.Helper()
+	var got []capture.Record
+	ro := NewReorder(func(rec capture.Record) { got = append(got, copyRec(rec)) })
+	for _, rec := range arrivals {
+		ro.Add(rec)
+	}
+	ro.Flush()
+	sameRecords(t, name+": Reorder", got, want)
+	return ro
+}
+
+// sameRecords fails at the first record where got and want differ.
+func sameRecords(t *testing.T, name string, got, want []capture.Record) {
+	t.Helper()
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: streamed %d records, merged %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s: record %d differs:\n streamed %+v\n merged   %+v", name, i, got[i], want[i])
 		}
 	}
 }

@@ -139,13 +139,11 @@ type RunResult struct {
 	Err    error
 }
 
-// runOne executes one cell: build, stream through the reordering
-// bridge into a fresh sequential analyzer (stages selected by
-// metrics), summarize. Runs that declare multi-sniffer channels
-// (MultiSnifferRun) stream through the Dedup window first, which
-// collapses cross-sniffer duplicates exactly as the materialized
-// path's capture.Merge does; everything else keeps the direct,
-// per-frame-overhead-free path. The analyzer runs unsharded —
+// runOne executes one cell: build, stream through the Reorder window
+// into a fresh sequential analyzer (stages selected by metrics),
+// summarize. The window also drops cross-sniffer duplicates exactly
+// as the materialized path's capture.Merge does, so multi-sniffer
+// runs need no stage of their own. The analyzer runs unsharded —
 // cross-run parallelism already saturates the pool, and the
 // sequential path is the one that never retains frame bytes, which is
 // what lets the whole pipeline run without materializing.
@@ -169,11 +167,7 @@ func runOne(spec Spec, metrics []string, hashed bool) (RunResult, string) {
 		feed = th.Add
 	}
 	ro := NewReorder(feed)
-	sink := ro.Add
-	if ms, ok := run.(MultiSnifferRun); ok && ms.MultiSniffer() {
-		sink = NewDedup(ro.Add).Add
-	}
-	if err := run.Stream(sink); err != nil {
+	if err := run.Stream(ro.Add); err != nil {
 		return RunResult{Spec: spec, Err: err}, ""
 	}
 	ro.Flush()

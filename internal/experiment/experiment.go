@@ -63,22 +63,11 @@ type Run interface {
 	// to sink at capture time. Records arrive in observation order —
 	// non-decreasing transmission-end time — so a record's start
 	// timestamp may trail an earlier-delivered one by up to a frame
-	// airtime; Reorder restores start-time order. Frame bytes alias
-	// reused buffers, valid only during the sink call.
+	// airtime; Reorder restores start-time order. Sniffers sharing a
+	// channel each deliver their copy of a transmission; Reorder keeps
+	// one. Frame bytes alias reused buffers, valid only during the
+	// sink call.
 	Stream(sink Sink) error
-}
-
-// MultiSnifferRun is optionally implemented by Runs whose stream may
-// contain cross-sniffer duplicate observations (≥2 sniffers sharing a
-// channel). The engine routes such streams through the Dedup window;
-// everything else keeps the direct, dedup-free hot path. A Run that
-// places several sniffers on one channel and does not implement this
-// double-counts transmissions relative to the materialized
-// capture.Merge path.
-type MultiSnifferRun interface {
-	Run
-	// MultiSniffer reports whether any channel has ≥2 sniffers.
-	MultiSniffer() bool
 }
 
 // Factory builds a scenario variant for one matrix cell. A zero seed

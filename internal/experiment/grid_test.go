@@ -9,16 +9,18 @@ import (
 	"testing"
 
 	"wlan80211/internal/analysis"
+	"wlan80211/internal/capture"
 	"wlan80211/internal/workload"
 )
 
 // TestGridStreamingMatchesMaterialized is the grid bridge's acceptance
 // gate, mirroring the day/sweep/ladder equivalence tests: a streamed
-// grid run — multi-sniffer channels, dedup window, reordering — must
-// produce a Result bit-identical to materializing every sniffer's
-// trace, capture.Merge-ing them, and batch-analyzing. It also pins
-// that the grid actually exercises the new paths: cross-sniffer
-// duplicates collapsed, and a bounded dedup table.
+// grid run — multi-sniffer channels through the bare Reorder window
+// the engine builds, and through the reference Dedup stage ahead of
+// one — must produce a Result bit-identical to materializing every
+// sniffer's trace, capture.Merge-ing them, and batch-analyzing. It
+// also pins that the grid actually exercises the dedup: cross-sniffer
+// duplicates collapsed, as many by both, and a bounded dedup table.
 func TestGridStreamingMatchesMaterialized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -42,17 +44,31 @@ func TestGridStreamingMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := analysis.New(analysis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ro := NewReorder(a.Feed)
-	dd := NewDedup(ro.Add)
-	sb.RunStream(dd.Add)
+	dro := NewReorder(ref.Feed)
+	dd := NewDedup(dro.Add)
+	sb.RunStream(func(rec capture.Record) {
+		ro.Add(rec)
+		dd.Add(rec)
+	})
 	ro.Flush()
-	got := a.Result()
+	dro.Flush()
 
-	if !reflect.DeepEqual(want, got) {
+	if !reflect.DeepEqual(want, a.Result()) {
 		t.Error("streamed grid result differs from materialized batch result")
+	}
+	if !reflect.DeepEqual(want, ref.Result()) {
+		t.Error("grid result through Dedup differs from materialized batch result")
 	}
 	if dd.Dropped == 0 {
 		t.Error("grid stream produced no cross-sniffer duplicates; the dedup path is untested")
+	}
+	if ro.Dropped != dd.Dropped {
+		t.Errorf("Reorder dropped %d duplicates, Dedup %d", ro.Dropped, dd.Dropped)
 	}
 	if dd.MaxPending() > 512 {
 		t.Errorf("dedup table high-water mark %d; want a small constant", dd.MaxPending())

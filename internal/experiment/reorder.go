@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"wlan80211/internal/capture"
 	"wlan80211/internal/phy"
@@ -37,32 +38,51 @@ var maxAirtime = phy.Airtime(MaxReorderWire, phy.Rate1Mbps)
 // behind the stream's end-time watermark.
 func ReorderHorizon() phy.Micros { return maxAirtime }
 
-// Reorder is the streaming bridge's sorting stage: records added in
-// observation (end-time) order are released to the sink in start-time
-// order, ties broken by sniffer ID then arrival — exactly the order
-// capture.Merge's stable timestamp sort produces for the same records
-// (Merge sorts the concatenation of per-sniffer traces, so its tie
-// order is sniffer registration order, then within-trace capture
-// order). Not safe for concurrent use; each run gets its own Reorder.
+// InReorderRange reports whether a record starting at start with
+// airtime air has an end time the window can compute: the start is
+// not negative and start+air does not overflow. Ingest layers reject
+// records that fail it, as they reject airtimes beyond the horizon.
+func InReorderRange(start, air phy.Micros) bool {
+	return start >= 0 && start <= math.MaxInt64-air
+}
+
+// Reorder is the streaming bridge's sorting and same-air dedup stage:
+// records added in observation (end-time) order are released to the
+// sink in start-time order, ties broken by sniffer ID then arrival —
+// exactly the order capture.Merge's stable timestamp sort produces
+// for the same records (Merge sorts the concatenation of per-sniffer
+// traces, so its tie order is sniffer registration order, then
+// within-trace capture order). Like Merge, it drops a record that is
+// capture.SameAir with one released before it at the same start time:
+// several sniffers on one channel each capture a transmission, and
+// the copy kept is the first in that order. Not safe for concurrent
+// use; each run gets its own Reorder.
 //
 // The pending records sit in a ring sorted by (start, sniffer,
 // arrival), so the next release is always at the head. An arrival is
 // placed by scanning back from the tail: an end-ordered stream is
 // almost start-ordered too, so nearly every record lands at or within
-// a few slots of the tail, and only the records after it move.
+// a few slots of the tail, and only the records after it move. Every
+// copy of one transmission shares its start time, so a release is
+// compared only with the last maxGroup records released since the
+// start time last changed; they stay in their slots just behind the
+// head.
 type Reorder struct {
 	sink Sink
 	// ring[(head+i)&(len(ring)-1)] for i < n are the pending records
-	// in release order; len(ring) is a power of two. A slot keeps its
-	// frame buffer after its record is released, for the next record
-	// that lands in it.
-	ring    []capture.Record
-	head, n int
+	// in release order, and for -group <= i < 0 the last records
+	// released at the current start time; len(ring) is a power of
+	// two. A slot keeps its frame buffer after its record leaves the
+	// group, for the next record that lands in it.
+	ring           []capture.Record
+	head, n, group int
 	// watermark is the newest observation end time seen.
 	watermark phy.Micros
-	// maxPending is the high-water mark of the ring, exposed for the
-	// bounded-memory test.
+	// maxPending is the high-water mark of the pending records,
+	// exposed for the bounded-memory test.
 	maxPending int
+	// Dropped counts the same-air duplicates not released.
+	Dropped int64
 }
 
 // NewReorder creates a reordering stage feeding sink. Records the
@@ -80,7 +100,7 @@ func (r *Reorder) Add(rec capture.Record) {
 		// fail loudly rather than silently mis-sort.
 		panic(fmt.Sprintf("experiment: frame airtime %dµs exceeds reorder horizon %dµs", air, maxAirtime))
 	}
-	if r.n == len(r.ring) {
+	if r.n+r.group >= len(r.ring) {
 		r.grow()
 	}
 	mask := len(r.ring) - 1
@@ -129,20 +149,45 @@ func (r *Reorder) Flush() {
 // MaxPending reports the deepest the buffer ever got.
 func (r *Reorder) MaxPending() int { return r.maxPending }
 
-// release hands the head record to the sink; its slot, buffer
-// included, becomes the ring's last free slot.
+// maxGroup bounds the records a release is compared with. A sniffer
+// hears one channel, so it captures at most a few transmissions that
+// start in the same microsecond, and the copies of one transmission
+// sit at most a few records per sniffer apart. The bound keeps a
+// source that stamps a flood of distinct records with one start time
+// from costing a comparison per pair of them; a copy further back
+// than the bound is released, counted twice rather than lost.
+const maxGroup = 64
+
+// release hands the head record to the sink unless it is a same-air
+// duplicate of one in the group, and moves it into the group; when
+// the start time changes, the old group's slots become free.
 func (r *Reorder) release() {
-	r.sink(r.ring[r.head])
-	r.head = (r.head + 1) & (len(r.ring) - 1)
+	mask := len(r.ring) - 1
+	rec := &r.ring[r.head]
+	if r.group > 0 && r.ring[(r.head-1)&mask].Time != rec.Time {
+		r.group = 0
+	}
+	dup := false
+	for i := 1; i <= r.group && !dup; i++ {
+		dup = capture.SameAir(&r.ring[(r.head-i)&mask], rec)
+	}
+	if dup {
+		r.Dropped++
+	} else {
+		r.sink(*rec)
+	}
+	r.head = (r.head + 1) & mask
 	r.n--
+	r.group = min(r.group+1, maxGroup)
 }
 
-// grow doubles the full ring, unwrapping the pending records to the
-// front of the new one.
+// grow doubles the ring, unwrapping the group and the pending records
+// to the front of the new one.
 func (r *Reorder) grow() {
 	ring := make([]capture.Record, max(2*len(r.ring), 64))
-	for i := 0; i < r.n; i++ {
-		ring[i] = r.ring[(r.head+i)&(len(r.ring)-1)]
+	from := r.head - r.group
+	for i := range r.group + r.n {
+		ring[i] = r.ring[(from+i)&(len(r.ring)-1)]
 	}
-	r.ring, r.head = ring, 0
+	r.ring, r.head = ring, r.group
 }

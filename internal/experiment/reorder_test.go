@@ -91,6 +91,30 @@ func (r *heapReorder) pop() heapRec {
 	}
 }
 
+// mergeDedup is capture.Merge's duplicate rule applied to a
+// start-ordered stream: a record SameAir with one kept since the
+// start time last changed is dropped. Records must stay valid after
+// the call (heapReorder's are private copies).
+type mergeDedup struct {
+	sink    Sink
+	kept    []capture.Record
+	dropped int64
+}
+
+func (d *mergeDedup) Add(rec capture.Record) {
+	if len(d.kept) > 0 && d.kept[0].Time != rec.Time {
+		d.kept = d.kept[:0]
+	}
+	for i := range d.kept {
+		if capture.SameAir(&d.kept[i], &rec) {
+			d.dropped++
+			return
+		}
+	}
+	d.kept = append(d.kept, rec)
+	d.sink(rec)
+}
+
 // released is one record as a sink saw it, with the number of Adds
 // made before it was released.
 type released struct {
@@ -102,8 +126,9 @@ type released struct {
 // sniffers' copies of overlapping transmissions in end order, copies
 // of one transmission (equal start times) arriving in random sniffer
 // order, and a few adjacent arrivals swapped — the sorted ring
-// releases exactly what the heap releases, at the same Add, and peaks
-// at the same depth.
+// releases exactly what the heap followed by Merge's equal-start
+// dedup releases, at the same Add, drops as many duplicates, and
+// peaks at the same depth.
 func TestReorderMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 200; iter++ {
@@ -128,7 +153,8 @@ func TestReorderMatchesHeap(t *testing.T) {
 			rec.Frame = append([]byte(nil), rec.Frame...)
 			got = append(got, released{rec, adds})
 		})
-		ref := &heapReorder{sink: func(rec capture.Record) { want = append(want, released{rec, adds}) }}
+		dedup := &mergeDedup{sink: func(rec capture.Record) { want = append(want, released{rec, adds}) }}
+		ref := &heapReorder{sink: dedup.Add}
 		for _, rec := range stream {
 			adds++
 			ring.Add(rec)
@@ -149,24 +175,56 @@ func TestReorderMatchesHeap(t *testing.T) {
 					iter, i, g.rec.Time, g.rec.SnifferID, g.after, w.rec.Time, w.rec.SnifferID, w.after)
 			}
 		}
+		if ring.Dropped != dedup.dropped {
+			t.Fatalf("iter %d: ring dropped %d duplicates, reference %d", iter, ring.Dropped, dedup.dropped)
+		}
 		if ring.MaxPending() != ref.maxPending {
 			t.Fatalf("iter %d: ring peaked at %d pending, heap at %d", iter, ring.MaxPending(), ref.maxPending)
 		}
 	}
 }
 
+// TestReorderGroupBound: a release is compared with at most maxGroup
+// records of its start time. A copy within the bound is dropped; one
+// further back is released, never mistaken for new air it is not.
+func TestReorderGroupBound(t *testing.T) {
+	released := 0
+	ro := NewReorder(func(capture.Record) { released++ })
+	recs := make([]capture.Record, maxGroup+1)
+	for i := range recs {
+		// Maximum airtime: each releases on its own Add.
+		recs[i] = boundaryRec(1000, MaxReorderWire, phy.Rate1Mbps, byte(i))
+		ro.Add(recs[i])
+	}
+	last, first := recs[maxGroup], recs[0]
+	last.SnifferID, first.SnifferID = 2, 2
+	ro.Add(last)
+	if ro.Dropped != 1 {
+		t.Fatalf("copy of the newest record: %d dropped, want 1", ro.Dropped)
+	}
+	ro.Add(first)
+	ro.Flush()
+	if ro.Dropped != 1 || released != maxGroup+2 {
+		t.Fatalf("copy %d records back: %d released, %d dropped; want %d and 1", maxGroup+1, released, ro.Dropped, maxGroup+2)
+	}
+}
+
 // TestReorderAddAllocatesNothing: once the ring has grown to the
 // stream's depth and every slot holds a frame buffer, Add allocates
-// nothing.
+// nothing, duplicates included.
 func TestReorderAddAllocatesNothing(t *testing.T) {
 	frame := make([]byte, 200)
 	var tm phy.Micros
 	// Two overlapping transmissions per step, delivered in end order:
 	// the short later-starting one first, so every other Add lands
-	// one slot before the tail.
+	// one slot before the tail. A second sniffer's copy of the long
+	// one follows it and is dropped at release.
 	step := func(ro *Reorder) {
 		ro.Add(capture.Record{Time: tm + 100, Rate: phy.Rate11Mbps, Channel: phy.Channel6, OrigLen: 60, Frame: frame[:60]})
-		ro.Add(capture.Record{Time: tm, Rate: phy.Rate1Mbps, Channel: phy.Channel1, OrigLen: 200, Frame: frame})
+		long := capture.Record{Time: tm, Rate: phy.Rate1Mbps, Channel: phy.Channel1, OrigLen: 200, Frame: frame}
+		ro.Add(long)
+		long.SnifferID = 1
+		ro.Add(long)
 		tm += 1000
 	}
 	released := 0
@@ -175,9 +233,13 @@ func TestReorderAddAllocatesNothing(t *testing.T) {
 		step(ro)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { step(ro) }); allocs != 0 {
-		t.Errorf("steady-state Add: %v allocs per two records, want 0", allocs)
+		t.Errorf("steady-state Add: %v allocs per three records, want 0", allocs)
 	}
 	if released == 0 {
 		t.Fatal("nothing released; the stream never passed the horizon")
+	}
+	ro.Flush()
+	if ro.Dropped == 0 || int64(released) != 2*ro.Dropped {
+		t.Fatalf("%d released, %d dropped; want one duplicate dropped per two released", released, ro.Dropped)
 	}
 }

@@ -15,10 +15,9 @@ import (
 //
 // The paper-reproduction scenarios place at most one sniffer per
 // channel; the grid scenarios place several, producing cross-sniffer
-// duplicate observations. The engine's streaming dedup window
-// collapses those exactly as the materialized path's capture.Merge
-// does, so both kinds stream bit-identically to their materialized
-// reference.
+// duplicate observations. The engine's Reorder window drops those
+// exactly as the materialized path's capture.Merge does, so both
+// kinds stream bit-identically to their materialized reference.
 
 func init() {
 	Register("day", func(seed int64, scale float64) Scenario {
@@ -224,7 +223,3 @@ func (r gridRun) Stream(sink Sink) error {
 	r.b.RunStream(sink)
 	return nil
 }
-
-// MultiSniffer implements MultiSnifferRun: grid channels carry ≥2
-// sniffers, so the engine must dedup the stream.
-func (r gridRun) MultiSniffer() bool { return r.b.MultiSniffer() }

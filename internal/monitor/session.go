@@ -44,10 +44,6 @@ type SourceConfig struct {
 	// the capture's own wire timing, 2 at double speed. 0 replays as
 	// fast as the pipeline drains (lossless).
 	Speed float64 `json:"speed,omitempty"`
-	// Dedup inserts the cross-sniffer same-air dedup stage ahead of
-	// reordering for pcap and push sources (scenario sources enable
-	// it automatically when the run is multi-sniffer).
-	Dedup bool `json:"dedup,omitempty"`
 }
 
 // Config is one monitoring session's full configuration.
@@ -83,7 +79,7 @@ var errStopped = errors.New("monitor: session stopped")
 
 // Session is one isolated monitoring pipeline: a source goroutine
 // feeding a bounded queue, and a pump goroutine draining it through
-// the streaming stages (optional Dedup, then Reorder) into an
+// the Reorder window (which also drops same-air duplicates) into an
 // incremental analyzer whose per-shard collector stages maintain the
 // rolling window and alert engine.
 type Session struct {
@@ -192,7 +188,6 @@ func newSession(ctx context.Context, id string, cfg Config) (*Session, error) {
 		state:  StateRunning,
 	}
 
-	dedup := cfg.Source.Dedup
 	switch cfg.Source.Type {
 	case SourceScenario:
 		scn, _ := experiment.New(cfg.Source.Scenario, cfg.Source.Seed, scaleOr1(cfg.Source.Scale))
@@ -201,28 +196,29 @@ func newSession(ctx context.Context, id string, cfg Config) (*Session, error) {
 			cancel()
 			return nil, err
 		}
-		if ms, ok := run.(experiment.MultiSnifferRun); ok && ms.MultiSniffer() {
-			dedup = true
-		}
 		go s.runScenario(sctx, run)
 	case SourcePcap:
 		go s.runPcap(sctx)
 	case SourcePush:
 		// No source goroutine: Stop closes the queue.
 	}
-	go s.pump(dedup)
+	go s.pump()
 	return s, nil
 }
 
 // validateRecord enforces the streaming stages' input contract: the
 // reorder horizon only bounds memory for frames up to the maximum
-// legal wire size at a valid rate.
+// legal wire size at a valid rate, and the window only orders records
+// whose end time it can compute.
 func validateRecord(rec capture.Record) error {
 	if !rec.Rate.Valid() {
 		return fmt.Errorf("monitor: invalid rate %d", rec.Rate)
 	}
 	if rec.OrigLen <= 0 || rec.OrigLen > experiment.MaxReorderWire {
 		return fmt.Errorf("monitor: wire length %d outside (0, %d]", rec.OrigLen, experiment.MaxReorderWire)
+	}
+	if !experiment.InReorderRange(rec.Time, phy.Airtime(rec.OrigLen, rec.Rate)) {
+		return fmt.Errorf("monitor: timestamp %d µs out of range", rec.Time)
 	}
 	return nil
 }
@@ -371,25 +367,19 @@ func (s *Session) Ingest(recs []capture.Record) (accepted, dropped, rejected int
 	return accepted, dropped, rejected, nil
 }
 
-// pump drains the queue through the streaming stages into the
+// pump drains the queue through the Reorder window into the
 // analyzer, then finalizes: flushing the reorder buffer, closing the
 // final partial second (which fires the last alert evaluation), and
 // settling the terminal state.
-func (s *Session) pump(dedup bool) {
+func (s *Session) pump() {
 	defer close(s.done)
 	ro := experiment.NewReorder(func(rec capture.Record) { s.analyzer.Feed(rec) })
-	head := experiment.Sink(ro.Add)
-	if dedup {
-		dd := experiment.NewDedup(ro.Add)
-		head = func(rec capture.Record) {
-			dd.Add(rec)
-			s.deduped.Store(dd.Dropped)
-		}
-	}
 	for rec := range s.queue {
-		head(rec)
+		ro.Add(rec)
+		s.deduped.Store(ro.Dropped)
 	}
 	ro.Flush()
+	s.deduped.Store(ro.Dropped)
 	s.analyzer.Result()
 
 	s.mu.Lock()

@@ -216,6 +216,111 @@ func TestPushSessionIngest(t *testing.T) {
 	}
 }
 
+// TestPushSessionDropsDuplicates: every session drops same-air
+// duplicates, with no setting to ask for it. A trace pushed as two
+// sniffers' copies analyzes as one.
+func TestPushSessionDropsDuplicates(t *testing.T) {
+	recs := busyQuietTrace(2, 1)
+	s, err := newSession(context.Background(), "s1", Config{
+		Source:    SourceConfig{Type: SourcePush},
+		QueueSize: 2 * len(recs),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var twice []capture.Record
+	for _, r := range recs {
+		dup := r
+		dup.SnifferID = 1
+		dup.SignalDBm--
+		twice = append(twice, r, dup)
+	}
+	if accepted, _, _, err := s.Ingest(twice); err != nil || accepted != len(twice) {
+		t.Fatalf("ingest: %d of %d accepted, %v", accepted, len(twice), err)
+	}
+	s.Stop()
+	if v := s.View(); v.Frames != int64(len(recs)) || v.Deduped != int64(len(recs)) {
+		t.Fatalf("%d records pushed twice: %d frames, %d deduped; want %d and %d",
+			len(recs), v.Frames, v.Deduped, len(recs), len(recs))
+	}
+}
+
+// TestScenarioSessionDedupMatchesDedup: a multi-sniffer scenario
+// session drops exactly the duplicates the reference Dedup stage
+// finds in the same run.
+func TestScenarioSessionDedupMatchesDedup(t *testing.T) {
+	const scale = 0.25
+	s, err := newSession(context.Background(), "s1", Config{
+		Source: SourceConfig{Type: SourceScenario, Scenario: "grid9", Seed: 1, Scale: scale},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, err := experiment.New("grid9", 1, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := scn.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := 0
+	dd := experiment.NewDedup(func(capture.Record) { kept++ })
+	if err := run.Stream(dd.Add); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s)
+	v := s.View()
+	if dd.Dropped == 0 {
+		t.Fatal("grid9 produced no duplicates; the test shows nothing")
+	}
+	if v.State != StateDone || v.Deduped != dd.Dropped || v.Frames != int64(kept) {
+		t.Fatalf("session: state %q, %d deduped, %d frames; Dedup: %d dropped, %d kept",
+			v.State, v.Deduped, v.Frames, dd.Dropped, kept)
+	}
+}
+
+// TestPushSessionRejectsNegativeTime: a record the window cannot
+// order — here one stamped −10 s — is rejected, not fed to the
+// per-second window (which indexed its ring with the negative
+// second and took the daemon down).
+func TestPushSessionRejectsNegativeTime(t *testing.T) {
+	s, err := newSession(context.Background(), "s1", Config{
+		Source: SourceConfig{Type: SourcePush},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := beaconRec(-10*phy.MicrosPerSecond, phy.Channel1)
+	accepted, _, rejected, err := s.Ingest([]capture.Record{bad, beaconRec(0, phy.Channel1)})
+	if err != nil || accepted != 1 || rejected != 1 {
+		t.Fatalf("ingest: %d accepted, %d rejected, %v; want 1 and 1", accepted, rejected, err)
+	}
+	s.Stop()
+	if v := s.View(); v.State != StateStopped || v.Rejected != 1 || v.Frames != 1 {
+		t.Fatalf("session after a negative time: %+v, want stopped, 1 rejected, 1 frame", v)
+	}
+}
+
+// TestPcapSessionRejectsNegativeTime: a replayed record stamped −10 s
+// (a radiotap TSFT of 2^63 or more) is rejected, and the records
+// around it still flow.
+func TestPcapSessionRejectsNegativeTime(t *testing.T) {
+	path := writePcap(t, []capture.Record{
+		beaconRec(0, phy.Channel1),
+		beaconRec(-10*phy.MicrosPerSecond, phy.Channel1),
+		beaconRec(100_000, phy.Channel1),
+	})
+	s, err := newSession(context.Background(), "s1", Config{Source: SourceConfig{Type: SourcePcap, Path: path}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s)
+	if v := s.View(); v.State != StateDone || v.Accepted != 2 || v.Rejected != 1 || v.Frames != 2 {
+		t.Fatalf("replay with a negative time: %+v, want done, 2 accepted, 1 rejected, 2 frames", v)
+	}
+}
+
 // TestPushSessionSparseTraceBoundedMemory: a session's memory is
 // bounded by its Window ring, not by trace time. Three beacons
 // spanning 10⁶ trace seconds must not allocate per gap second.

@@ -3,11 +3,11 @@
 // rest of the repo analyzes finished traces, this package owns
 // long-running monitoring sessions, each wiring an ingest source — a
 // live scenario run, wire-speed-paced pcap replay, or an HTTP
-// frame-ingest endpoint — through the streaming experiment stages
-// (Dedup/Reorder) into an incremental analysis.Analyzer.Feed
-// pipeline, and maintains a rolling window of per-second congestion
-// metrics (channel utilization, retransmission rate, throughput,
-// goodput) with threshold alerting on top.
+// frame-ingest endpoint — through the experiment package's Reorder
+// window (which also drops same-air duplicates) into an incremental
+// analysis.Analyzer.Feed pipeline, and maintains a rolling window of
+// per-second congestion metrics (channel utilization, retransmission
+// rate, throughput, goodput) with threshold alerting on top.
 //
 // The Manager holds N concurrent sessions behind a max-sessions cap
 // with per-session isolation: each session has its own analyzer,

@@ -14,7 +14,7 @@ import (
 // 1/6/11 channel reuse (so co-channel cells interfere), a mixed
 // 802.11b / 802.11b-g station population, mobile stations that roam
 // between cells, and several sniffers per channel whose overlapping
-// observations exercise the streaming dedup window. It goes beyond
+// observations exercise the streaming same-air dedup. It goes beyond
 // the paper's single-hall scenarios toward the multi-cell enterprise
 // deployments its conclusions point at.
 type Grid struct {
@@ -276,7 +276,7 @@ func (g Grid) Build() (*GridBuilt, error) {
 	// Sniffers: SniffersPerChannel per channel in use, spread over the
 	// cells sharing that channel (offset so co-located pairs still see
 	// slightly different radio links). IDs follow registration order —
-	// the order Merge and the streaming dedup both key their stable
+	// the order Merge and the streaming window both key their stable
 	// tie-breaks on.
 	id := 0
 	for _, ch := range g.usedChannels() {
@@ -331,8 +331,8 @@ func (b *GridBuilt) Run() []capture.Record {
 }
 
 // MultiSniffer reports whether any channel has ≥2 sniffers — when
-// true, a streamed run contains cross-sniffer duplicates the
-// experiment engine must dedup to match Run's merged trace.
+// true, a streamed run contains cross-sniffer duplicates that must be
+// dropped to match Run's merged trace.
 func (b *GridBuilt) MultiSniffer() bool {
 	perChannel := make(map[phy.Channel]int)
 	for _, sn := range b.Sniffers {
@@ -347,8 +347,8 @@ func (b *GridBuilt) MultiSniffer() bool {
 // RunStream executes the grid, streaming every record any sniffer
 // captures to emit at capture time; nothing is materialized. Unlike
 // the single-sniffer-per-channel scenarios, the stream contains
-// cross-sniffer duplicates — the experiment package's dedup window
-// collapses them ahead of reordering.
+// cross-sniffer duplicates — the experiment package's Reorder window
+// drops them as it restores start-time order.
 func (b *GridBuilt) RunStream(emit func(capture.Record)) {
 	for _, sn := range b.Sniffers {
 		sn.SetEmit(emit)
