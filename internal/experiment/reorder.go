@@ -27,6 +27,16 @@ import (
 // because Add fails loudly on anything larger.
 const MaxReorderWire = 4096
 
+// MaxReorderPending caps the records a Reorder holds. The horizon
+// rule alone bounds the depth only for a stream whose starts keep
+// pace with its ends; a source that stamps a flood of records with one
+// start time would be held whole until Flush. At the cap the earliest
+// pending record is released early — fed, or dropped as a duplicate,
+// never lost. Real streams stay two orders of magnitude below it
+// (peak depth 149 on perfbench day, 86 on grid256), and with the
+// release group the ring never outgrows 1<<13 slots.
+const MaxReorderPending = 1<<13 - maxGroup
+
 // maxAirtime is the longest any single frame can occupy the air: a
 // MaxReorderWire-byte frame at 1 Mbps with the long preamble (~33 ms).
 // It is the reordering horizon — and therefore the peak buffer depth,
@@ -99,6 +109,9 @@ func (r *Reorder) Add(rec capture.Record) {
 		// Impossible for the simulator's traffic (see MaxReorderWire);
 		// fail loudly rather than silently mis-sort.
 		panic(fmt.Sprintf("experiment: frame airtime %dµs exceeds reorder horizon %dµs", air, maxAirtime))
+	}
+	if r.n == MaxReorderPending {
+		r.release()
 	}
 	if r.n+r.group >= len(r.ring) {
 		r.grow()

@@ -243,3 +243,29 @@ func TestReorderAddAllocatesNothing(t *testing.T) {
 		t.Fatalf("%d released, %d dropped; want one duplicate dropped per two released", released, ro.Dropped)
 	}
 }
+
+// TestReorderPendingCap: a flood of records with one start time never
+// falls a horizon behind its newest end, so only the cap releases it.
+// Ten times the cap stays within it, and every record is fed.
+func TestReorderPendingCap(t *testing.T) {
+	const total = 10 * MaxReorderPending
+	released := 0
+	ro := NewReorder(func(capture.Record) { released++ })
+	for i := range total {
+		// Distinct frames within any maxGroup: none is a duplicate.
+		ro.Add(boundaryRec(1000, 60, phy.Rate11Mbps, byte(i)))
+		if i == total-1 && released != total-MaxReorderPending {
+			t.Fatalf("before Flush: %d of %d released, want all but the %d pending", released, total, MaxReorderPending)
+		}
+	}
+	ro.Flush()
+	if got := ro.MaxPending(); got > MaxReorderPending {
+		t.Fatalf("MaxPending %d, cap %d", got, MaxReorderPending)
+	}
+	if released != total || ro.Dropped != 0 {
+		t.Fatalf("%d of %d released, %d dropped; want all released", released, total, ro.Dropped)
+	}
+	if len(ro.ring) > 1<<13 {
+		t.Fatalf("ring grew to %d slots, want at most %d", len(ro.ring), 1<<13)
+	}
+}

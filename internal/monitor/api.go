@@ -1,15 +1,13 @@
 package monitor
 
 import (
-	"encoding/hex"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-
-	"wlan80211/internal/capture"
-	"wlan80211/internal/phy"
+	"sync"
 )
 
 // NewServer builds the daemon's HTTP handler over a manager. Every
@@ -110,14 +108,13 @@ func NewServer(mgr *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"status": status, "history": history})
 	}))
 	mux.HandleFunc("POST /api/v1/sessions/{id}/ingest", withSession(mgr, func(w http.ResponseWriter, r *http.Request, s *Session) {
-		// Cap the request body: an oversized (or unbounded) push must
-		// fail with 413 before it can balloon the daemon's memory, not
-		// be read to completion first.
-		r.Body = http.MaxBytesReader(w, r.Body, MaxIngestBytes)
-		var body struct {
-			Records []ingestRecord `json:"records"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		// Read the whole body under the cap: an oversized (or
+		// unbounded) push fails with 413 before it can balloon the
+		// daemon's memory.
+		buf := bodyPool.Get().(*bytes.Buffer)
+		defer bodyPool.Put(buf)
+		buf.Reset()
+		if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxIngestBytes)); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
@@ -129,27 +126,25 @@ func NewServer(mgr *Manager) http.Handler {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding records: %w", err))
 			return
 		}
-		recs := make([]capture.Record, 0, len(body.Records))
-		for i, ir := range body.Records {
-			rec, err := ir.toRecord()
-			if err != nil {
-				// Field-level failures carry a structured locator so a
-				// pusher can find the offending record without parsing
-				// prose out of the error string.
-				var fe *fieldError
-				if errors.As(err, &fe) {
-					writeJSON(w, http.StatusBadRequest, map[string]any{
-						"error":  fmt.Sprintf("record %d: %v", i, err),
-						"record": i,
-						"field":  fe.Field,
-						"value":  fe.Value,
-					})
-					return
-				}
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("record %d: %w", i, err))
+		// The records copy nothing from buf, so it goes back to the
+		// pool while they wait in the session's queue.
+		recs, err := decodeIngest(buf.Bytes())
+		if err != nil {
+			// Field-level failures carry a structured locator so a
+			// pusher can find the offending record without parsing
+			// prose out of the error string.
+			var fe *fieldError
+			if errors.As(err, &fe) {
+				writeJSON(w, http.StatusBadRequest, map[string]any{
+					"error":  fe.Error(),
+					"record": fe.Record,
+					"field":  fe.Field,
+					"value":  fe.Value,
+				})
 				return
 			}
-			recs = append(recs, rec)
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding records: %w", err))
+			return
 		}
 		accepted, dropped, rejected, err := s.Ingest(recs)
 		if err != nil {
@@ -175,61 +170,28 @@ func withSession(mgr *Manager, h func(http.ResponseWriter, *http.Request, *Sessi
 	}
 }
 
-// ingestRecord is the wire form of one pushed frame.
-type ingestRecord struct {
-	// TimeUS is the capture timestamp in microseconds of trace time.
-	TimeUS int64 `json:"time_us"`
-	// Rate is in units of 100 kb/s (radiotap convention: 10 = 1 Mb/s,
-	// 110 = 11 Mb/s).
-	Rate uint16 `json:"rate"`
-	// Channel is the 2.4 GHz channel number.
-	Channel int `json:"channel"`
-	// SignalDBm/NoiseDBm are optional radio metadata.
-	SignalDBm int8 `json:"signal_dbm,omitempty"`
-	NoiseDBm  int8 `json:"noise_dbm,omitempty"`
-	// OrigLen is the on-air frame length; defaults to the decoded
-	// frame length when omitted.
-	OrigLen int `json:"orig_len,omitempty"`
-	// FrameHex is the MAC frame, hex encoded.
-	FrameHex string `json:"frame_hex"`
-}
-
 // MaxIngestBytes caps an ingest request body. At ~2x hex expansion it
 // admits on the order of a million typical frames per push — far past
 // any sane batch — while bounding what a misbehaving pusher can make
 // the daemon buffer.
 const MaxIngestBytes = 16 << 20
 
+// bodyPool holds ingest body buffers for reuse across requests.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // fieldError locates a per-record validation failure for the
 // structured ingest error response.
 type fieldError struct {
-	Field string
-	Value string
-	Err   error
+	Record int
+	Field  string
+	Value  string
+	Err    error
 }
 
-func (e *fieldError) Error() string { return fmt.Sprintf("%s: %v", e.Field, e.Err) }
+func (e *fieldError) Error() string {
+	return fmt.Sprintf("record %d: %s: %v", e.Record, e.Field, e.Err)
+}
 func (e *fieldError) Unwrap() error { return e.Err }
-
-func (ir ingestRecord) toRecord() (capture.Record, error) {
-	frame, err := hex.DecodeString(ir.FrameHex)
-	if err != nil {
-		return capture.Record{}, &fieldError{Field: "frame_hex", Value: truncate(ir.FrameHex, 64), Err: err}
-	}
-	orig := ir.OrigLen
-	if orig == 0 {
-		orig = len(frame)
-	}
-	return capture.Record{
-		Time:      phy.Micros(ir.TimeUS),
-		Rate:      phy.Rate(ir.Rate),
-		Channel:   phy.Channel(ir.Channel),
-		SignalDBm: ir.SignalDBm,
-		NoiseDBm:  ir.NoiseDBm,
-		OrigLen:   orig,
-		Frame:     frame,
-	}, nil
-}
 
 func truncate(s string, n int) string {
 	if len(s) <= n {

@@ -366,6 +366,18 @@ func TestIngestBodyTooLarge(t *testing.T) {
 		t.Fatalf("limit_bytes = %d, want %d", resp.LimitBytes, MaxIngestBytes)
 	}
 
+	// The cap holds for the whole body, not its first JSON value: a
+	// short value padded past the cap is refused too.
+	padded := append([]byte(`{"records":[]}`), bytes.Repeat([]byte{' '}, MaxIngestBytes)...)
+	post, err := http.Post(srv.URL+"/api/v1/sessions/"+id+"/ingest", "application/json", bytes.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post.Body.Close()
+	if post.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("short value padded past the cap: %d, want 413", post.StatusCode)
+	}
+
 	// A body just under the cap is still parsed (and rejected for what
 	// it says, not for its size).
 	code, body = do(t, "POST", srv.URL+"/api/v1/sessions/"+id+"/ingest",

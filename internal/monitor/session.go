@@ -87,6 +87,7 @@ type Session struct {
 	cfg Config
 
 	analyzer *analysis.Analyzer
+	reorder  *experiment.Reorder
 	win      *Window
 	alerts   *AlertEngine
 
@@ -187,6 +188,7 @@ func newSession(ctx context.Context, id string, cfg Config) (*Session, error) {
 		done:   make(chan struct{}),
 		state:  StateRunning,
 	}
+	s.reorder = experiment.NewReorder(func(rec capture.Record) { s.analyzer.Feed(rec) })
 
 	switch cfg.Source.Type {
 	case SourceScenario:
@@ -208,11 +210,15 @@ func newSession(ctx context.Context, id string, cfg Config) (*Session, error) {
 
 // validateRecord enforces the streaming stages' input contract: the
 // reorder horizon only bounds memory for frames up to the maximum
-// legal wire size at a valid rate, and the window only orders records
-// whose end time it can compute.
+// legal wire size at a valid rate, the window only orders records
+// whose end time it can compute, and the analyzer keeps state per
+// channel, so only the 14 channels of the band may reach it.
 func validateRecord(rec capture.Record) error {
 	if !rec.Rate.Valid() {
 		return fmt.Errorf("monitor: invalid rate %d", rec.Rate)
+	}
+	if !rec.Channel.Valid() {
+		return fmt.Errorf("monitor: invalid channel %d", rec.Channel)
 	}
 	if rec.OrigLen <= 0 || rec.OrigLen > experiment.MaxReorderWire {
 		return fmt.Errorf("monitor: wire length %d outside (0, %d]", rec.OrigLen, experiment.MaxReorderWire)
@@ -373,7 +379,7 @@ func (s *Session) Ingest(recs []capture.Record) (accepted, dropped, rejected int
 // settling the terminal state.
 func (s *Session) pump() {
 	defer close(s.done)
-	ro := experiment.NewReorder(func(rec capture.Record) { s.analyzer.Feed(rec) })
+	ro := s.reorder
 	for rec := range s.queue {
 		ro.Add(rec)
 		s.deduped.Store(ro.Dropped)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"wlan80211/internal/capture"
+	"wlan80211/internal/dot11"
 	"wlan80211/internal/experiment"
 	"wlan80211/internal/pcapio"
 	"wlan80211/internal/phy"
@@ -318,6 +319,70 @@ func TestPcapSessionRejectsNegativeTime(t *testing.T) {
 	waitDone(t, s)
 	if v := s.View(); v.State != StateDone || v.Accepted != 2 || v.Rejected != 1 || v.Frames != 2 {
 		t.Fatalf("replay with a negative time: %+v, want done, 2 accepted, 1 rejected, 2 frames", v)
+	}
+}
+
+// TestPushSessionRejectsInvalidChannels: the analyzer keeps state per
+// channel, so a record on a channel outside 1..14 is rejected rather
+// than growing the session by one channel per distinct value.
+func TestPushSessionRejectsInvalidChannels(t *testing.T) {
+	s, err := newSession(context.Background(), "s1", Config{
+		Source: SourceConfig{Type: SourcePush},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad []capture.Record
+	for _, ch := range []phy.Channel{0, 15, -1, 1_000_000} {
+		bad = append(bad, beaconRec(1000, ch))
+	}
+	for ch := phy.Channel(100); ch < 1100; ch++ {
+		bad = append(bad, beaconRec(2000, ch))
+	}
+	good := []capture.Record{beaconRec(0, phy.Channel1), beaconRec(500, 14)}
+	accepted, _, rejected, err := s.Ingest(append(bad, good...))
+	if err != nil || accepted != len(good) || rejected != len(bad) {
+		t.Fatalf("ingest: %d accepted, %d rejected, %v; want %d and %d", accepted, rejected, err, len(good), len(bad))
+	}
+	s.Stop()
+	if v := s.View(); v.Rejected != int64(len(bad)) || v.Frames != int64(len(good)) || v.Channels > 14 {
+		t.Fatalf("session: %d rejected, %d frames, %d channels; want %d, %d and at most 14",
+			v.Rejected, v.Frames, v.Channels, len(bad), len(good))
+	}
+}
+
+// TestPushSessionPendingCap: a push flood with one start time never
+// falls a horizon behind its newest end; the Reorder cap bounds the
+// session's pending records, and every record still reaches the
+// analyzer.
+func TestPushSessionPendingCap(t *testing.T) {
+	s, err := newSession(context.Background(), "s1", Config{
+		Source: SourceConfig{Type: SourcePush},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 10 * experiment.MaxReorderPending
+	batch := make([]capture.Record, 0, DefaultQueueSize)
+	for i := 0; i < total; {
+		batch = batch[:0]
+		for ; i < total && len(batch) < cap(batch); i++ {
+			// Distinct beacon timestamps: no record is a duplicate.
+			batch = append(batch, rec(1000, dot11.NewBeacon(apAddr, "net", 1, uint64(i), 1), phy.Rate1Mbps, phy.Channel1))
+		}
+		if accepted, _, _, err := s.Ingest(batch); err != nil || accepted != len(batch) {
+			t.Fatalf("ingest: %d of %d accepted, %v", accepted, len(batch), err)
+		}
+		for len(s.queue) > 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	s.Stop()
+	if v := s.View(); v.Frames != total || v.Deduped != 0 {
+		t.Fatalf("%d pushed: %d frames, %d deduped; want all fed", total, v.Frames, v.Deduped)
+	}
+	if got := s.reorder.MaxPending(); got > experiment.MaxReorderPending {
+		t.Fatalf("session held %d records pending, cap %d", got, experiment.MaxReorderPending)
 	}
 }
 
