@@ -58,8 +58,8 @@ func main() {
 	profStop = stop
 	defer stop()
 
-	if *only != 0 && (*only < 4 || *only > 15) {
-		fmt.Fprintf(os.Stderr, "ietfrepro: no figure %d (have 4-15)\n", *only)
+	if *only != 0 && (*only < report.FirstFigure || *only > report.LastFigure) {
+		fmt.Fprintf(os.Stderr, "ietfrepro: no figure %d (have %d-%d)\n", *only, report.FirstFigure, report.LastFigure)
 		profStop()
 		os.Exit(2)
 	}
@@ -123,19 +123,10 @@ func main() {
 		for _, res := range results[:2] {
 			r := res.Result
 			fmt.Printf("=== %s session (%d frames captured) ===\n\n", res.Spec.Name, r.TotalFrames)
-			if *only == 0 || *only == 4 {
-				report.Figure4a(r, 15).WriteTo(os.Stdout)
-				fmt.Println()
-				report.Figure4b(r).WriteTo(os.Stdout)
-				fmt.Println()
-				report.Figure4c(r, 15).WriteTo(os.Stdout)
-				fmt.Println()
-			}
-			if *only == 0 || *only == 5 {
-				report.Figure5(r).WriteTo(os.Stdout)
-				fmt.Println()
-				report.Figure5c(r).WriteTo(os.Stdout)
-				fmt.Println()
+			for _, n := range []int{4, 5} {
+				if *only == 0 || *only == n {
+					printTables(report.Figure(r, n)...)
+				}
 			}
 		}
 	}
@@ -147,27 +138,23 @@ func main() {
 	// Sweep ladder for Figures 6–15 (always the last spec when run).
 	r := results[len(results)-1].Result
 	fmt.Printf("=== utilization sweep (%d frames captured) ===\n\n", r.TotalFrames)
-	figs := map[int]*report.Table{
-		6:  report.Figure6(r),
-		7:  report.Figure7(r),
-		8:  report.Figure8(r),
-		9:  report.Figure9(r),
-		10: report.Figure10(r),
-		11: report.Figure11(r),
-		12: report.Figure12(r),
-		13: report.Figure13(r),
-		14: report.Figure14(r),
-		15: report.Figure15(r),
-	}
 	if *only != 0 {
-		// *only is validated to 4..15 up front and 4/5 returned above.
-		figs[*only].WriteTo(os.Stdout)
+		// *only is validated up front and 4/5 returned above: a
+		// scatter figure, one table.
+		report.Figure(r, *only)[0].WriteTo(os.Stdout)
 		return
 	}
-	report.Summary(r).WriteTo(os.Stdout)
-	fmt.Println()
-	for i := 6; i <= 15; i++ {
-		figs[i].WriteTo(os.Stdout)
+	printTables(report.Summary(r))
+	for n := 6; n <= report.LastFigure; n++ {
+		printTables(report.Figure(r, n)...)
+	}
+}
+
+// printTables writes each table to standard output, followed by a
+// blank line.
+func printTables(tables ...*report.Table) {
+	for _, t := range tables {
+		t.WriteTo(os.Stdout)
 		fmt.Println()
 	}
 }

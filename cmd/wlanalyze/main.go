@@ -54,6 +54,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: wlanalyze [-figure N] [-csv] [-metrics a,b] [-reliability] trace.pcap...")
 		os.Exit(2)
 	}
+	if *figure != 0 && (*figure < report.FirstFigure || *figure > report.LastFigure) {
+		fmt.Fprintf(os.Stderr, "wlanalyze: no figure %d\n", *figure)
+		os.Exit(2)
+	}
 
 	var opts analysis.Options
 	if *metrics != "" {
@@ -83,13 +87,14 @@ func main() {
 	}
 	r := a.Result()
 
-	tables := selectTables(r, *figure)
+	var tables []*report.Table
+	if *figure == 0 {
+		tables = report.AllFigures(r)
+	} else {
+		tables = report.Figure(r, *figure)
+	}
 	if *reliability {
 		tables = append(tables, report.Reliability(beacons.Result()))
-	}
-	if len(tables) == 0 {
-		fmt.Fprintf(os.Stderr, "wlanalyze: no figure %d\n", *figure)
-		os.Exit(2)
 	}
 	for i, t := range tables {
 		if *csv {
@@ -103,38 +108,5 @@ func main() {
 			fmt.Println()
 		}
 		t.WriteTo(os.Stdout)
-	}
-}
-
-func selectTables(r *analysis.Result, figure int) []*report.Table {
-	switch figure {
-	case 0:
-		return report.AllFigures(r)
-	case 4:
-		return []*report.Table{report.Figure4a(r, 15), report.Figure4b(r), report.Figure4c(r, 15)}
-	case 5:
-		return []*report.Table{report.Figure5(r), report.Figure5c(r)}
-	case 6:
-		return []*report.Table{report.Figure6(r)}
-	case 7:
-		return []*report.Table{report.Figure7(r)}
-	case 8:
-		return []*report.Table{report.Figure8(r)}
-	case 9:
-		return []*report.Table{report.Figure9(r)}
-	case 10:
-		return []*report.Table{report.Figure10(r)}
-	case 11:
-		return []*report.Table{report.Figure11(r)}
-	case 12:
-		return []*report.Table{report.Figure12(r)}
-	case 13:
-		return []*report.Table{report.Figure13(r)}
-	case 14:
-		return []*report.Table{report.Figure14(r)}
-	case 15:
-		return []*report.Table{report.Figure15(r)}
-	default:
-		return nil
 	}
 }

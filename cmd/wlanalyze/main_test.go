@@ -214,3 +214,24 @@ func TestDisorderedInputFails(t *testing.T) {
 		})
 	}
 }
+
+// TestUnknownFigureFailsBeforeInput: a figure the paper does not have
+// is a usage error (exit 2, no output) found before any input is
+// read — with -reliability, which still has a table to print, and
+// with an input that does not exist.
+func TestUnknownFigureFailsBeforeInput(t *testing.T) {
+	good := filepath.Join(t.TempDir(), "good.pcap")
+	writePcap(t, good, []capture.Record{rec(0, 60, phy.Rate11Mbps, 1)}, 0)
+	missing := filepath.Join(t.TempDir(), "missing.pcap")
+	for _, args := range [][]string{
+		{"-figure", "3", "-reliability", good},
+		{"-figure", "3", missing},
+		{"-figure", "16", "-reliability", missing},
+	} {
+		stdout, stderr, code := runWlanalyze(t, args...)
+		if code != 2 || stdout != "" || stderr != "wlanalyze: no figure "+args[1]+"\n" {
+			t.Errorf("wlanalyze %v: exit %d, stdout %q, stderr %q; want exit 2, no output, no figure %s",
+				args, code, stdout, stderr, args[1])
+		}
+	}
+}

@@ -2,25 +2,32 @@
 // writes the vicinity-sniffer trace as a radiotap pcap file, the same
 // wire format the paper's tethereal-based framework produced.
 //
+// Any scenario of the experiment registry can be written (wlansweep
+// -list names them); several sniffers' captures of one transmission
+// are written once. The run streams through the reorder window into
+// the file, so memory does not grow with the trace.
+//
 // Usage:
 //
 //	wlansim -scenario day -scale 0.5 -o day.pcap
 //	wlansim -scenario plenary -o plenary.pcap
-//	wlansim -scenario sweep -o sweep.pcap
+//	wlansim -scenario ladder -o ladder.pcap
+//	wlansim -scenario grid9 -o grid9.pcap
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"wlan80211/internal/capture"
-	"wlan80211/internal/workload"
+	"wlan80211/internal/experiment"
 )
 
 func main() {
 	var (
-		scenario = flag.String("scenario", "day", "scenario: day, plenary, or sweep")
+		scenario = flag.String("scenario", "day", "scenario: "+strings.Join(experiment.Names(), ", "))
 		scale    = flag.Float64("scale", 1.0, "scenario scale factor (0..1]")
 		seed     = flag.Int64("seed", 0, "override the scenario seed (0 keeps default)")
 		out      = flag.String("o", "trace.pcap", "output pcap path")
@@ -28,60 +35,53 @@ func main() {
 	)
 	flag.Parse()
 
-	recs, err := run(*scenario, *scale, *seed)
+	n, err := write(*scenario, *scale, *seed, *out, *snap)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wlansim:", err)
 		os.Exit(1)
 	}
-
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wlansim:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	w, err := capture.NewWriter(f, *snap)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wlansim:", err)
-		os.Exit(1)
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			fmt.Fprintln(os.Stderr, "wlansim:", err)
-			os.Exit(1)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, "wlansim:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %d frames to %s\n", len(recs), *out)
+	fmt.Printf("wrote %d frames to %s\n", n, *out)
 }
 
-func run(scenario string, scale float64, seed int64) ([]capture.Record, error) {
-	switch scenario {
-	case "day", "plenary":
-		s := workload.DaySession()
-		if scenario == "plenary" {
-			s = workload.PlenarySession()
-		}
-		if seed != 0 {
-			s.Seed = seed
-		}
-		b, err := s.Scale(scale).Build()
-		if err != nil {
-			return nil, err
-		}
-		return b.Run(), nil
-	case "sweep":
-		ladder := workload.DefaultLadder(scale)
-		if seed != 0 {
-			for i := range ladder {
-				ladder[i].Seed += seed
+// write runs the named scenario and streams its trace, in start-time
+// order with same-air duplicates dropped, into a pcap at path. It
+// returns the number of frames written.
+func write(scenario string, scale float64, seed int64, path string, snap int) (int, error) {
+	scn, err := experiment.New(scenario, seed, scale)
+	if err != nil {
+		return 0, err
+	}
+	run, err := scn.Build()
+	if err != nil {
+		return 0, err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	w, err := capture.NewWriter(f, snap)
+	if err != nil {
+		return 0, err
+	}
+	// A simulation cannot stop mid-run: after a write error the rest
+	// of the stream is discarded.
+	n := 0
+	var werr error
+	ro := experiment.NewReorder(func(rec capture.Record) {
+		if werr == nil {
+			if werr = w.Write(rec); werr == nil {
+				n++
 			}
 		}
-		return workload.MultiSweep(ladder), nil
-	default:
-		return nil, fmt.Errorf("unknown scenario %q (want day, plenary, or sweep)", scenario)
+	})
+	run.RunStream(ro.Add)
+	ro.Flush()
+	if werr != nil {
+		return n, werr
 	}
+	if err := w.Flush(); err != nil {
+		return n, err
+	}
+	return n, f.Close()
 }

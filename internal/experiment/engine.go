@@ -167,9 +167,7 @@ func runOne(spec Spec, metrics []string, hashed bool) (RunResult, string) {
 		feed = th.Add
 	}
 	ro := NewReorder(feed)
-	if err := run.Stream(ro.Add); err != nil {
-		return RunResult{Spec: spec, Err: err}, ""
-	}
+	run.RunStream(ro.Add)
 	ro.Flush()
 	r := a.Result()
 	rr := RunResult{Spec: spec, Summary: Summarize(r), Result: r}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"wlan80211/internal/capture"
 )
 
 // fakeScenario is a registry-free Scenario whose run emits nothing and
@@ -20,11 +22,10 @@ func (f fakeScenario) Build() (Run, error) { return fakeRun{f.onStream}, nil }
 
 type fakeRun struct{ onStream func() }
 
-func (f fakeRun) Stream(sink Sink) error {
+func (f fakeRun) RunStream(func(capture.Record)) {
 	if f.onStream != nil {
 		f.onStream()
 	}
-	return nil
 }
 
 func fakeSpecs(n int, onFirstStream func()) []Spec {

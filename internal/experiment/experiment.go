@@ -6,10 +6,10 @@
 // It contributes three pieces:
 //
 //   - A Scenario abstraction (name, parameters, build → runnable)
-//     unifying the workload package's Session, Sweep, and sweep-ladder
-//     shapes behind one interface, with a registry so CLIs can select
-//     scenarios by name and a Matrix expander for seeds × scales ×
-//     scenario variants.
+//     over the workload package's Session, Sweep, sweep-ladder, and
+//     Grid shapes, which all build into one workload.Built, with a
+//     registry so CLIs can select scenarios by name and a Matrix
+//     expander for seeds × scales × scenario variants.
 //
 //   - A streaming sim→analysis bridge: a run emits capture records as
 //     frames are sniffed (sniffer emit mode), a bounded reordering
@@ -45,8 +45,8 @@ type Param struct {
 }
 
 // Scenario is one runnable experiment configuration: a named,
-// parameterized recipe that builds into a Run. Implementations wrap
-// the workload package's session, sweep, and ladder shapes; Register
+// parameterized recipe that builds into a Run. The built-ins wrap the
+// workload package's session, sweep, ladder, and grid shapes; Register
 // makes new ones selectable by name.
 type Scenario interface {
 	// Name labels the scenario family ("day", "sweep", ...).
@@ -57,17 +57,19 @@ type Scenario interface {
 	Build() (Run, error)
 }
 
-// Run is one constructed simulation, ready to execute exactly once.
+// Run is one constructed simulation, ready to execute exactly once:
+// the streaming half of *workload.Built, which every built-in
+// Scenario builds.
 type Run interface {
-	// Stream executes the simulation, feeding every captured record
-	// to sink at capture time. Records arrive in observation order —
-	// non-decreasing transmission-end time — so a record's start
-	// timestamp may trail an earlier-delivered one by up to a frame
-	// airtime; Reorder restores start-time order. Sniffers sharing a
-	// channel each deliver their copy of a transmission; Reorder keeps
-	// one. Frame bytes alias reused buffers, valid only during the
-	// sink call.
-	Stream(sink Sink) error
+	// RunStream executes the simulation, feeding every captured
+	// record to emit at capture time. Records arrive in observation
+	// order — non-decreasing transmission-end time — so a record's
+	// start timestamp may trail an earlier-delivered one by up to a
+	// frame airtime; Reorder restores start-time order. Sniffers
+	// sharing a channel each deliver their copy of a transmission;
+	// Reorder keeps one. Frame bytes alias reused buffers, valid only
+	// during the emit call.
+	RunStream(emit func(capture.Record))
 }
 
 // Factory builds a scenario variant for one matrix cell. A zero seed

@@ -51,8 +51,11 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		}
 	})
 	t.Run("sweep", func(t *testing.T) {
-		recs, _, _ := workload.DefaultSweep().Scale(0.15).Run()
-		want := analysis.Analyze(recs)
+		b, err := workload.DefaultSweep().Scale(0.15).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := analysis.Analyze(b.Run())
 		got := streamResult(t, "sweep", 0, 0.15)
 		if !reflect.DeepEqual(want, got) {
 			t.Error("streamed sweep result differs from materialized batch result")
@@ -233,8 +236,13 @@ func TestReorderBoundedBuffer(t *testing.T) {
 	}
 	frames := 0
 	ro := NewReorder(func(capture.Record) { frames++ })
-	sn, _ := workload.DefaultSweep().Scale(0.2).RunStream(ro.Add)
+	b, err := workload.DefaultSweep().Scale(0.2).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.RunStream(ro.Add)
 	ro.Flush()
+	sn := b.Sniffers[0]
 
 	if frames < 1000 {
 		t.Fatalf("only %d frames streamed; sweep too small to be meaningful", frames)

@@ -3,15 +3,13 @@ package experiment
 import (
 	"fmt"
 
-	"wlan80211/internal/capture"
-	"wlan80211/internal/phy"
 	"wlan80211/internal/workload"
 )
 
-// This file adapts the workload package's experiment shapes — Session
+// This file names the workload package's experiment shapes — Session
 // (day/plenary), Sweep (single-cell load ramp), sweep ladders, and
-// multi-cell Grids — to the Scenario interface, and registers the
-// built-in variants.
+// multi-cell Grids, which all build into one workload.Built — as
+// Scenarios, and registers the built-in variants.
 //
 // The paper-reproduction scenarios place at most one sniffer per
 // channel; the grid scenarios place several, producing cross-sniffer
@@ -73,153 +71,75 @@ func init() {
 	})
 }
 
+// scenario is every built-in Scenario: a registry name, the knobs it
+// reports, and the workload constructor it runs.
+type scenario struct {
+	name   string
+	params []Param
+	build  func() (*workload.Built, error)
+}
+
+func (c scenario) Name() string    { return c.name }
+func (c scenario) Params() []Param { return c.params }
+
+func (c scenario) Build() (Run, error) {
+	b, err := c.build()
+	if err != nil {
+		return nil, err // a nil Run, not a nil *Built inside one
+	}
+	return b, nil
+}
+
 // NewSession wraps a workload session (day/plenary shape) as a
 // Scenario.
-func NewSession(s workload.Session) Scenario { return sessionScenario{s} }
-
-type sessionScenario struct{ s workload.Session }
-
-func (c sessionScenario) Name() string { return c.s.Name }
-
-func (c sessionScenario) Params() []Param {
-	return []Param{
-		{"duration_s", fmt.Sprint(c.s.DurationSec)},
-		{"peak_users", fmt.Sprint(c.s.PeakUsers)},
-		{"aps_per_channel", fmt.Sprint(c.s.APsPerChannel)},
-		{"sniffers", fmt.Sprint(len(c.s.Sniffers))},
-		{"load_scale", fmt.Sprint(c.s.LoadScale)},
-		{"seed", fmt.Sprint(c.s.Seed)},
-	}
-}
-
-func (c sessionScenario) Build() (Run, error) {
-	b, err := c.s.Build()
-	if err != nil {
-		return nil, err
-	}
-	return sessionRun{b}, nil
-}
-
-type sessionRun struct{ b *workload.Built }
-
-func (r sessionRun) Stream(sink Sink) error {
-	r.b.RunStream(sink)
-	return nil
+func NewSession(s workload.Session) Scenario {
+	return scenario{s.Name, []Param{
+		{"duration_s", fmt.Sprint(s.DurationSec)},
+		{"peak_users", fmt.Sprint(s.PeakUsers)},
+		{"aps_per_channel", fmt.Sprint(s.APsPerChannel)},
+		{"sniffers", fmt.Sprint(len(s.Sniffers))},
+		{"load_scale", fmt.Sprint(s.LoadScale)},
+		{"seed", fmt.Sprint(s.Seed)},
+	}, s.Build}
 }
 
 // NewSweep wraps a single utilization sweep as a Scenario.
-func NewSweep(s workload.Sweep) Scenario { return sweepScenario{s} }
-
-type sweepScenario struct{ s workload.Sweep }
-
-func (c sweepScenario) Name() string { return "sweep" }
-
-func (c sweepScenario) Params() []Param {
-	return []Param{
-		{"stations", fmt.Sprint(c.s.Stations)},
-		{"step_s", fmt.Sprint(c.s.StepSec)},
-		{"tail_s", fmt.Sprint(c.s.TailSec)},
-		{"load", fmt.Sprint(c.s.Load)},
-		{"seed", fmt.Sprint(c.s.Seed)},
-	}
-}
-
-func (c sweepScenario) Build() (Run, error) {
-	return sweepRun{c.s}, nil
-}
-
-type sweepRun struct{ s workload.Sweep }
-
-func (r sweepRun) Stream(sink Sink) error {
-	r.s.RunStream(sink)
-	return nil
+func NewSweep(s workload.Sweep) Scenario {
+	return scenario{"sweep", []Param{
+		{"stations", fmt.Sprint(s.Stations)},
+		{"step_s", fmt.Sprint(s.StepSec)},
+		{"tail_s", fmt.Sprint(s.TailSec)},
+		{"load", fmt.Sprint(s.Load)},
+		{"seed", fmt.Sprint(s.Seed)},
+	}, s.Build}
 }
 
 // NewLadder wraps a ladder of sweeps run back to back in disjoint
-// time epochs (the MultiSweep shape behind Figures 6–15) as a single
-// Scenario whose stream covers the paper's full utilization range.
+// time epochs (workload.BuildLadder, the shape behind Figures 6–15)
+// as a single Scenario whose stream covers the paper's full
+// utilization range.
 func NewLadder(name string, ladder []workload.Sweep) Scenario {
-	return ladderScenario{name, ladder}
-}
-
-type ladderScenario struct {
-	name   string
-	ladder []workload.Sweep
-}
-
-func (c ladderScenario) Name() string { return c.name }
-
-func (c ladderScenario) Params() []Param {
 	total := 0
-	for _, sw := range c.ladder {
+	for _, sw := range ladder {
 		total += sw.DurationSec()
 	}
-	return []Param{
-		{"rungs", fmt.Sprint(len(c.ladder))},
+	return scenario{name, []Param{
+		{"rungs", fmt.Sprint(len(ladder))},
 		{"total_duration_s", fmt.Sprint(total)},
-	}
-}
-
-func (c ladderScenario) Build() (Run, error) {
-	if len(c.ladder) == 0 {
-		return nil, fmt.Errorf("experiment: ladder %q has no sweeps", c.name)
-	}
-	return ladderRun{c.ladder}, nil
-}
-
-type ladderRun struct{ ladder []workload.Sweep }
-
-// Stream runs the rungs sequentially, shifting each rung's timestamps
-// into its own epoch (exactly workload.MultiSweep's offsets) so the
-// combined stream is one gap-free record sequence.
-func (r ladderRun) Stream(sink Sink) error {
-	var offset phy.Micros
-	for _, sw := range r.ladder {
-		shift := offset
-		sw.RunStream(func(rec capture.Record) {
-			rec.Time += shift
-			sink(rec)
-		})
-		offset += phy.Micros(sw.DurationSec()+1) * phy.MicrosPerSecond
-	}
-	return nil
+	}, func() (*workload.Built, error) { return workload.BuildLadder(ladder) }}
 }
 
 // NewGrid wraps a multi-cell grid (interference, mobility, mixed b/g,
 // multi-sniffer channels) as a Scenario under the given registry name.
-func NewGrid(name string, g workload.Grid) Scenario { return gridScenario{name, g} }
-
-type gridScenario struct {
-	name string
-	g    workload.Grid
-}
-
-func (c gridScenario) Name() string { return c.name }
-
-func (c gridScenario) Params() []Param {
-	return []Param{
-		{"cells", fmt.Sprintf("%dx%d", c.g.Rows, c.g.Cols)},
-		{"duration_s", fmt.Sprint(c.g.DurationSec)},
-		{"stations_per_cell", fmt.Sprint(c.g.StationsPerCell)},
-		{"mobile_stations", fmt.Sprint(c.g.MobileStations)},
-		{"g_fraction", fmt.Sprint(c.g.GFraction)},
-		{"sniffers_per_channel", fmt.Sprint(c.g.SniffersPerChannel)},
-		{"load", fmt.Sprint(c.g.Load)},
-		{"seed", fmt.Sprint(c.g.Seed)},
-	}
-}
-
-func (c gridScenario) Build() (Run, error) {
-	b, err := c.g.Build()
-	if err != nil {
-		return nil, err
-	}
-	return gridRun{b}, nil
-}
-
-type gridRun struct{ b *workload.GridBuilt }
-
-func (r gridRun) Stream(sink Sink) error {
-	r.b.RunStream(sink)
-	return nil
+func NewGrid(name string, g workload.Grid) Scenario {
+	return scenario{name, []Param{
+		{"cells", fmt.Sprintf("%dx%d", g.Rows, g.Cols)},
+		{"duration_s", fmt.Sprint(g.DurationSec)},
+		{"stations_per_cell", fmt.Sprint(g.StationsPerCell)},
+		{"mobile_stations", fmt.Sprint(g.MobileStations)},
+		{"g_fraction", fmt.Sprint(g.GFraction)},
+		{"sniffers_per_channel", fmt.Sprint(g.SniffersPerChannel)},
+		{"load", fmt.Sprint(g.Load)},
+		{"seed", fmt.Sprint(g.Seed)},
+	}, g.Build}
 }

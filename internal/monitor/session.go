@@ -210,9 +210,12 @@ func newSession(ctx context.Context, id string, cfg Config) (*Session, error) {
 
 // validateRecord enforces the streaming stages' input contract: the
 // reorder horizon only bounds memory for frames up to the maximum
-// legal wire size at a valid rate, the window only orders records
-// whose end time it can compute, and the analyzer keeps state per
-// channel, so only the 14 channels of the band may reach it.
+// legal wire size at a valid rate; a record carries no more frame
+// bytes than its wire length (capture.FromPcap's rule), because a
+// Reorder slot keeps the largest buffer it held for the session's
+// life; the window only orders records whose end time it can compute;
+// and the analyzer keeps state per channel, so only the 14 channels
+// of the band may reach it.
 func validateRecord(rec capture.Record) error {
 	if !rec.Rate.Valid() {
 		return fmt.Errorf("monitor: invalid rate %d", rec.Rate)
@@ -222,6 +225,9 @@ func validateRecord(rec capture.Record) error {
 	}
 	if rec.OrigLen <= 0 || rec.OrigLen > experiment.MaxReorderWire {
 		return fmt.Errorf("monitor: wire length %d outside (0, %d]", rec.OrigLen, experiment.MaxReorderWire)
+	}
+	if len(rec.Frame) > rec.OrigLen {
+		return fmt.Errorf("monitor: %d frame bytes exceed wire length %d", len(rec.Frame), rec.OrigLen)
 	}
 	if !experiment.InReorderRange(rec.Time, phy.Airtime(rec.OrigLen, rec.Rate)) {
 		return fmt.Errorf("monitor: timestamp %d µs out of range", rec.Time)
@@ -254,35 +260,31 @@ func (s *Session) enqueue(rec capture.Record) bool {
 	}
 }
 
-// runScenario streams a simulator run into the queue. Stream has no
+// runScenario streams a simulator run into the queue. RunStream has no
 // cancellation hook, so a stop aborts it by panicking out of the sink
 // and recovering here.
 func (s *Session) runScenario(ctx context.Context, run experiment.Run) {
 	defer close(s.queue)
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if r == errStopped {
-					err = errStopped
-					return
-				}
+	defer func() {
+		if r := recover(); r != nil {
+			if r != errStopped {
 				panic(r)
 			}
-		}()
-		return run.Stream(func(rec capture.Record) {
-			// Stream's frames alias reused buffers, valid only during
-			// this call; the queue outlives it.
-			rec.Frame = append([]byte(nil), rec.Frame...)
-			if err := validateRecord(rec); err != nil {
-				s.rejected.Add(1)
-				return
-			}
-			if !s.enqueueBlocking(ctx, rec) {
-				panic(errStopped)
-			}
-		})
+			s.srcErr = errStopped
+		}
 	}()
-	s.srcErr = err
+	run.RunStream(func(rec capture.Record) {
+		// RunStream's frames alias reused buffers, valid only during
+		// this call; the queue outlives it.
+		rec.Frame = append([]byte(nil), rec.Frame...)
+		if err := validateRecord(rec); err != nil {
+			s.rejected.Add(1)
+			return
+		}
+		if !s.enqueueBlocking(ctx, rec) {
+			panic(errStopped)
+		}
+	})
 }
 
 // runPcap replays a radiotap pcap into the queue, pacing against the

@@ -123,9 +123,9 @@ func (endlessRun) Name() string                   { return "endless" }
 func (endlessRun) Params() []experiment.Param     { return nil }
 func (endlessRun) Build() (experiment.Run, error) { return endlessRun{}, nil }
 
-func (endlessRun) Stream(sink experiment.Sink) error {
+func (endlessRun) RunStream(emit func(capture.Record)) {
 	for tm := phy.Micros(0); ; tm += 100_000 {
-		sink(beaconRec(tm, phy.Channel1))
+		emit(beaconRec(tm, phy.Channel1))
 	}
 }
 
@@ -267,9 +267,7 @@ func TestScenarioSessionDedupMatchesDedup(t *testing.T) {
 	}
 	kept := 0
 	dd := experiment.NewDedup(func(capture.Record) { kept++ })
-	if err := run.Stream(dd.Add); err != nil {
-		t.Fatal(err)
-	}
+	run.RunStream(dd.Add)
 	waitDone(t, s)
 	v := s.View()
 	if dd.Dropped == 0 {
@@ -414,6 +412,45 @@ func TestPushSessionSparseTraceBoundedMemory(t *testing.T) {
 	}
 	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 16 {
 		t.Fatalf("a push spanning %d s allocated %.1f MB, want < 16", span, mb)
+	}
+}
+
+// TestPushSessionRejectsOversizedFrames: a pushed record whose frame
+// is longer than its wire length is rejected. A reorder slot keeps
+// the buffer of the frame it held for the session's life, so 64
+// beacons of 1 MiB stamped orig_len 60 would pin 64 MiB after the
+// push drained.
+func TestPushSessionRejectsOversizedFrames(t *testing.T) {
+	s, err := newSession(context.Background(), "s1", Config{
+		Source: SourceConfig{Type: SourcePush},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, frameLen = 64, 1 << 20
+	big := make([]byte, frameLen)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	recs := make([]capture.Record, n)
+	for i := range recs {
+		recs[i] = beaconRec(phy.Micros(i)*1000, phy.Channel1)
+		copy(big, recs[i].Frame)
+		recs[i].Frame, recs[i].OrigLen = big, 60
+	}
+	accepted, _, rejected, err := s.Ingest(recs)
+	if err != nil || accepted != 0 || rejected != n {
+		t.Fatalf("ingest: %d accepted, %d rejected, %v; want 0 and %d", accepted, rejected, err, n)
+	}
+	s.Stop()
+	recs, big = nil, nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 8<<20 {
+		t.Fatalf("heap grew %d MiB after the push drained, want < 8", grown>>20)
+	}
+	if v := s.View(); v.Rejected != n || v.Frames != 0 {
+		t.Fatalf("session: %d rejected, %d frames; want %d and 0", v.Rejected, v.Frames, n)
 	}
 }
 

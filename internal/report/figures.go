@@ -281,28 +281,40 @@ func Summary(r *analysis.Result) *Table {
 	return t
 }
 
+// FirstFigure and LastFigure bound the numbers of the paper's figures
+// that come from a trace; Figure renders each of them.
+const (
+	FirstFigure = 4
+	LastFigure  = 15
+)
+
+// Figure returns the tables of the paper's Figure n, in paper order,
+// or nil when n is not in FirstFigure..LastFigure.
+func Figure(r *analysis.Result, n int) []*Table {
+	switch n {
+	case 4:
+		return []*Table{Figure4a(r, 15), Figure4b(r), Figure4c(r, 15)}
+	case 5:
+		return []*Table{Figure5(r), Figure5c(r)}
+	}
+	if n < 6 || n > LastFigure {
+		return nil
+	}
+	scatter := [...]func(*analysis.Result) *Table{
+		Figure6, Figure7, Figure8, Figure9, Figure10,
+		Figure11, Figure12, Figure13, Figure14, Figure15,
+	}
+	return []*Table{scatter[n-6](r)}
+}
+
 // AllFigures returns every table/figure in paper order, for the
 // end-to-end reproduction command.
 func AllFigures(r *analysis.Result) []*Table {
-	return []*Table{
-		Summary(r),
-		Table2(),
-		Figure4a(r, 15),
-		Figure4b(r),
-		Figure4c(r, 15),
-		Figure5(r),
-		Figure5c(r),
-		Figure6(r),
-		Figure7(r),
-		Figure8(r),
-		Figure9(r),
-		Figure10(r),
-		Figure11(r),
-		Figure12(r),
-		Figure13(r),
-		Figure14(r),
-		Figure15(r),
+	tables := []*Table{Summary(r), Table2()}
+	for n := FirstFigure; n <= LastFigure; n++ {
+		tables = append(tables, Figure(r, n)...)
 	}
+	return tables
 }
 
 // Reliability renders the E-WIND beacon-reliability metric per AP

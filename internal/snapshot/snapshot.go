@@ -1,7 +1,6 @@
-// Package snapshot holds crash-safe file writes and a versioned binary
-// container. AtomicWriteFile replaces a file so that a crash at any
-// instant leaves the old contents or the complete new ones; campaign
-// manifests and reports are written through it.
+// Package snapshot holds a versioned binary container. (Crash-safe
+// file replacement, which campaign manifests and reports are written
+// through, is experiment.AtomicWriteFile.)
 //
 // The container is self-describing and fails loud: a fixed magic and
 // version header, a sequence of tagged length-prefixed sections, and

@@ -69,8 +69,14 @@ var goldenScenarios = map[string]func() []capture.Record{
 		return b.Run()
 	},
 	"sweep": func() []capture.Record {
-		recs, _, _ := DefaultSweep().Scale(0.25).Run()
-		return recs
+		// The sniffer's own capture-order trace, unmerged: the form
+		// this golden was recorded in.
+		b, err := DefaultSweep().Scale(0.25).Build()
+		if err != nil {
+			panic(err)
+		}
+		b.Net.RunFor(b.Duration)
+		return b.Sniffers[0].Records()
 	},
 	"grid": func() []capture.Record {
 		b, err := DefaultGrid().Scale(0.5).Build()

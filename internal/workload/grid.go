@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"wlan80211/internal/capture"
 	"wlan80211/internal/phy"
 	"wlan80211/internal/rate"
 	"wlan80211/internal/sim"
@@ -159,19 +158,10 @@ func (g Grid) cellChannel(cell int) phy.Channel {
 	return g.Channels[cell%len(g.Channels)]
 }
 
-// GridBuilt is a constructed grid scenario ready to run.
-type GridBuilt struct {
-	Net      *sim.Network
-	APs      []*sim.Node
-	Mobiles  []*sim.Node
-	Sniffers []*sniffer.Sniffer
-	Grid     Grid
-}
-
 // Build constructs the grid's network: APs, static and mobile
 // stations, roaming schedule, and sniffers. Call Run or RunStream to
 // execute it.
-func (g Grid) Build() (*GridBuilt, error) {
+func (g Grid) Build() (*Built, error) {
 	if g.Rows < 1 || g.Cols < 1 {
 		return nil, fmt.Errorf("workload: grid needs ≥1×1 cells, got %d×%d", g.Rows, g.Cols)
 	}
@@ -193,7 +183,7 @@ func (g Grid) Build() (*GridBuilt, error) {
 		cfg.Env = *g.Env
 	}
 	net := sim.New(cfg)
-	b := &GridBuilt{Net: net, Grid: g}
+	b := &Built{Net: net, Duration: phy.Micros(g.DurationSec) * phy.MicrosPerSecond}
 
 	// APs: all dual-mode (enterprise b/g hardware), SNR-adapting over
 	// the OFDM ladder toward dual-mode clients.
@@ -316,42 +306,4 @@ func (g Grid) usedChannels() []phy.Channel {
 		}
 	}
 	return out
-}
-
-// Run executes the grid and returns the merged, deduplicated,
-// time-sorted trace from all sniffers (the materialized reference the
-// streaming path must match bit for bit).
-func (b *GridBuilt) Run() []capture.Record {
-	b.Net.RunFor(phy.Micros(b.Grid.DurationSec) * phy.MicrosPerSecond)
-	traces := make([][]capture.Record, len(b.Sniffers))
-	for i, sn := range b.Sniffers {
-		traces[i] = sn.Records()
-	}
-	return capture.Merge(traces...)
-}
-
-// MultiSniffer reports whether any channel has ≥2 sniffers — when
-// true, a streamed run contains cross-sniffer duplicates that must be
-// dropped to match Run's merged trace.
-func (b *GridBuilt) MultiSniffer() bool {
-	perChannel := make(map[phy.Channel]int)
-	for _, sn := range b.Sniffers {
-		perChannel[sn.Config().Channel]++
-		if perChannel[sn.Config().Channel] >= 2 {
-			return true
-		}
-	}
-	return false
-}
-
-// RunStream executes the grid, streaming every record any sniffer
-// captures to emit at capture time; nothing is materialized. Unlike
-// the single-sniffer-per-channel scenarios, the stream contains
-// cross-sniffer duplicates — the experiment package's Reorder window
-// drops them as it restores start-time order.
-func (b *GridBuilt) RunStream(emit func(capture.Record)) {
-	for _, sn := range b.Sniffers {
-		sn.SetEmit(emit)
-	}
-	b.Net.RunFor(phy.Micros(b.Grid.DurationSec) * phy.MicrosPerSecond)
 }

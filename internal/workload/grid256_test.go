@@ -1,6 +1,10 @@
 package workload
 
-import "testing"
+import (
+	"testing"
+
+	"wlan80211/internal/phy"
+)
 
 // TestGrid256SparseRowLengths pins the O(N·k) link-matrix claim on the
 // campus grid: every row must hold only its interference neighborhood,
@@ -71,7 +75,7 @@ func TestGrid256MovesStayLocal(t *testing.T) {
 	b.Run()
 	rc := b.Net.RowCounters()
 	// Each mobile steps every half second, from 0.5 s to the end.
-	steps := uint64(len(b.Mobiles) * b.Grid.DurationSec * 2)
+	steps := uint64(len(b.Mobiles)) * uint64(b.Duration/phy.MicrosPerSecond) * 2
 	if rc.LocalMoves != steps || rc.GlobalMoves != 0 {
 		t.Fatalf("%d of %d mobile steps local, %d global", rc.LocalMoves, steps, rc.GlobalMoves)
 	}

@@ -75,7 +75,10 @@ func (s Sweep) Scale(f float64) Sweep {
 
 // Build constructs the sweep's network, AP, sniffer, and activation
 // schedule without running it. Call Run or RunStream to execute.
-func (s Sweep) Build() (*sim.Network, *sniffer.Sniffer) {
+func (s Sweep) Build() (*Built, error) {
+	if s.DurationSec() <= 0 {
+		return nil, fmt.Errorf("workload: sweep has no duration")
+	}
 	if s.RateFactory == nil {
 		s.RateFactory = rate.NewMixedFactory()
 	}
@@ -109,24 +112,12 @@ func (s Sweep) Build() (*sim.Network, *sniffer.Sniffer) {
 		load := s.Load
 		net.Schedule(at, func() { net.StartTraffic(st, p, load) })
 	}
-	return net, sn
-}
-
-// Run executes the sweep and returns the sniffer trace.
-func (s Sweep) Run() ([]capture.Record, *sniffer.Sniffer, *sim.Network) {
-	net, sn := s.Build()
-	net.RunFor(phy.Micros(s.DurationSec()) * phy.MicrosPerSecond)
-	return sn.Records(), sn, net
-}
-
-// RunStream executes the sweep, streaming every captured record to
-// emit at capture time (see Sniffer.SetEmit for the aliasing and
-// ordering contract); nothing is materialized.
-func (s Sweep) RunStream(emit func(capture.Record)) (*sniffer.Sniffer, *sim.Network) {
-	net, sn := s.Build()
-	sn.SetEmit(emit)
-	net.RunFor(phy.Micros(s.DurationSec()) * phy.MicrosPerSecond)
-	return sn, net
+	return &Built{
+		Net:      net,
+		APs:      []*sim.Node{ap},
+		Sniffers: []*sniffer.Sniffer{sn},
+		Duration: phy.Micros(s.DurationSec()) * phy.MicrosPerSecond,
+	}, nil
 }
 
 // ShiftTrace returns a copy of recs with all timestamps offset by d,
@@ -141,23 +132,39 @@ func ShiftTrace(recs []capture.Record, d phy.Micros) []capture.Record {
 	return out
 }
 
-// MultiSweep merges the traces of a ladder of sweep variants into
-// disjoint time epochs. The default ladder mixes cell sizes, loads,
-// and adapter populations: a small mixed-adapter cell covers light
-// utilization, a dense lightly-loaded SNR-adapter cell holds the
-// 30–70% mid-band stably (no ARF collapse spiral), and a saturated
-// mixed-adapter cell reaches the collapse regime — together covering
-// the paper's full 30–99% analysis range the way its day and plenary
-// data sets did.
-func MultiSweep(ladder []Sweep) []capture.Record {
-	var traces [][]capture.Record
-	var offset phy.Micros
-	for _, sw := range ladder {
-		recs, _, _ := sw.Run()
-		traces = append(traces, ShiftTrace(recs, offset))
-		offset += phy.Micros(sw.DurationSec()+1) * phy.MicrosPerSecond
+// BuildLadder builds a ladder of sweep variants as one run whose
+// rungs execute back to back in disjoint time epochs. The default
+// ladder mixes cell sizes, loads, and adapter populations: a small
+// mixed-adapter cell covers light utilization, a dense lightly-loaded
+// SNR-adapter cell holds the 30–70% mid-band stably (no ARF collapse
+// spiral), and a saturated mixed-adapter cell reaches the collapse
+// regime — together covering the paper's full 30–99% analysis range
+// the way its day and plenary data sets did.
+func BuildLadder(ladder []Sweep) (*Built, error) {
+	if len(ladder) == 0 {
+		return nil, fmt.Errorf("workload: ladder has no sweeps")
 	}
-	return capture.Merge(traces...)
+	var first *Built
+	next := &first
+	for _, sw := range ladder {
+		b, err := sw.Build()
+		if err != nil {
+			return nil, err
+		}
+		*next = b
+		next = &b.next
+	}
+	return first, nil
+}
+
+// MultiSweep runs a ladder of sweeps (see BuildLadder) and returns
+// its merged trace; a ladder that does not build yields no records.
+func MultiSweep(ladder []Sweep) []capture.Record {
+	b, err := BuildLadder(ladder)
+	if err != nil {
+		return nil
+	}
+	return b.Run()
 }
 
 // DefaultLadder returns the sweep ladder the figure benches use.

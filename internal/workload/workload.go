@@ -128,12 +128,19 @@ func (s Session) Scale(f float64) Session {
 	return s
 }
 
-// Built is a constructed scenario ready to run.
+// Built is a constructed scenario ready to run: one simulated network
+// with its APs, roaming mobiles and sniffers, run for Duration. Every
+// scenario shape builds into it. A sweep ladder is a chain of Builts,
+// one per rung (see BuildLadder); its fields describe the first rung.
 type Built struct {
 	Net      *sim.Network
 	APs      []*sim.Node
+	Mobiles  []*sim.Node
 	Sniffers []*sniffer.Sniffer
-	Session  Session
+	// Duration is the simulated run length.
+	Duration phy.Micros
+	// next is the ladder rung that runs after this one.
+	next *Built
 }
 
 // Build constructs the network, APs, sniffers, and user-churn
@@ -166,7 +173,7 @@ func (s Session) Build() (*Built, error) {
 		aps = append(aps, ap)
 	}
 
-	b := &Built{Net: net, APs: aps, Session: s}
+	b := &Built{Net: net, APs: aps, Duration: phy.Micros(s.DurationSec) * phy.MicrosPerSecond}
 	for i, sp := range s.Sniffers {
 		sn := sniffer.New(sniffer.DefaultConfig(sp.Name, i+1, sp.Pos, sp.Channel))
 		net.AddTap(sn)
@@ -233,14 +240,34 @@ func (s Session) scheduleChurn(b *Built) {
 	}
 }
 
-// Run executes the scenario and returns the merged, time-sorted trace
-// from all sniffers.
-func (b *Built) Run() []capture.Record {
-	b.Net.RunFor(phy.Micros(b.Session.DurationSec) * phy.MicrosPerSecond)
-	traces := make([][]capture.Record, len(b.Sniffers))
-	for i, sn := range b.Sniffers {
-		traces[i] = sn.Records()
+// rungs calls run for b and every ladder rung after it, in order, with
+// the offset that shifts the rung's timestamps into its own epoch:
+// each epoch starts one second after the previous rung's run ends, so
+// the rungs' traces join without overlapping seconds. A scenario that
+// is not a ladder is one rung at offset 0.
+func (b *Built) rungs(run func(r *Built, offset phy.Micros)) {
+	var offset phy.Micros
+	for r := b; r != nil; r = r.next {
+		run(r, offset)
+		offset += r.Duration + phy.MicrosPerSecond
 	}
+}
+
+// Run executes the scenario and returns the merged, time-sorted trace
+// from all sniffers, with cross-sniffer duplicates dropped (the
+// materialized reference the streaming path must match bit for bit).
+func (b *Built) Run() []capture.Record {
+	var traces [][]capture.Record
+	b.rungs(func(r *Built, offset phy.Micros) {
+		r.Net.RunFor(r.Duration)
+		for _, sn := range r.Sniffers {
+			recs := sn.Records()
+			if offset != 0 {
+				recs = ShiftTrace(recs, offset)
+			}
+			traces = append(traces, recs)
+		}
+	})
 	return capture.Merge(traces...)
 }
 
@@ -249,11 +276,37 @@ func (b *Built) Run() []capture.Record {
 // peak memory is independent of the session length. Records arrive in
 // observation order (non-decreasing transmission-end time across all
 // sniffers); each record's Frame aliases a simulator buffer valid
-// only during the emit call. The experiment package's reordering
-// bridge turns this stream into the time-sorted order Run produces.
+// only during the emit call. Sniffers sharing a channel each deliver
+// their copy of a transmission. The experiment package's Reorder
+// window turns this stream into the time-sorted, deduplicated order
+// Run produces.
 func (b *Built) RunStream(emit func(capture.Record)) {
-	for _, sn := range b.Sniffers {
-		sn.SetEmit(emit)
-	}
-	b.Net.RunFor(phy.Micros(b.Session.DurationSec) * phy.MicrosPerSecond)
+	b.rungs(func(r *Built, offset phy.Micros) {
+		e := emit
+		if offset != 0 {
+			e = func(rec capture.Record) {
+				rec.Time += offset
+				emit(rec)
+			}
+		}
+		for _, sn := range r.Sniffers {
+			sn.SetEmit(e)
+		}
+		r.Net.RunFor(r.Duration)
+	})
+}
+
+// MultiSniffer reports whether any rung has ≥2 sniffers on one
+// channel — when true, a streamed run contains cross-sniffer
+// duplicates that must be dropped to match Run's merged trace.
+func (b *Built) MultiSniffer() bool {
+	multi := false
+	b.rungs(func(r *Built, _ phy.Micros) {
+		perChannel := make(map[phy.Channel]int)
+		for _, sn := range r.Sniffers {
+			perChannel[sn.Config().Channel]++
+			multi = multi || perChannel[sn.Config().Channel] >= 2
+		}
+	})
+	return multi
 }

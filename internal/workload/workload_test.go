@@ -105,11 +105,15 @@ func TestSweepCoversUtilizationRange(t *testing.T) {
 	}
 	sw := DefaultSweep()
 	sw.StepSec = 3
-	recs, sn, net := sw.Run()
+	b, err := sw.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := b.Run()
 	if len(recs) == 0 {
 		t.Fatal("empty sweep trace")
 	}
-	if net.Stats.DataSent == 0 || sn.Captured == 0 {
+	if b.Net.Stats.DataSent == 0 || b.Sniffers[0].Captured == 0 {
 		t.Fatal("no traffic")
 	}
 	r := analysis.Analyze(recs)
@@ -142,8 +146,11 @@ func TestSweepCoversUtilizationRange(t *testing.T) {
 
 func TestSweepDefaults(t *testing.T) {
 	sw := Sweep{Stations: 1, StepSec: 1}
-	recs, _, _ := sw.Run() // nil factory, zero channel/room/load default
-	_ = recs
+	b, err := sw.Build() // nil factory, zero channel/room/load default
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Run()
 	if sw.DurationSec() != 1 {
 		t.Errorf("DurationSec = %d", sw.DurationSec())
 	}
