@@ -58,6 +58,11 @@ func main() {
 	profStop = stop
 	defer stop()
 
+	if err := experiment.CheckScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "ietfrepro:", err)
+		profStop()
+		os.Exit(2)
+	}
 	if *only != 0 && (*only < report.FirstFigure || *only > report.LastFigure) {
 		fmt.Fprintf(os.Stderr, "ietfrepro: no figure %d (have %d-%d)\n", *only, report.FirstFigure, report.LastFigure)
 		profStop()

@@ -47,8 +47,12 @@ func main() {
 	maxSessions := flag.Int("max-sessions", monitor.DefaultMaxSessions,
 		"maximum concurrent monitoring sessions (finished sessions count until deleted)")
 	window := flag.Int("window", monitor.DefaultWindowSec,
-		"default per-second history retained by each session")
+		fmt.Sprintf("default per-second history retained by each session (at most %d)", monitor.MaxWindowSec))
 	flag.Parse()
+	if *window > monitor.MaxWindowSec {
+		fmt.Fprintf(os.Stderr, "wland: -window %d above the bound %d\n", *window, monitor.MaxWindowSec)
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

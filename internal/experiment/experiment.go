@@ -28,6 +28,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"wlan80211/internal/capture"
@@ -107,8 +108,23 @@ func Names() []string {
 	return out
 }
 
-// New builds the named scenario variant from the registry.
+// CheckScale rejects a scale factor that is not finite and above 0:
+// a scenario's Scale keeps its full size for one at or below 0, and no
+// factory sizes a NaN or infinite one sensibly, so such a label would
+// not describe the run it names.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("experiment: scale %g is not a finite number above 0", scale)
+	}
+	return nil
+}
+
+// New builds the named scenario variant from the registry, at a scale
+// CheckScale accepts.
 func New(name string, seed int64, scale float64) (Scenario, error) {
+	if err := CheckScale(scale); err != nil {
+		return nil, err
+	}
 	for _, e := range registry {
 		if e.name == name {
 			return e.factory(seed, scale), nil

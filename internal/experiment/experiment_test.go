@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -275,6 +277,27 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := (Matrix{Scenarios: []string{"nope"}}).Expand(); err == nil {
 		t.Error("matrix with unknown scenario must error")
+	}
+}
+
+// TestMatrixExpandRejectsInvalidScales checks that a scale that is not
+// a finite number above 0 fails the expansion instead of running some
+// other size under its label: 0 and −1 would build the full-size
+// scenario, NaN a minimal one.
+func TestMatrixExpandRejectsInvalidScales(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(scale), func(t *testing.T) {
+			specs, err := Matrix{Scenarios: []string{"sweep"}, Seeds: []int64{1}, Scales: []float64{0.5, scale}}.Expand()
+			if err == nil {
+				t.Fatalf("scale %v expanded to %d specs, want an error", scale, len(specs))
+			}
+			if _, err := New("day", 1, scale); err == nil {
+				t.Fatalf("New accepted scale %v", scale)
+			}
+		})
+	}
+	if _, err := (Matrix{Scenarios: []string{"sweep"}, Scales: []float64{0.01, 2}}).Expand(); err != nil {
+		t.Fatalf("valid scales rejected: %v", err)
 	}
 }
 

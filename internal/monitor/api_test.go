@@ -234,6 +234,44 @@ func TestAPIContract(t *testing.T) {
 // TestAPIVersionedRoutes pins the /api/v1 surface: every session
 // route serves under /api/v1, and the retired unversioned /api paths
 // answer 404 for every method.
+// TestAPIRejectsOversizedSessions checks that a queue_size or
+// window_sec above its bound is a 400 that creates no session, where
+// an allocation of that size would panic the handler or reserve
+// gigabytes, and that the daemon keeps serving.
+func TestAPIRejectsOversizedSessions(t *testing.T) {
+	mgr := NewManager(context.Background(), 2)
+	defer mgr.Close()
+	srv := httptest.NewServer(NewServer(mgr))
+	defer srv.Close()
+
+	push := SourceConfig{Type: SourcePush}
+	for _, cfg := range []Config{
+		{Source: push, QueueSize: 1 << 62},
+		{Source: push, WindowSec: 1 << 62},
+		{Source: push, QueueSize: MaxQueueSize + 1},
+		{Source: push, WindowSec: MaxWindowSec + 1},
+	} {
+		code, body := do(t, "POST", srv.URL+"/api/v1/sessions", cfg)
+		if code != http.StatusBadRequest {
+			t.Fatalf("queue_size %d window_sec %d: %d, want 400\n%s", cfg.QueueSize, cfg.WindowSec, code, body)
+		}
+	}
+	code, body := do(t, "GET", srv.URL+"/healthz", nil)
+	var health struct {
+		Status   string `json:"status"`
+		Sessions int    `json:"sessions"`
+	}
+	if err := json.Unmarshal(body, &health); err != nil || code != http.StatusOK ||
+		health.Status != "ok" || health.Sessions != 0 {
+		t.Fatalf("healthz after rejected creates: %d %s", code, body)
+	}
+	// The bounds themselves are accepted.
+	code, body = do(t, "POST", srv.URL+"/api/v1/sessions", Config{Source: push, QueueSize: MaxQueueSize, WindowSec: MaxWindowSec})
+	if code != http.StatusCreated {
+		t.Fatalf("session at the bounds: %d\n%s", code, body)
+	}
+}
+
 func TestAPIVersionedRoutes(t *testing.T) {
 	mgr := NewManager(context.Background(), 2)
 	defer mgr.Close()

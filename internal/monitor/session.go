@@ -65,6 +65,15 @@ type Config struct {
 // DefaultQueueSize bounds the ingest queue when the config does not.
 const DefaultQueueSize = 4096
 
+// MaxQueueSize and MaxWindowSec bound what one session may reserve up
+// front: the ingest queue (about 64 B a record, 4 MiB at the bound) and
+// the per-second history ring (80 B a second, under 7 MiB for a day).
+// A config above either is rejected before anything is built.
+const (
+	MaxQueueSize = 1 << 16
+	MaxWindowSec = 24 * 60 * 60
+)
+
 // Session states.
 const (
 	StateRunning = "running"
@@ -140,6 +149,12 @@ func (c *Config) validate() error {
 	if c.WindowSec < 0 || c.QueueSize < 0 {
 		return fmt.Errorf("monitor: negative window or queue size")
 	}
+	if c.WindowSec > MaxWindowSec {
+		return fmt.Errorf("monitor: window_sec %d above the bound %d", c.WindowSec, MaxWindowSec)
+	}
+	if c.QueueSize > MaxQueueSize {
+		return fmt.Errorf("monitor: queue_size %d above the bound %d", c.QueueSize, MaxQueueSize)
+	}
 	for _, r := range c.Alerts {
 		if err := r.Validate(); err != nil {
 			return err
@@ -148,8 +163,10 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// scaleOr1 maps an absent (zero) scale to full size; any other value
+// goes to experiment.New, which rejects one that is not above 0.
 func scaleOr1(s float64) float64 {
-	if s <= 0 {
+	if s == 0 {
 		return 1
 	}
 	return s

@@ -20,7 +20,7 @@ type medium struct {
 	// observations (Taps may not retain it).
 	obsScratch []TxRef
 	// senseScratch/candScratch are the reused candidate buffers of the
-	// spatially-culled transmit and complete loops (separate so a
+	// culled transmit and complete walks (separate so a
 	// transmit nested under a completion can't clobber the delivery
 	// set). They receive copies of the per-row cached candidate sets.
 	senseScratch []spCand
@@ -34,11 +34,11 @@ type medium struct {
 	// the current completion zeroed).
 	interfScratch []float64
 	// eligScratch holds the subset of candidates that pass the
-	// deterministic delivery gates during one sparse completion's
+	// deterministic delivery gates during one culled completion's
 	// interference accumulation; consumed before any callback runs.
 	eligScratch []spCand
 	// bracketScratch holds the per-candidate [lo, hi] interference
-	// bounds of one sparse completion, parallel to eligScratch.
+	// bounds of one culled completion, parallel to eligScratch.
 	bracketScratch [][2]float64
 }
 
@@ -50,7 +50,7 @@ type medium struct {
 type transmission struct {
 	from *Node
 	med  *medium
-	row  *linkRow // transmitter's link-matrix row, pinned at transmit
+	row  *linkRow // transmitter's link row, pinned at transmit
 	// frame is the encoded MAC frame without FCS, in a buffer reused
 	// across the pool.
 	frame   []byte
@@ -157,8 +157,8 @@ func (m *medium) cachedCands(row *linkRow, owner *Node) []spCand {
 }
 
 // interfFor returns the per-receiver interference scratch sized for n
-// node IDs. Entries are not cleared here: the sparse path writes only
-// its candidates' slots (settleCapture), the dense path zeroes the
+// node IDs. Entries are not cleared here: the culled walk writes only
+// its candidates' slots (settleCapture), the full walk zeroes the
 // whole span.
 func (m *medium) interfFor(n int) []float64 {
 	if cap(m.interfScratch) < n {
@@ -173,14 +173,7 @@ func (m *medium) interfFor(n int) []float64 {
 // across a run; the relation comes precomputed from the link matrix.
 func (m *medium) busy(n *Node) bool {
 	for _, tx := range m.active {
-		if tx.from == n {
-			continue
-		}
-		if tx.row.sparse {
-			if tx.row.senses(n) {
-				return true
-			}
-		} else if tx.row.to[n.ID].sense {
+		if tx.from != n && tx.row.senses(n) {
 			return true
 		}
 	}
@@ -246,11 +239,12 @@ func (m *medium) transmit(n *Node, f dot11.Frame, r phy.Rate) phy.Micros {
 	m.active = append(m.active, tx)
 
 	// Carrier-sense notification: nodes that sense this transmitter
-	// see the medium go busy. Sparse rows visit only the in-range
-	// neighborhood, in the same attachment order the dense scan walks
-	// — every culled node has sense=false, so the dense loop would
-	// skip it anyway.
-	if tx.row.sparse {
+	// see the medium go busy. A culling network visits only the
+	// in-range neighborhood, in the same attachment order the full walk
+	// takes — every culled node has sense=false, so the full walk would
+	// skip it anyway. A network that culls nothing walks every attached
+	// node, whose row entry sits at its ID.
+	if m.net.sparse {
 		m.senseScratch = append(m.senseScratch[:0], m.cachedCands(tx.row, n)...)
 		for _, c := range m.senseScratch {
 			if c.l.sense {
@@ -258,11 +252,9 @@ func (m *medium) transmit(n *Node, f dot11.Frame, r phy.Rate) phy.Micros {
 			}
 		}
 	} else {
+		ls := tx.row.ls
 		for _, o := range m.nodes {
-			if o == n {
-				continue
-			}
-			if tx.row.to[o.ID].sense {
+			if o != n && ls[o.ID].sense {
 				o.mediumBusyDelta(+1)
 			}
 		}
@@ -287,11 +279,11 @@ func (m *medium) complete(tx *transmission) {
 	// Batched pre-pass: one walk of the overlap list per event pop,
 	// instead of one per receiver. Half-duplex senders are stamped with
 	// a completion-unique token (seqnos are unique, so stale stamps from
-	// earlier completions can never match). Dense rows accumulate
+	// earlier completions can never match). The full walk accumulates
 	// per-receiver interference interferer-outer — each receiver's slot
 	// adds the identical terms in the identical seqno order a
-	// per-receiver walk would, so the float sums are bit-identical;
-	// sparse rows settle each receiver's capture test from an
+	// per-receiver walk would, so the float sums are bit-identical; the
+	// culled walk settles each receiver's capture test from an
 	// interference bracket first (settleCapture).
 	// The FER decision context (table column bracket) is fetched once
 	// per transmission rather than once per receiver.
@@ -305,19 +297,20 @@ func (m *medium) complete(tx *transmission) {
 		lk = m.net.fer.Lookup(tx.wireLen, tx.rate)
 	}
 
-	// Carrier-sense release, then delivery. Sparse rows gather the
-	// in-range neighborhood once (attachment order, matching the dense
-	// scans): a culled node has sense=false and snr<=0, so the dense
-	// loops would traverse it with zero effect — and zero RNG draws,
-	// since sparse mode implies no shadowing.
-	if tx.row.sparse {
+	// Carrier-sense release, then delivery. A culling network gathers
+	// the in-range neighborhood once (attachment order, matching the
+	// full walk): a culled node has sense=false and snr<=0, so the full
+	// walk would traverse it with zero effect — and zero RNG draws,
+	// since culling implies no shadowing. A network that culls nothing
+	// walks every attached node: each one draws a shadowing variate.
+	if m.net.sparse {
 		m.candScratch = append(m.candScratch[:0], m.cachedCands(tx.row, tx.from)...)
 		cands := m.candScratch
 		if len(tx.overlapped) > 0 {
 			// Settle capture only for candidates that will reach the
 			// SINR test: deliverable's earlier gates (decode floor, OFDM
-			// capability, half-duplex) are all deterministic in sparse
-			// mode — no shadowing, so no RNG draw is skipped — and a
+			// capability, half-duplex) are all deterministic in a culling
+			// network — no shadowing, so no RNG draw is skipped — and a
 			// gated-out receiver never reads its interference slot.
 			// Sense-only-range neighbors and b-only receivers of OFDM
 			// frames are most of a campus neighborhood, so this filter,
@@ -356,21 +349,17 @@ func (m *medium) complete(tx *transmission) {
 	} else {
 		if len(tx.overlapped) > 0 {
 			interf = m.interfFor(len(m.net.nodes))
-			for i := range interf {
-				interf[i] = 0
-			}
+			clear(interf)
 			for _, it := range tx.overlapped {
-				row := it.row.to
-				for i := range row {
-					interf[i] += row[i].mw
+				ls := it.row.ls
+				for i := range ls {
+					interf[i] += ls[i].mw
 				}
 			}
 		}
+		ls := tx.row.ls
 		for _, o := range m.nodes {
-			if o == tx.from {
-				continue
-			}
-			if tx.row.to[o.ID].sense {
+			if o != tx.from && ls[o.ID].sense {
 				o.mediumBusyDelta(-1)
 			}
 		}
@@ -380,7 +369,7 @@ func (m *medium) complete(tx *transmission) {
 			if o == tx.from {
 				continue
 			}
-			snr, ok := m.deliverable(o, tx, tx.row.to[o.ID], deaf, interf, lk)
+			snr, ok := m.deliverable(o, tx, ls[o.ID], deaf, interf, lk)
 			if !ok {
 				continue
 			}
@@ -436,7 +425,7 @@ func (m *medium) complete(tx *transmission) {
 // threshold by far more than the few-ulp error of the dB conversion.
 const captureGuardDB = 1e-9
 
-// settleCapture fills interf for a sparse completion's eligible
+// settleCapture fills interf for a culled completion's eligible
 // receivers so that deliverable's SINR test reaches the decision the
 // exact interference sum would. The exact sum adds, in seqno order,
 // each interferer's stored link power, or for a pair its row culled,
@@ -517,7 +506,7 @@ func (m *medium) settleCapture(tx *transmission, elig []spCand, interf []float64
 // node is not also counted as a collision victim. The per-transmission
 // batch context comes from complete(): deaf is the half-duplex stamp,
 // interf the per-receiver interference sums (nil when nothing
-// overlapped; on sparse completions, stand-ins with the same capture
+// overlapped; on culled completions, stand-ins with the same capture
 // decision, see settleCapture), lk the transmission's FER table
 // bracket.
 func (m *medium) deliverable(o *Node, tx *transmission, l link, deaf uint64, interf []float64, lk phy.FERLookup) (snrDB float64, ok bool) {

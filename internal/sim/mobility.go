@@ -8,9 +8,9 @@ import (
 // moves a node along straight segments at a fixed speed, updating its
 // position on a fixed cadence. Each update goes through
 // Network.MoveNode, which invalidates the link rows the move can
-// change (with sparse rows, only those around the node; otherwise all
-// of them) so path loss, carrier sense, and hidden-terminal relations
-// follow the node. The walker consumes no randomness, so a scenario's RNG stream — and
+// change (on an unchanged grid shape, only those around the node;
+// otherwise all of them) so path loss, carrier sense, and
+// hidden-terminal relations follow the node. The walker consumes no randomness, so a scenario's RNG stream — and
 // therefore its trace — is a pure function of the seed, mobile or not.
 
 // Mover walks one node through a cyclic list of waypoints.

@@ -13,9 +13,10 @@
 // argument.
 //
 // The hot paths are allocation-free at steady state: events live in a
-// slab queue (package eventq), the pairwise radio link model is a
-// dense precomputed matrix, and in-flight transmissions are pooled
-// and recycled by reference count.
+// slab queue (package eventq), the pairwise radio link model is
+// precomputed into one row per transmitter (every node under
+// shadowing, the in-range neighborhood otherwise; see spatial.go), and
+// in-flight transmissions are pooled and recycled by reference count.
 package sim
 
 import (
@@ -58,10 +59,10 @@ type Config struct {
 	QueueLimit int
 	// DefaultTxPowerDBm is assigned to nodes that don't override it.
 	DefaultTxPowerDBm float64
-	// ForceDenseLinks disables spatial culling even when the
-	// environment is deterministic (ShadowingSigmaDB == 0), keeping the
-	// dense O(N²) link matrix. Equivalence tests pin the sparse path
-	// against this.
+	// ForceDenseLinks culls nothing even when the environment is
+	// deterministic (ShadowingSigmaDB == 0): every row stores a link to
+	// every node, as under shadowing. It is the twin the equivalence
+	// tests compare the culled path against.
 	ForceDenseLinks bool
 	// FERQuantumDB selects the SNR bin width in dB of the shared
 	// quantized FER table consulted on frame-error draws: 0 selects
@@ -153,32 +154,27 @@ type link struct {
 // linkRow is one transmitter's row of the link matrix, tagged with the
 // transmit power it was computed at so power changes (TPC, tests
 // poking Node.TxPower) invalidate it lazily, and with the network's
-// position epoch, which moves that cannot be applied locally (and
-// every move in dense mode) bump to invalidate all rows the same way.
-// A sparse row also carries its own move invalidation: stale marks it
-// for a full rebuild and patches lists nodes whose stored links must be
-// recomputed, both set by MoveNode (see moveLocal) and applied lazily
-// by rowFor, so a row pinned by an in-flight transmission keeps the
-// contents it was transmitted with.
+// position epoch, which moves that cannot be applied locally bump to
+// invalidate all rows the same way. A row also carries its own move
+// invalidation: stale marks it for a full rebuild and patches lists
+// nodes whose stored links must be recomputed, both set by MoveNode
+// (see moveLocal) and applied lazily by rowFor, so a row pinned by an
+// in-flight transmission keeps the contents it was transmitted with.
 //
-// Dense rows (the default, and the only mode under shadowing) fill
-// `to` with one link per node. Sparse rows (spatial culling, see
-// spatial.go) instead store parallel ids/ls slices holding only the
-// in-range neighborhood, plus extraIDs/extraLs for nodes added after
-// the row was built (mirroring the dense append in newNode), and the
-// transmitter position the row was computed at so culled interference
-// contributions can be recomputed on demand. Both ID slices ascend, and
-// every extra ID is above every built one (adds take the next ID).
-// bits is the membership bitmap of ids ∪ extraIDs over node IDs, so a
-// lookup of a culled pair — most lookups on a campus — is answered by
-// one bit test: ⌈N/64⌉ words, 168 B per row at N = 1304 against ≈3 KB
-// of stored links.
+// The parallel ids/ls slices hold the links the row stores, in
+// ascending ID order: the nodes of the owner's cell neighborhood at
+// build time (see spatial.go), then nodes added since, each appended
+// when the link clears a floor (adds take the next ID, so appending
+// keeps the order). A network that culls nothing stores every node at
+// its own index, ids[i] == i. ownerPos is the transmitter position the
+// row was computed at, so culled interference contributions can be
+// recomputed on demand. bits is the membership bitmap of ids over node
+// IDs, so a lookup of a culled pair — most lookups on a campus — is
+// answered by one bit test: ⌈N/64⌉ words, 168 B per row at N = 1304
+// against ≈3 KB of stored links.
 type linkRow struct {
-	power float64
-	epoch uint64
-	to    []link
-
-	sparse   bool
+	power    float64
+	epoch    uint64
 	stale    bool
 	ownerPos Position
 	patches  []int32
@@ -186,17 +182,15 @@ type linkRow struct {
 	// on a row carry the generation they were computed at so a change
 	// invalidates them without a scan (and pinned rows, which are never
 	// changed while held, keep hitting their own generation's entries).
-	gen      uint32
-	ids      []int32
-	ls       []link
-	extraIDs []int32
-	extraLs  []link
-	bits     []uint64
+	gen  uint32
+	ids  []int32
+	ls   []link
+	bits []uint64
 	// far caches the culled-interference bracket table for power
 	// (rowFar), so settleCapture looks none up per interferer.
 	far *farTable
 
-	// cands memoizes gatherCands for this row (sparse mode): the
+	// cands memoizes gatherCands for this row (culling networks): the
 	// attached in-range candidate set in delivery order, valid while
 	// the row generation and the medium's attachment generation both
 	// stand. Callers copy it into their scratch before iterating so a
@@ -215,33 +209,36 @@ type Network struct {
 	media  map[phy.Channel]*medium
 	nodes  []*Node
 	byAddr map[dot11.Addr]*Node
-	// links is the dense pairwise link matrix, indexed by transmitter
-	// node ID then receiver node ID. Rows are pointers so in-flight
-	// transmissions can hold them across mid-run node additions.
+	// links holds one link row per transmitter, indexed by node ID.
+	// Rows are pointers so in-flight transmissions can hold them across
+	// mid-run node additions.
 	links   []*linkRow
 	noiseMW float64
 	taps    []Tap
-	// posEpoch counts global invalidations: dense-mode moves, and
-	// sparse moves or grid refills that change the grid's shape. Rows
-	// tagged with an older epoch rebuild lazily on next use (the same
-	// mechanism as the power tag).
+	// posEpoch counts global invalidations: moves or grid refills that
+	// change the grid's shape, which only a culling network's grid has.
+	// Rows tagged with an older epoch rebuild lazily on next use (the
+	// same mechanism as the power tag).
 	posEpoch uint64
-	// sparse selects spatially-culled link rows + medium loops. Fixed
+	// sparse selects spatial culling: rows hold only the in-range
+	// neighborhood, and the medium walks their cached candidates. Fixed
 	// at New: only deterministic radios (no shadowing) can cull without
-	// perturbing the per-delivery RNG stream. See spatial.go.
+	// perturbing the per-delivery RNG stream. Otherwise the cull radius
+	// is infinite, every row holds every node, and the medium walks
+	// every attached node. See spatial.go.
 	sparse bool
 	grid   *cellGrid
 	// fer is the quantized FER table answering frame-error draws (nil
 	// when Config.FERQuantumDB is negative: analytic path).
 	fer *phy.FERTable
 	// farTables holds one culled-interference bracket table per
-	// transmit power (sparse mode; see farTable).
+	// transmit power (culling networks; see farTable).
 	farTables map[float64]*farTable
-	// maxRowPower bounds every sparse row's power from above (the
+	// maxRowPower bounds every row's power from above (the
 	// highest any row was built at), so addLocal can tell in O(1) that
 	// the grid's cells cover every row's cull radius.
 	maxRowPower float64
-	// capture counts how sparse completions settled capture tests:
+	// capture counts how culled completions settled capture tests:
 	// from the interference bracket alone, or by the exact sum. Tests
 	// read it to show both paths ran; it is not a NetStats counter.
 	capture struct{ bracket, exact uint64 }
@@ -272,11 +269,11 @@ type NetStats struct {
 	ChannelSwitch int64
 }
 
-// RowCounters counts link-row maintenance: full sparse row builds,
+// RowCounters counts link-row maintenance: full row builds,
 // single-link move patches, patches that found no stored link and
 // rebuilt the row instead, moves applied locally versus by the global
-// position-epoch bump, and sparse node adds that extended only the
-// rows around the newcomer versus every row. Tests read it to show
+// position-epoch bump, and node adds that extended only the rows
+// around the newcomer versus every row. Tests read it to show
 // that moves and adds stay local; it is diagnostic, not a NetStats
 // counter, and no report or journal carries it.
 type RowCounters struct {
@@ -368,14 +365,7 @@ func (n *Network) rowFor(node *Node) *linkRow {
 	switch {
 	case row.power != node.TxPower || row.epoch != n.posEpoch || row.stale:
 		row.power = node.TxPower
-		if row.sparse {
-			n.buildSparseRow(row, node)
-		} else {
-			row.epoch = n.posEpoch
-			for i, o := range n.nodes {
-				row.to[i] = n.linkFromTo(row.power, node, o)
-			}
-		}
+		n.buildSparseRow(row, node)
 	case len(row.patches) > 0:
 		n.patchRow(row, node)
 	}
@@ -424,54 +414,39 @@ func (n *Network) newNode(name string, pos Position, ch phy.Channel) *Node {
 	n.byAddr[node.Addr] = node
 	// Extend every existing transmitter's row toward the new node, at
 	// the power that row was computed at (lazy rebuild handles drift).
-	// Sparse rows mirror the dense append only when the link clears a
-	// floor: a below-both-floors entry is one the dense loops store
-	// only to skip (zero side effects), and an interference lookup
-	// that misses recomputes the same value from the row's positions —
-	// the exact inertness contract sparse misses already satisfy. So
-	// rows pinned by in-flight transmissions see mid-run churn
-	// identically in both modes, and stored links stay O(N·k). Which
-	// sparse rows can store the link is a spatial question: while the
-	// add leaves the grid's shape as it is, only the rows of the nodes
-	// in the newcomer's 3×3 block (addLocal), so building N nodes costs
-	// O(N·k) link computations. Otherwise every row computes the link,
-	// O(N) per add.
-	if n.sparse && n.addLocal(node) {
+	// A culling network's row stores the link only when it clears a
+	// floor: a below-both-floors entry is one the medium would skip
+	// with zero side effects, and an interference lookup that misses
+	// recomputes the same value from the row's positions. So rows
+	// pinned by in-flight transmissions see mid-run churn as a culling-
+	// free row would, and stored links stay O(N·k). Which rows can store
+	// the link is a spatial question: while the add leaves the grid's
+	// shape as it is, only the rows of the nodes in the newcomer's 3×3
+	// block (addLocal), so building N nodes costs O(N·k) link
+	// computations. Otherwise every row computes the link, O(N) per add.
+	if n.addLocal(node) {
 		n.rows.LocalAdds++
 	} else {
-		if n.sparse {
-			n.rows.GlobalAdds++
-		}
+		n.rows.GlobalAdds++
 		for i, row := range n.links {
 			n.extendRow(row, n.nodes[i], node)
 		}
 	}
 	// Build the new node's own row.
-	row := &linkRow{power: node.TxPower, epoch: n.posEpoch, sparse: n.sparse}
-	if n.sparse {
-		n.buildSparseRow(row, node)
-	} else {
-		row.to = make([]link, len(n.nodes))
-		for i, o := range n.nodes {
-			row.to[i] = n.linkFromTo(row.power, node, o)
-		}
-	}
+	row := &linkRow{power: node.TxPower}
+	n.buildSparseRow(row, node)
 	n.links = append(n.links, row)
 	n.mediumFor(ch).attach(node)
 	return node
 }
 
-// extendRow appends owner's row's link toward node, a newcomer. A
-// sparse row stores it only if it clears a floor (see newNode).
+// extendRow appends owner's row's link toward node, a newcomer with
+// the highest ID. A culling network's row stores it only if it clears
+// a floor (see newNode); one that culls nothing stores every link.
 func (n *Network) extendRow(row *linkRow, owner, node *Node) {
-	l := n.linkFromTo(row.power, owner, node)
-	if !row.sparse {
-		row.to = append(row.to, l)
-		return
-	}
-	if l.sense || l.snr > 0 {
-		row.extraIDs = append(row.extraIDs, int32(node.ID))
-		row.extraLs = append(row.extraLs, l)
+	if l := n.linkFromTo(row.power, owner, node); l.sense || l.snr > 0 || !n.sparse {
+		row.ids = append(row.ids, int32(node.ID))
+		row.ls = append(row.ls, l)
 		row.setBit(node.ID)
 	}
 }
@@ -504,10 +479,9 @@ func (n *Network) RunFor(d phy.Micros) { n.q.RunUntil(n.Now() + d) }
 
 // MoveNode relocates a node. The link rows that can change follow
 // lazily, on their next use, so the radio geometry follows on the next
-// transmission. With sparse rows on an unchanged grid shape only the
-// rows around the node are touched (see moveLocal); otherwise every
-// row is invalidated through the position epoch (the same mechanism
-// the power tag uses). Sniffers re-derive their per-transmitter state
+// transmission. On an unchanged grid shape only the rows around the
+// node are touched (see moveLocal); otherwise every row is invalidated
+// through the position epoch (the same mechanism the power tag uses). Sniffers re-derive their per-transmitter state
 // from the observation's FromPos, so passive observers follow
 // automatically.
 func (n *Network) MoveNode(node *Node, pos Position) {

@@ -7,11 +7,11 @@ import (
 	"wlan80211/internal/phy"
 )
 
-// This file breaks the O(N²) link matrix with spatial interference
-// culling: a uniform cell grid over node positions and sparse link
-// rows that precompute links only to nodes within interference range,
-// cutting link-matrix memory from O(N²) to O(N·k) and per-transmission
-// medium work from O(N) to O(neighbors).
+// This file holds the one link-row layout and the spatial interference
+// culling that keeps it small: a uniform cell grid over node positions,
+// and link rows that store links only to the nodes of the owner's 3×3
+// cell block, cutting link memory from O(N²) to O(N·k) and
+// per-transmission medium work from O(N) to O(neighbors).
 //
 // Movement invalidates locally. While the grid's shape (origin, cell
 // edge, extent) stays what a fresh fill would compute, a move re-buckets
@@ -33,16 +33,19 @@ import (
 // keeps a membership bitmap of the IDs it stores, so a culled pair
 // costs one bit test, not a search.
 //
-// Sparse mode engages when the radio is fully deterministic
+// Culling engages when the radio is fully deterministic
 // (Env.ShadowingSigmaDB == 0 and Config.ForceDenseLinks unset). With
-// shadowing enabled, delivery draws one normal variate per candidate
+// shadowing enabled, delivery draws one normal variate per attached
 // receiver before any range check, so culling the candidate set would
-// shift the RNG stream; those networks keep the dense matrix
-// byte-for-byte — which is also what keeps the existing goldens
-// bit-identical. At σ = 0 a node beyond the cull radius is below both
-// the carrier-sense and the decode floor, so the dense loops skip it
-// with zero side effects and zero RNG draws; culling it is therefore
-// exact (spatial_test.go audits this against the dense computation).
+// shift the RNG stream. Those networks cull nothing: the cull radius
+// is infinite, the grid is one cell that holds every node wherever it
+// stands, and every row stores every node at its own index — the same
+// rows and the same moves and adds, with nothing left out. At σ = 0 a
+// node beyond the cull radius is below both the carrier-sense and the
+// decode floor, so the medium's full walk would skip it with zero side
+// effects and zero RNG draws; culling it is therefore exact
+// (spatial_test.go audits the rows against the direct link computation
+// and the traces against a ForceDenseLinks twin).
 
 // spatialMargin pads the cull radius so floating-point rounding in the
 // log/pow round-trip can never re-admit a culled node: beyond
@@ -51,8 +54,12 @@ const spatialMargin = 1.001
 
 // cullRadius returns the distance beyond which a transmitter at power
 // dBm is below both the carrier-sense threshold and the noise floor at
-// every receiver under the deterministic path loss.
+// every receiver under the deterministic path loss; +Inf when the
+// network culls nothing.
 func (n *Network) cullRadius(power float64) float64 {
+	if !n.sparse {
+		return math.Inf(1)
+	}
 	env := &n.cfg.Env
 	floor := env.NoiseFloorDBm
 	if env.CarrierSenseDBm < floor {
@@ -91,8 +98,13 @@ type gridShape struct {
 }
 
 // shapeFor returns the shape a fill covering power would have for the
-// current node positions and transmit powers.
+// current node positions and transmit powers. With an infinite cull
+// radius it is one unbounded cell, whatever the positions and powers,
+// so no move or add changes it.
 func (n *Network) shapeFor(power float64) gridShape {
+	if inf := n.cullRadius(power); math.IsInf(inf, 1) {
+		return gridShape{power: inf, cell: inf, cols: 1, rows: 1}
+	}
 	maxP := power
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
@@ -116,9 +128,9 @@ func (n *Network) shapeFor(power float64) gridShape {
 // epoch moved or a node was added since the last fill, or if power
 // exceeds what the current cell size covers (TPC or tests raising
 // TxPower mid-run). A refill that changes the grid's shape bumps the
-// position epoch in sparse mode: moveLocal patches only the rows
-// around a moved node on the current cells, so a row built on other
-// cells must not stay current.
+// position epoch: moveLocal patches only the rows around a moved node
+// on the current cells, so a row built on other cells must not stay
+// current.
 func (n *Network) spatialIndex(power float64) *cellGrid {
 	g := n.grid
 	if g == nil {
@@ -129,7 +141,7 @@ func (n *Network) spatialIndex(power float64) *cellGrid {
 		return g
 	}
 	shape := n.shapeFor(power)
-	if n.sparse && g.builds > 0 && shape != g.gridShape {
+	if g.builds > 0 && shape != g.gridShape {
 		n.posEpoch++
 	}
 	g.gridShape = shape
@@ -151,19 +163,19 @@ func (n *Network) spatialIndex(power float64) *cellGrid {
 	return g
 }
 
-// moveLocal applies node's move from old to the grid and the sparse
-// rows in place, or reports false when the move needs the global
-// position-epoch bump: dense links, a grid that is not filled at the
-// current epoch and node count, or a move that changes the shape a
-// fresh fill would have. Otherwise only rows whose 3×3 neighborhood
-// holds the node can store a link toward it, and those are the rows
-// of the nodes in the node's own neighborhood. Its own row rebuilds.
+// moveLocal applies node's move from old to the grid and the link rows
+// in place, or reports false when the move needs the global
+// position-epoch bump: a grid that is not filled at the current epoch
+// and node count, or a move that changes the shape a fresh fill would
+// have. Otherwise only rows whose 3×3 neighborhood holds the node can
+// store a link toward it, and those are the rows of the nodes in the
+// node's own neighborhood. Its own row rebuilds.
 // A step within one cell leaves every neighborhood's membership as it
 // was, so each of those rows queues a patch of the one link; a cell
 // crossing changes membership, so the rows around both cells rebuild.
 func (n *Network) moveLocal(node *Node, old Position) bool {
 	g := n.grid
-	if !n.sparse || g == nil || g.epoch != n.posEpoch || g.nnodes != len(n.nodes) ||
+	if g == nil || g.epoch != n.posEpoch || g.nnodes != len(n.nodes) ||
 		n.shapeFor(math.Inf(-1)) != g.gridShape {
 		return false
 	}
@@ -186,7 +198,7 @@ func (n *Network) moveLocal(node *Node, old Position) bool {
 	return true
 }
 
-// addLocal extends the sparse rows toward node, just appended to
+// addLocal extends the link rows toward node, just appended to
 // n.nodes, from the cell grid, and files node in its bucket; or it
 // reports false when the add needs every row: a grid not filled at the
 // current epoch and the previous node count, an add that would change
@@ -211,9 +223,10 @@ func (n *Network) addLocal(node *Node) bool {
 
 // covers reports whether a fill that includes p keeps the grid's origin
 // and extent: p lies in [minX, minX+cols·cell) and likewise in Y, by
-// shapeFor's arithmetic (int(v) < cols ⇔ v < cols for v ≥ 0).
+// shapeFor's arithmetic (int(v) < cols ⇔ v < cols for v ≥ 0). One
+// unbounded cell covers every position.
 func (g *cellGrid) covers(p Position) bool {
-	return p.X >= g.minX && p.Y >= g.minY &&
+	return math.IsInf(g.cell, 1) || p.X >= g.minX && p.Y >= g.minY &&
 		(p.X-g.minX)/g.cell < float64(g.cols) && (p.Y-g.minY)/g.cell < float64(g.rows)
 }
 
@@ -238,7 +251,7 @@ func (n *Network) queuePatch(row *linkRow, id int32) {
 	if row.stale || row.epoch != n.posEpoch || slices.Contains(row.patches, id) {
 		return
 	}
-	if len(row.patches) >= len(row.ids)+len(row.extraIDs) {
+	if len(row.patches) >= len(row.ids) {
 		row.stale = true
 		row.patches = row.patches[:0]
 		return
@@ -255,8 +268,6 @@ func (n *Network) patchRow(row *linkRow, node *Node) {
 		l := n.linkFromTo(row.power, node, n.nodes[id])
 		if i, ok := slices.BinarySearch(row.ids, id); ok {
 			row.ls[i] = l
-		} else if i := slices.Index(row.extraIDs, id); i >= 0 {
-			row.extraLs[i] = l
 		} else {
 			n.rows.Fallbacks++
 			n.buildSparseRow(row, node)
@@ -334,8 +345,8 @@ func (g *cellGrid) forRing(cx, cy, r int, fn func(*Node)) {
 // neighborhood of node's cell — a superset of all nodes within the
 // cull radius at this row's power — in ascending node-ID order.
 // Everything outside the neighborhood is below both the sense and
-// decode floors, exactly the entries the dense matrix stores only to
-// skip.
+// decode floors. On one unbounded cell the neighborhood is every node,
+// each stored at its own index.
 func (n *Network) buildSparseRow(row *linkRow, node *Node) {
 	g := n.spatialIndex(row.power)
 	// Tag after the index: a refill that changes the grid's shape bumps
@@ -346,8 +357,6 @@ func (n *Network) buildSparseRow(row *linkRow, node *Node) {
 	n.rows.FullBuilds++
 	row.ownerPos = node.Pos
 	row.gen++ // invalidate caches keyed on this row's content
-	row.ids, row.ls = row.ids[:0], row.ls[:0]
-	row.extraIDs, row.extraLs = row.extraIDs[:0], row.extraLs[:0]
 	if words := (len(n.nodes) + 63) >> 6; cap(row.bits) < words {
 		row.bits = make([]uint64, words)
 	} else {
@@ -357,10 +366,9 @@ func (n *Network) buildSparseRow(row *linkRow, node *Node) {
 	n.maxRowPower = max(n.maxRowPower, row.power)
 	cx, cy := g.cellOf(node.Pos)
 	// Merge the up-to-nine ID-sorted buckets, computing links in the
-	// merged (ascending ID) order — the same per-pair linkFromTo calls
-	// the dense rebuild makes, so stored values are float-identical.
+	// merged (ascending ID) order.
 	var runs [9][]*Node
-	nr := 0
+	nr, total := 0, 0
 	for y := cy - 1; y <= cy+1; y++ {
 		if y < 0 || y >= g.rows {
 			continue
@@ -372,9 +380,12 @@ func (n *Network) buildSparseRow(row *linkRow, node *Node) {
 			if b := g.buckets[y*g.cols+x]; len(b) > 0 {
 				runs[nr] = b
 				nr++
+				total += len(b)
 			}
 		}
 	}
+	row.ids = slices.Grow(row.ids[:0], total)
+	row.ls = slices.Grow(row.ls[:0], total)
 	for {
 		best := -1
 		for i := 0; i < nr; i++ {
@@ -405,7 +416,7 @@ func (r *linkRow) setBit(id int) {
 	r.bits[id>>6] |= 1 << (id & 63)
 }
 
-// bitSet reports whether bit id of bits is set, as in a sparse row's
+// bitSet reports whether bit id of bits is set, as in a row's
 // membership bitmap; bits past the end are clear.
 func bitSet(bits []uint64, id int) bool {
 	w := id >> 6
@@ -417,22 +428,15 @@ func bitSet(bits []uint64, id int) bool {
 // built (or rebuilt last): below both the sense and decode floors. The
 // bitmap answers a miss; a hit is searched for.
 func (r *linkRow) linkTo(o *Node) (link, bool) {
-	if !r.sparse {
-		return r.to[o.ID], true
-	}
 	if !bitSet(r.bits, o.ID) {
 		return link{}, false
 	}
 	return r.stored(int32(o.ID)), true
 }
 
-// stored returns the link toward id, which the row stores: among the
-// built links if id is not above them, else among the extras.
+// stored returns the link toward id, which the row stores.
 func (r *linkRow) stored(id int32) link {
-	if k := len(r.ids); k > 0 && id <= r.ids[k-1] {
-		return r.ls[searchID(r.ids, id)]
-	}
-	return r.extraLs[searchID(r.extraIDs, id)]
+	return r.ls[searchID(r.ids, id)]
 }
 
 // searchID returns the index of id in the ascending ids, which hold it.
@@ -450,8 +454,8 @@ func searchID(ids []int32, id int32) int {
 }
 
 // senses reports whether o's carrier sense detects this row's
-// transmitter. Culled entries never sense — the dense matrix stores
-// sense=false for them.
+// transmitter. Culled entries never sense: their link is below the
+// carrier-sense floor.
 func (r *linkRow) senses(o *Node) bool {
 	l, ok := r.linkTo(o)
 	return ok && l.sense
@@ -459,7 +463,7 @@ func (r *linkRow) senses(o *Node) bool {
 
 // mwTo returns the row's received power in milliwatts at o, for
 // interference sums. A culled pair still contributes its sub-floor
-// power (the dense sum includes every overlapped transmitter), so a
+// power (the exact sum includes every overlapped transmitter), so a
 // miss recomputes it from the row's pinned transmitter position.
 func (n *Network) mwTo(r *linkRow, o *Node) float64 {
 	if l, ok := r.linkTo(o); ok {
@@ -470,7 +474,7 @@ func (n *Network) mwTo(r *linkRow, o *Node) float64 {
 
 // culledMW is the received power in milliwatts of a transmitter at
 // power dBm over d meters: the term an interference sum adds for a
-// pair its sparse row culled, and the value farTable samples.
+// pair its row culled, and the value farTable samples.
 func culledMW(env *phy.Environment, power, d float64) float64 {
 	return pow10(env.RxPowerDBm(power, d, nil) / 10)
 }
@@ -552,8 +556,8 @@ func (t *farTable) bracket(d2 float64) (lo, hi float64) {
 }
 
 // snrTo returns the row's SNR toward o, recomputing the out-of-range
-// value from the row's pinned transmitter position when the sparse row
-// culled it — callers see the same number the dense matrix stores.
+// value from the row's pinned transmitter position when the row culled
+// it — callers see the same number an unculled row stores.
 func (n *Network) snrTo(r *linkRow, o *Node) float64 {
 	if l, ok := r.linkTo(o); ok {
 		return l.snr
@@ -571,8 +575,8 @@ type spCand struct {
 
 // gatherCands collects row's stored neighbors that are attached to m
 // (excluding skip) into dst, ordered by medium attachment order — the
-// same set and order in which the dense loops visit nodes with nonzero
-// effect (everything else is below both floors and skipped there).
+// same set and order in which a walk of every attached node visits
+// nodes with nonzero effect (everything else is below both floors).
 func (m *medium) gatherCands(dst []spCand, row *linkRow, skip *Node) []spCand {
 	dst = dst[:0]
 	for i, id := range row.ids {
@@ -581,15 +585,6 @@ func (m *medium) gatherCands(dst []spCand, row *linkRow, skip *Node) []spCand {
 			continue
 		}
 		if l := row.ls[i]; l.sense || l.snr > 0 {
-			dst = append(dst, spCand{o, l})
-		}
-	}
-	for i, id := range row.extraIDs {
-		o := m.net.nodes[id]
-		if o == skip || o.medium != m {
-			continue
-		}
-		if l := row.extraLs[i]; l.sense || l.snr > 0 {
 			dst = append(dst, spCand{o, l})
 		}
 	}
@@ -612,8 +607,8 @@ func (m *medium) gatherCands(dst []spCand, row *linkRow, skip *Node) []spCand {
 // the spatial index by expanding-ring search; ties break by node
 // creation order, matching a first-wins linear scan over the APs in
 // creation order. The index carries all nodes and touches
-// neither the RNG nor the event queue, so calling this from dense-mode
-// networks leaves their traces bit-identical.
+// neither the RNG nor the event queue, so calling this leaves a
+// network's trace as it was. On one unbounded cell it scans every AP.
 func (n *Network) NearestAP(pos Position) *Node {
 	if len(n.nodes) == 0 {
 		return nil
@@ -649,18 +644,12 @@ func (n *Network) NearestAP(pos Position) *Node {
 // LinkStats forces every link row current and reports the matrix
 // population: row count, total stored directed links, and the longest
 // row — the O(N·k) versus O(N²) memory evidence the campus-scale
-// tests assert on. Dense mode stores N links per row.
+// tests assert on. A network that culls nothing stores N links per row.
 func (n *Network) LinkStats() (rows, links, maxRow int) {
 	for _, node := range n.nodes {
-		row := n.rowFor(node)
-		stored := len(row.to)
-		if row.sparse {
-			stored = len(row.ids) + len(row.extraIDs)
-		}
+		stored := len(n.rowFor(node).ids)
 		links += stored
-		if stored > maxRow {
-			maxRow = stored
-		}
+		maxRow = max(maxRow, stored)
 	}
 	return len(n.nodes), links, maxRow
 }

@@ -51,32 +51,37 @@ func randomTwinNets(seed int64, nAPs, nStations int, extent float64) (sp, dn *Ne
 	return sp, dn
 }
 
-// auditRows brute-force checks every directed pair: a link the sparse
-// row stores must equal the dense computation bit for bit, and a link
-// it culled must be below both the carrier-sense and decode floors in
-// the dense matrix (so the dense loops would skip it with zero
-// effect). Returns the number of culled pairs so callers can assert
-// the audit wasn't vacuous.
+// auditRows brute-force checks every directed pair of both twins
+// against the direct link computation: a link a row stores must equal
+// linkFromTo at the row's power bit for bit, and a link the culled
+// twin's row left out must be below both the carrier-sense and decode
+// floors (so the full walk would skip it with zero effect). The twin
+// that culls nothing must store every link. Returns the number of
+// culled pairs so callers can assert the audit wasn't vacuous.
 func auditRows(t *testing.T, sp, dn *Network) (culled int) {
 	t.Helper()
 	if len(sp.nodes) != len(dn.nodes) {
 		t.Fatalf("twin drift: %d vs %d nodes", len(sp.nodes), len(dn.nodes))
 	}
-	for i := range sp.nodes {
-		srow := sp.rowFor(sp.nodes[i])
-		drow := dn.rowFor(dn.nodes[i])
-		for j := range dn.nodes {
-			want := drow.to[j]
-			got, ok := srow.linkTo(sp.nodes[j])
-			if !ok {
-				culled++
-				if want.sense || want.snr > 0 {
-					t.Fatalf("pair %d→%d culled but relevant: sense=%v snr=%v", i, j, want.sense, want.snr)
+	for _, net := range []*Network{sp, dn} {
+		for i, owner := range net.nodes {
+			row := net.rowFor(owner)
+			for j, o := range net.nodes {
+				want := net.linkFromTo(row.power, owner, o)
+				got, ok := row.linkTo(o)
+				if !ok {
+					if net == dn {
+						t.Fatalf("pair %d→%d culled by the twin that culls nothing", i, j)
+					}
+					culled++
+					if want.sense || want.snr > 0 {
+						t.Fatalf("pair %d→%d culled but relevant: sense=%v snr=%v", i, j, want.sense, want.snr)
+					}
+					continue
 				}
-				continue
-			}
-			if got != want {
-				t.Fatalf("pair %d→%d stored link diverges: got %+v want %+v", i, j, got, want)
+				if got != want {
+					t.Fatalf("pair %d→%d stored link diverges: got %+v want %+v", i, j, got, want)
+				}
 			}
 		}
 	}
@@ -192,12 +197,13 @@ func TestSparseRowsMatchDense(t *testing.T) {
 		// — but only in-range appends are stored; inert (below-both-
 		// floors) newcomers are culled at the append, or row storage
 		// would creep back toward O(N²). Build a row first so the
-		// append path (extras) is what the audit sees for the new
-		// nodes: one planted in the pinned row's neighborhood, inside
-		// the grid's box (must be mirrored, by the local path) and one
-		// far outside it (must be dropped, by the global path).
+		// append path is what the audit sees for the new nodes: one
+		// planted in the pinned row's neighborhood, inside the grid's
+		// box (must be mirrored, by the local path) and one far outside
+		// it (must be dropped, by the global path).
 		prow := sp.rowFor(sp.nodes[1])
 		dn.rowFor(dn.nodes[1])
+		late := len(sp.nodes)
 		g := sp.spatialIndex(0)
 		inward := func(v, lo, span, step float64) float64 {
 			if v-lo > span/2 {
@@ -210,15 +216,15 @@ func TestSparseRowsMatchDense(t *testing.T) {
 		if !addTwin(t, sp, dn, "late", near) {
 			t.Fatal("an add inside the box took the global path")
 		}
-		if len(prow.extraIDs) != 1 {
-			t.Fatalf("mid-run add not mirrored into pinned sparse row: extras=%d", len(prow.extraIDs))
+		if n := len(idsFrom(prow, late)); n != 1 {
+			t.Fatalf("mid-run add not mirrored into pinned sparse row: appended=%d", n)
 		}
 		far := Position{X: p1.X + 700, Y: p1.Y + 700}
 		if addTwin(t, sp, dn, "late2", far) {
 			t.Fatal("an add outside the box took the local path")
 		}
-		if len(prow.extraIDs) != 1 {
-			t.Fatalf("inert mid-run add not culled from pinned sparse row: extras=%d", len(prow.extraIDs))
+		if n := len(idsFrom(prow, late)); n != 1 {
+			t.Fatalf("inert mid-run add not culled from pinned sparse row: appended=%d", n)
 		}
 		auditRows(t, sp, dn)
 		// A newcomer transmitting above the power the cells cover
@@ -293,20 +299,27 @@ func TestSparseRowsMatchDense(t *testing.T) {
 		total.Patches, total.LocalMoves, total.GlobalMoves, total.LocalAdds, total.GlobalAdds)
 }
 
-// addTwin adds a station at p to both twins and checks every sparse
-// row's extras against the O(N) reference loop: each existing row
-// computes its link toward the newcomer at the row's power and stores
-// it iff it clears a floor. It reports whether the add took the local
-// path.
+// idsFrom returns the IDs row stores from id up: the nodes appended
+// to it since id was the next ID, when the row was built before.
+func idsFrom(row *linkRow, id int) []int32 {
+	i, _ := slices.BinarySearch(row.ids, int32(id))
+	return row.ids[i:]
+}
+
+// addTwin adds a station at p to both twins and checks every culled
+// row against the O(N) reference loop: each existing row keeps its
+// links, computes its link toward the newcomer at the row's power and
+// appends it iff it clears a floor. Every row of the twin that culls
+// nothing appends it. It reports whether the add took the local path.
 func addTwin(t *testing.T, sp, dn *Network, name string, p Position) (local bool) {
 	t.Helper()
-	type extras struct {
+	type stored struct {
 		ids []int32
 		ls  []link
 	}
-	want := make([]extras, len(sp.links))
+	want := make([]stored, len(sp.links))
 	for i, row := range sp.links {
-		want[i] = extras{slices.Clone(row.extraIDs), slices.Clone(row.extraLs)}
+		want[i] = stored{slices.Clone(row.ids), slices.Clone(row.ls)}
 	}
 	adds := sp.rows.LocalAdds
 	node := sp.AddStation(name, p, sp.nodes[0], rate.NewFixedFactory(phy.Rate11Mbps))
@@ -317,24 +330,21 @@ func addTwin(t *testing.T, sp, dn *Network, name string, p Position) (local bool
 			w.ids = append(w.ids, int32(node.ID))
 			w.ls = append(w.ls, l)
 		}
-		if !slices.Equal(row.extraIDs, w.ids) || !slices.Equal(row.extraLs, w.ls) {
-			t.Fatalf("add of %s: row %d extras %v, the O(N) loop stores %v", name, i, row.extraIDs, w.ids)
+		if !slices.Equal(row.ids, w.ids) || !slices.Equal(row.ls, w.ls) {
+			t.Fatalf("add of %s: row %d stores %v, the O(N) loop stores %v", name, i, row.ids, w.ids)
+		}
+		if drow := dn.links[i]; drow.ids[len(drow.ids)-1] != int32(node.ID) {
+			t.Fatalf("add of %s: unculled row %d did not append it", name, i)
 		}
 	}
 	return sp.rows.LocalAdds == adds+1
 }
 
-// linearLinkTo is the reference row lookup: a scan of the built links,
-// then of the extras.
+// linearLinkTo is the reference row lookup: a scan of the stored links.
 func linearLinkTo(r *linkRow, id int) (link, bool) {
 	for i, sid := range r.ids {
 		if int(sid) == id {
 			return r.ls[i], true
-		}
-	}
-	for i, eid := range r.extraIDs {
-		if int(eid) == id {
-			return r.extraLs[i], true
 		}
 	}
 	return link{}, false
@@ -433,6 +443,96 @@ func TestRowBitmapMatchesMembership(t *testing.T) {
 	t.Logf("%+v", total)
 }
 
+// TestUnculledRowsStoreEveryNode drives a shadowed network — the one
+// that culls nothing — through mid-run adds (one outside every node's
+// bounding box), steps, jumps and a move far outside the box, a TPC
+// power change and an AP channel switch, with traffic on the air in
+// between. After each step every row, brought current, stores every
+// node at its own index with the link computed directly, and every
+// move and add went the local way: one unbounded cell never changes
+// shape.
+func TestUnculledRowsStoreEveryNode(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 7
+	cfg.Env.ShadowingSigmaDB = 6
+	net := New(cfg)
+	if net.sparse {
+		t.Fatal("a shadowed network culls")
+	}
+	audit := func(step string) {
+		t.Helper()
+		for _, owner := range net.nodes {
+			row := net.rowFor(owner)
+			if len(row.ids) != len(net.nodes) || len(row.ls) != len(net.nodes) {
+				t.Fatalf("%s: row %d stores %d links for %d nodes", step, owner.ID, len(row.ids), len(net.nodes))
+			}
+			for i, o := range net.nodes {
+				if row.ids[i] != int32(i) {
+					t.Fatalf("%s: row %d holds node %d at index %d", step, owner.ID, row.ids[i], i)
+				}
+				if want := net.linkFromTo(row.power, owner, o); row.ls[i] != want {
+					t.Fatalf("%s: row %d link to %d is %+v, want %+v", step, owner.ID, i, row.ls[i], want)
+				}
+			}
+		}
+	}
+	chans := []phy.Channel{phy.Channel1, phy.Channel6, phy.Channel11}
+	var aps []*Node
+	for i, ch := range chans {
+		aps = append(aps, net.AddAP(fmt.Sprintf("ap%d", i), Position{X: 20 + 30*float64(i), Y: 20}, ch))
+	}
+	mix := DefaultMix()
+	add := func(name string, p Position) *Node {
+		st := net.AddStation(name, p, aps[len(net.nodes)%len(aps)], rate.NewARFFactory())
+		net.StartTraffic(st, net.PickProfile(mix), 1)
+		return st
+	}
+	for i := 0; i < 15; i++ {
+		add(fmt.Sprintf("st%d", i), Position{X: 10 + 5*float64(i), Y: 15 + float64(i%4)*3})
+	}
+	audit("build")
+	net.RunFor(phy.MicrosPerSecond)
+	add("late", Position{X: 50, Y: 25})
+	add("outside", Position{X: -2000, Y: -1500}) // below both floors of every other node
+	audit("adds")
+	net.RunFor(phy.MicrosPerSecond / 2)
+
+	moves := 0
+	move := func(o *Node, p Position) {
+		net.MoveNode(o, p)
+		moves++
+	}
+	mover := net.nodes[5]
+	for i := 0; i < 5; i++ {
+		move(mover, Position{X: mover.Pos.X + 0.7, Y: mover.Pos.Y - 0.4})
+		net.RunFor(phy.MicrosPerSecond / 10)
+	}
+	move(net.nodes[8], net.nodes[12].Pos)
+	move(aps[1], Position{X: 400, Y: -250})
+	audit("moves")
+	net.RunFor(phy.MicrosPerSecond / 2)
+
+	if net.ApplyTPC(20) == 0 {
+		t.Fatal("TPC changed no station's power: the step is vacuous")
+	}
+	audit("tpc")
+	net.RunFor(phy.MicrosPerSecond / 2)
+	net.NewController(aps).switchAPChannel(aps[0], phy.Channel6)
+	if net.Stats.ChannelSwitch != 1 {
+		t.Fatal("the AP did not switch channels")
+	}
+	net.RunFor(phy.MicrosPerSecond / 2)
+	audit("channel switch")
+
+	if rc := net.RowCounters(); rc.LocalMoves != uint64(moves) || rc.GlobalMoves != 0 ||
+		rc.GlobalAdds != 1 || rc.LocalAdds != uint64(len(net.nodes)-1) || net.posEpoch != 0 {
+		t.Fatalf("%d moves, %d nodes: %+v, position epoch %d", moves, len(net.nodes), rc, net.posEpoch)
+	}
+	if net.Stats.DataAcked == 0 {
+		t.Fatal("no traffic was delivered: the rows were never used on the air")
+	}
+}
+
 // TestMovePatchesStayBounded pins the pending-patch rule for rows that
 // are not used between moves: repeat moves of one node queue it once,
 // and a row whose patches would outnumber its stored links is marked
@@ -456,7 +556,7 @@ func TestMovePatchesStayBounded(t *testing.T) {
 	if !slices.Equal(row.patches, []int32{int32(sts[0].ID)}) {
 		t.Fatalf("repeat moves of one node queued %v, want it once", row.patches)
 	}
-	stored := len(row.ids) + len(row.extraIDs)
+	stored := len(row.ids)
 	for id := 0; len(row.patches) < stored; id++ {
 		net.queuePatch(row, int32(100+id))
 	}
