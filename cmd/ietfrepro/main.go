@@ -15,6 +15,8 @@
 //	ietfrepro                 # everything, default scale
 //	ietfrepro -scale 0.5      # faster, smaller runs
 //	ietfrepro -only 8         # just Figure 8
+//	ietfrepro -json runs.json # also the runs' summaries, in wlansweep's
+//	                          # -json report shape
 //
 // For a seeds × scales robustness matrix of the headline numbers, run
 // the same scenarios through wlansweep:
@@ -40,10 +42,10 @@ var profStop = func() {}
 
 func main() {
 	var (
-		scale   = flag.Float64("scale", 1.0, "scenario scale factor (0..1]")
+		scale   = flag.Float64("scale", 1.0, "scenario scale factor, a finite number above 0 (1.0 = full size)")
 		only    = flag.Int("only", 0, "print only this figure number (0 = everything)")
 		workers = flag.Int("workers", 0, "concurrent scenario runs (0 = GOMAXPROCS)")
-		jsonOut = flag.String("json", "", "also write the run summaries as JSON to this path, atomically")
+		jsonOut = flag.String("json", "", "also write the matrix report of the runs (as wlansweep -json) to this path, atomically")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write an allocs/heap profile to this file at exit")
 	)
@@ -58,7 +60,7 @@ func main() {
 	profStop = stop
 	defer stop()
 
-	if err := experiment.CheckScale(*scale); err != nil {
+	if err := workload.CheckScale(*scale); err != nil {
 		fmt.Fprintln(os.Stderr, "ietfrepro:", err)
 		profStop()
 		os.Exit(2)
@@ -85,23 +87,19 @@ func main() {
 	}
 
 	// Only the scenarios whose figures will print run — concurrently
-	// on the engine, streaming.
+	// on the engine, streaming. Registry seed 0 keeps each scenario's
+	// default seed: exactly the sessions of Table 1 and the default
+	// ladder at this scale.
 	needSessions := *only == 0 || *only == 4 || *only == 5
 	needLadder := *only != 4 && *only != 5
-	var specs []experiment.Spec
+	m := experiment.Matrix{Scales: []float64{*scale}}
 	if needSessions {
-		specs = append(specs,
-			experiment.Spec{Name: "day", Scale: *scale, Scenario: experiment.NewSession(day)},
-			experiment.Spec{Name: "plenary", Scale: *scale, Scenario: experiment.NewSession(plenary)},
-		)
+		m.Scenarios = append(m.Scenarios, "day", "plenary")
 	}
 	if needLadder {
-		specs = append(specs, experiment.Spec{
-			Name: "ladder", Scale: *scale,
-			Scenario: experiment.NewLadder("ladder", workload.DefaultLadder(*scale)),
-		})
+		m.Scenarios = append(m.Scenarios, "ladder")
 	}
-	ex, err := (&experiment.Runner{}).Execute(context.Background(), experiment.RunSpecOpts{Specs: specs, Workers: *workers})
+	ex, err := (&experiment.Runner{}).Execute(context.Background(), experiment.RunSpecOpts{Matrix: m, Workers: *workers})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ietfrepro:", err)
 		profStop()
@@ -116,7 +114,11 @@ func main() {
 		}
 	}
 	if *jsonOut != "" {
-		if err := writeSummariesJSON(*jsonOut, *scale, results); err != nil {
+		data, err := ex.Campaign.ReportJSON(experiment.Manifest{Matrix: m})
+		if err == nil {
+			err = experiment.AtomicWriteFile(*jsonOut, data)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "ietfrepro:", err)
 			profStop()
 			os.Exit(1)
@@ -162,22 +164,4 @@ func printTables(tables ...*report.Table) {
 		t.WriteTo(os.Stdout)
 		fmt.Println()
 	}
-}
-
-// writeSummariesJSON archives the figure-mode run summaries as JSON,
-// via temp-file+rename so an interrupt never leaves a torn report.
-func writeSummariesJSON(path string, scale float64, results []experiment.RunResult) error {
-	type row struct {
-		Scenario string             `json:"scenario"`
-		Scale    float64            `json:"scale"`
-		Summary  experiment.Summary `json:"summary"`
-	}
-	doc := struct {
-		Scale float64 `json:"scale"`
-		Runs  []row   `json:"runs"`
-	}{Scale: scale}
-	for _, res := range results {
-		doc.Runs = append(doc.Runs, row{Scenario: res.Spec.Name, Scale: res.Spec.Scale, Summary: res.Summary})
-	}
-	return experiment.WriteJSONAtomic(path, doc)
 }

@@ -28,14 +28,21 @@ import (
 func main() {
 	var (
 		scenario = flag.String("scenario", "day", "scenario: "+strings.Join(experiment.Names(), ", "))
-		scale    = flag.Float64("scale", 1.0, "scenario scale factor (0..1]")
+		scale    = flag.Float64("scale", 1.0, "scenario scale factor, a finite number above 0 (1.0 = full size)")
 		seed     = flag.Int64("seed", 0, "override the scenario seed (0 keeps default)")
 		out      = flag.String("o", "trace.pcap", "output pcap path")
 		snap     = flag.Int("snaplen", 250, "snap length applied to MAC frames")
 	)
 	flag.Parse()
 
-	n, err := write(*scenario, *scale, *seed, *out, *snap)
+	// An unknown scenario or an invalid scale is a usage error (exit
+	// 2), as in wlansweep and ietfrepro; a failed run or write exits 1.
+	scn, err := experiment.New(*scenario, *seed, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wlansim:", err)
+		os.Exit(2)
+	}
+	n, err := write(scn, *out, *snap)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wlansim:", err)
 		os.Exit(1)
@@ -43,14 +50,10 @@ func main() {
 	fmt.Printf("wrote %d frames to %s\n", n, *out)
 }
 
-// write runs the named scenario and streams its trace, in start-time
-// order with same-air duplicates dropped, into a pcap at path. It
-// returns the number of frames written.
-func write(scenario string, scale float64, seed int64, path string, snap int) (int, error) {
-	scn, err := experiment.New(scenario, seed, scale)
-	if err != nil {
-		return 0, err
-	}
+// write runs scn and streams its trace, in start-time order with
+// same-air duplicates dropped, into a pcap at path. It returns the
+// number of frames written.
+func write(scn experiment.Scenario, path string, snap int) (int, error) {
 	run, err := scn.Build()
 	if err != nil {
 		return 0, err

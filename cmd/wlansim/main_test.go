@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -46,6 +47,52 @@ func pcapOf(t *testing.T, recs []capture.Record) []byte {
 	return buf.Bytes()
 }
 
+// wlansim runs the real command with args and returns its combined
+// output and exit status.
+func wlansim(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "WLANSIM_ARGS="+strings.Join(args, "\n"))
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return string(out), 0
+	case errors.As(err, &exit):
+		return string(out), exit.ExitCode()
+	}
+	t.Fatalf("wlansim %v: %v", args, err)
+	return "", 0
+}
+
+// TestExitStatus: an unknown scenario or a scale that is not a finite
+// number above 0 is a usage error (exit 2, as in wlansweep and
+// ietfrepro) that writes no file; an output path that cannot be
+// created is a run error (exit 1).
+func TestExitStatus(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "x.pcap")
+	cases := []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-scenario", "nosuch", "-o", out}, 2},
+		{[]string{"-scenario", "day", "-scale", "0", "-o", out}, 2},
+		{[]string{"-scenario", "day", "-scale", "-1", "-o", out}, 2},
+		{[]string{"-scenario", "day", "-scale", "NaN", "-o", out}, 2},
+		{[]string{"-scenario", "day", "-scale", "0.05", "-o", filepath.Join(dir, "missing", "x.pcap")}, 1},
+	}
+	for _, c := range cases {
+		msg, code := wlansim(t, c.args...)
+		if code != c.want {
+			t.Errorf("wlansim %v: exit %d, want %d\n%s", c.args, code, c.want, msg)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a rejected invocation left %s behind (stat: %v)", out, err)
+	}
+}
+
 func materialized(t *testing.T, build func() (*workload.Built, error)) []capture.Record {
 	t.Helper()
 	b, err := build()
@@ -72,12 +119,8 @@ func TestStreamedPcapMatchesMaterialized(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.scenario, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), c.scenario+".pcap")
-			cmd := exec.Command(os.Args[0])
-			cmd.Env = append(os.Environ(), "WLANSIM_ARGS="+strings.Join([]string{
-				"-scenario", c.scenario, "-scale", c.scale, "-snaplen", strconv.Itoa(snapLen), "-o", path,
-			}, "\n"))
-			if out, err := cmd.CombinedOutput(); err != nil {
-				t.Fatalf("wlansim: %v\n%s", err, out)
+			if out, code := wlansim(t, "-scenario", c.scenario, "-scale", c.scale, "-snaplen", strconv.Itoa(snapLen), "-o", path); code != 0 {
+				t.Fatalf("wlansim: exit %d\n%s", code, out)
 			}
 			got, err := os.ReadFile(path)
 			if err != nil {

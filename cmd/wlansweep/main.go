@@ -12,14 +12,20 @@
 //	wlansweep -scenarios grid -runs 4 -scales 1.0     # 2×2 multi-cell grid: co-channel
 //	                                                  # interference, roaming mobiles,
 //	                                                  # mixed b/g, 2 sniffers/channel
-//	wlansweep -scenarios grid9 -reduce -runs 16       # 3×3 grid, reduce-as-you-go:
-//	                                                  # only aggregate rows retained
+//	wlansweep -scenarios grid9 -runs 16               # 3×3 grid
 //	wlansweep -seeds 62,63,64,65 -scales 0.5 -workers 4
-//	wlansweep -runs 8 -json matrix.json               # 8 seeds per cell + JSON archive
+//	wlansweep -runs 8 -json matrix.json               # 8 seeds per cell + JSON report
 //	wlansweep -list                                   # registered scenarios
 //
+// Every run keeps only its summary once analyzed, so memory does not
+// grow with the matrix. The -json report lists each run (index, name,
+// seed, scale, summary; a failed run's error) and then the
+// scenario+scale aggregates. It is the same document whichever way the
+// matrix ran: plain, as a campaign, resumed, or distributed.
+//
 // Crash-resumable campaigns journal every completed run, so a killed
-// sweep resumes bit-identically:
+// sweep resumes bit-identically. A campaign's report adds each run's
+// trace_hash and is otherwise byte-identical to the plain run's:
 //
 //	wlansweep -campaign DIR                           # journal each completed run
 //	wlansweep -resume DIR                             # skip journaled runs, rerun the
@@ -39,7 +45,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -57,27 +62,6 @@ import (
 	"wlan80211/internal/prof"
 )
 
-// jsonReport is the -json document: the expanded matrix, one row per
-// run, and the scenario+scale aggregates.
-type jsonReport struct {
-	Scenarios  []string                `json:"scenarios"`
-	Seeds      []int64                 `json:"seeds"`
-	Scales     []float64               `json:"scales"`
-	Workers    int                     `json:"workers"`
-	Runs       []jsonRun               `json:"runs"`
-	Aggregates []experiment.Aggregated `json:"aggregates"`
-}
-
-// jsonRun is one matrix cell's outcome.
-type jsonRun struct {
-	Scenario string             `json:"scenario"`
-	Seed     int64              `json:"seed"`
-	Scale    float64            `json:"scale"`
-	Params   []experiment.Param `json:"params,omitempty"`
-	Summary  experiment.Summary `json:"summary"`
-	Error    string             `json:"error,omitempty"`
-}
-
 func main() {
 	var (
 		scenarios = flag.String("scenarios", "day,plenary", "comma-separated scenario names (see -list)")
@@ -86,8 +70,7 @@ func main() {
 		scales    = flag.String("scales", "0.25", "comma-separated scale factors (1.0 = full size)")
 		workers   = flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
 		metrics   = flag.String("metrics", "", "comma-separated analysis stages (default: all)")
-		jsonOut   = flag.String("json", "", "also write the full report as JSON to this path (- = stdout)")
-		reduce    = flag.Bool("reduce", false, "reduce as you go: retain only aggregate rows, not per-run results (for very large matrices; -json omits runs)")
+		jsonOut   = flag.String("json", "", "also write the matrix report (every run's summary, then the aggregates) as JSON to this path (- = stdout)")
 		campaign  = flag.String("campaign", "", "run as a crash-resumable campaign in this directory (journal of completed runs)")
 		resume    = flag.String("resume", "", "resume the campaign in this directory (matrix flags ignored; campaign.json is authoritative)")
 		serve     = flag.String("serve", "", "run as a distributed-sweep coordinator listening on this address (host:port)")
@@ -127,6 +110,9 @@ func main() {
 			fatal(err)
 		}
 	} else {
+		if *runs < 1 {
+			fatal(fmt.Errorf("-runs %d: need at least 1 seed per cell (or -seeds)", *runs))
+		}
 		for s := int64(1); s <= int64(*runs); s++ {
 			m.Seeds = append(m.Seeds, s)
 		}
@@ -142,8 +128,8 @@ func main() {
 		if *serve != "" && *workerURL != "" {
 			fatal(errors.New("-serve and -worker are mutually exclusive"))
 		}
-		if *campaign != "" || *reduce {
-			fatal(errors.New("-serve/-worker do not combine with -campaign or -reduce"))
+		if *campaign != "" {
+			fatal(errors.New("-serve/-worker do not combine with -campaign"))
 		}
 		if *workerURL != "" {
 			if *resume != "" {
@@ -171,90 +157,75 @@ func main() {
 		return
 	}
 
-	opts := experiment.RunSpecOpts{Matrix: m, Workers: *workers, Metrics: splitList(*metrics)}
+	// A plain run reduces as it goes: only each run's summary is kept,
+	// so the matrix size does not bound memory.
+	opts := experiment.RunSpecOpts{Matrix: m, Mode: experiment.ModeReduce, Workers: *workers, Metrics: splitList(*metrics)}
 	if *campaign != "" || *resume != "" {
 		if *campaign != "" && *resume != "" {
 			fatal(errors.New("-campaign and -resume are mutually exclusive"))
-		}
-		if *reduce {
-			fatal(errors.New("-reduce does not apply to campaigns (the journal already bounds memory)"))
 		}
 		opts.Mode = experiment.ModeCampaign
 		opts.CampaignDir = *campaign
 		if *resume != "" {
 			opts.CampaignDir, opts.Resume = *resume, true
 		}
-		runCampaignMode(ctx, opts, *jsonOut)
-		return
 	}
+	runMatrix(ctx, opts, *jsonOut)
+}
 
-	if *reduce {
-		// Reduce-as-you-go: per-run Results are dropped the moment
-		// their summary folds into the aggregates, so the matrix size
-		// no longer bounds memory.
-		opts.Mode = experiment.ModeReduce
-	}
+// runMatrix runs the matrix, plain or as a campaign, prints its
+// aggregate table and writes its report. Exit statuses: 1 when a
+// plain run failed, 130 when interrupted (resume a campaign later
+// with -resume), 2 on hard errors, including a failed campaign run.
+func runMatrix(ctx context.Context, opts experiment.RunSpecOpts, jsonOut string) {
 	ex, err := (&experiment.Runner{}).Execute(ctx, opts)
-	if err != nil {
+	interrupted := errors.Is(err, context.Canceled)
+	if err != nil && !interrupted {
 		fatal(err)
 	}
-	specs, results, aggs := ex.Specs, ex.Results, ex.Aggregates
+	res := ex.Campaign
 	failed, canceled := 0, 0
-	for i, err := range ex.Errs {
+	for i, err := range ex.Errs { // plain runs only: a campaign returns its failure
 		switch {
 		case errors.Is(err, context.Canceled):
 			canceled++
 		case err != nil:
 			failed++
-			s := specs[i]
+			s := res.Specs[i]
 			fmt.Fprintf(os.Stderr, "wlansweep: %s seed=%d scale=%g: %v\n", s.Name, s.Seed, s.Scale, err)
 		}
 	}
 	if canceled > 0 {
+		interrupted = true
 		fmt.Fprintf(os.Stderr, "wlansweep: interrupted: %d of %d runs canceled, reporting the %d completed\n",
-			canceled, len(specs), len(specs)-canceled)
+			canceled, len(res.Specs), len(res.Specs)-canceled)
+	}
+	done := -canceled
+	for _, d := range res.Done {
+		if d {
+			done++
+		}
 	}
 
 	// With -json - the JSON document owns stdout; the table would
 	// corrupt it for any consumer.
-	if *jsonOut != "-" {
-		title := fmt.Sprintf("Experiment matrix (%d runs)", len(specs))
-		if canceled > 0 {
-			title = fmt.Sprintf("Experiment matrix (%d of %d runs; interrupted)", len(specs)-canceled, len(specs))
-		}
-		experiment.AggregateTable(title, aggs).WriteTo(os.Stdout)
+	if jsonOut != "-" {
+		experiment.AggregateTable(matrixTitle(opts.CampaignDir, res, done, interrupted), res.Aggregates).WriteTo(os.Stdout)
 	}
-
-	if *jsonOut != "" {
-		doc := jsonReport{
-			Scenarios:  m.Scenarios,
-			Seeds:      m.Seeds,
-			Scales:     m.Scales,
-			Workers:    *workers,
-			Aggregates: aggs,
-		}
-		for _, r := range results {
-			jr := jsonRun{
-				Scenario: r.Spec.Name,
-				Seed:     r.Spec.Seed,
-				Scale:    r.Spec.Scale,
-				Summary:  r.Summary,
-			}
-			if r.Spec.Scenario != nil {
-				jr.Params = r.Spec.Scenario.Params()
-			}
-			if r.Err != nil {
-				jr.Error = r.Err.Error()
-			}
-			doc.Runs = append(doc.Runs, jr)
-		}
-		if *jsonOut == "-" {
-			enc, err := json.MarshalIndent(doc, "", "  ")
-			if err != nil {
+	if jsonOut != "" {
+		man := experiment.Manifest{Matrix: opts.Matrix}
+		if opts.Mode == experiment.ModeCampaign {
+			if man, err = experiment.ReadManifest(opts.CampaignDir); err != nil {
 				fatal(err)
 			}
-			os.Stdout.Write(append(enc, '\n'))
-		} else if err := experiment.WriteJSONAtomic(*jsonOut, doc); err != nil {
+		}
+		data, err := res.ReportJSON(man)
+		if err != nil {
+			fatal(err)
+		}
+		if jsonOut == "-" {
+			os.Stdout.Write(data)
+		} else if err := experiment.AtomicWriteFile(jsonOut, data); err != nil {
 			// temp-file+rename: an interrupt mid-write can never leave a
 			// torn report where a previous good one stood.
 			fatal(err)
@@ -264,61 +235,27 @@ func main() {
 		profStop()
 		os.Exit(1)
 	}
-	if canceled > 0 {
+	if interrupted {
 		profStop()
 		os.Exit(130) // conventional interrupted-by-signal status
 	}
 }
 
-// runCampaignMode runs or resumes a crash-resumable campaign and
-// reports it. Exit statuses match the plain path: 130 when
-// interrupted (resume later with -resume), 2 on hard errors.
-func runCampaignMode(ctx context.Context, opts experiment.RunSpecOpts, jsonOut string) {
-	dir := opts.CampaignDir
-	ex, err := (&experiment.Runner{}).Execute(ctx, opts)
-	interrupted := errors.Is(err, context.Canceled)
-	if err != nil && !interrupted {
-		fatal(err)
+// matrixTitle is the aggregate table's title: a plain matrix or the
+// campaign in dir, noting an interruption.
+func matrixTitle(dir string, res *experiment.CampaignResult, done int, interrupted bool) string {
+	n := len(res.Specs)
+	switch {
+	case dir == "" && interrupted:
+		return fmt.Sprintf("Experiment matrix (%d of %d runs; interrupted)", done, n)
+	case dir == "":
+		return fmt.Sprintf("Experiment matrix (%d runs)", n)
+	case interrupted:
+		return fmt.Sprintf("Campaign %s (interrupted: %d of %d runs done; -resume %s to continue)", dir, done, n, dir)
+	case res.FromJournal > 0:
+		return fmt.Sprintf("Campaign %s (%d runs, %d from journal)", dir, n, res.FromJournal)
 	}
-	res := ex.Campaign
-
-	done := 0
-	for _, d := range res.Done {
-		if d {
-			done++
-		}
-	}
-	title := fmt.Sprintf("Campaign %s (%d runs", dir, len(res.Specs))
-	if res.FromJournal > 0 {
-		title += fmt.Sprintf(", %d from journal", res.FromJournal)
-	}
-	title += ")"
-	if interrupted {
-		title = fmt.Sprintf("Campaign %s (interrupted: %d of %d runs done; -resume %s to continue)", dir, done, len(res.Specs), dir)
-	}
-	if jsonOut != "-" {
-		experiment.AggregateTable(title, res.Aggregates).WriteTo(os.Stdout)
-	}
-
-	if jsonOut != "" {
-		man, merr := experiment.ReadManifest(dir)
-		if merr != nil {
-			fatal(merr)
-		}
-		data, jerr := res.ReportJSON(man)
-		if jerr != nil {
-			fatal(jerr)
-		}
-		if jsonOut == "-" {
-			os.Stdout.Write(data)
-		} else if werr := experiment.AtomicWriteFile(jsonOut, data); werr != nil {
-			fatal(werr)
-		}
-	}
-	if interrupted {
-		profStop()
-		os.Exit(130)
-	}
+	return fmt.Sprintf("Campaign %s (%d runs)", dir, n)
 }
 
 // runServeMode runs the distributed-sweep coordinator: serve the

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,17 +58,22 @@ type Manifest struct {
 	Range   *SpecRange `json:"range,omitempty"`
 }
 
-// RunRecord is one completed run as journaled.
+// RunRecord is one run as a report lists it: its global spec index,
+// identity and summary. A campaign run also carries its trace hash;
+// a failed collect or reduce run carries its error instead of a
+// summary. A journal only ever holds completed, hashed records.
 type RunRecord struct {
 	Index     int     `json:"index"`
 	Name      string  `json:"name"`
 	Seed      int64   `json:"seed"`
 	Scale     float64 `json:"scale"`
 	Summary   Summary `json:"summary"`
-	TraceHash string  `json:"trace_hash"`
+	TraceHash string  `json:"trace_hash,omitempty"`
+	Error     string  `json:"error,omitempty"`
 }
 
-// CampaignResult is a finished (or interrupted) campaign.
+// CampaignResult is the per-run state of a finished (or interrupted)
+// Execute in any mode, or of a campaign folded from journals.
 type CampaignResult struct {
 	Specs      []Spec
 	Records    []RunRecord // spec order; zero-valued where incomplete
@@ -80,8 +84,9 @@ type CampaignResult struct {
 	FromJournal int
 }
 
-// Report is the serializable campaign report (what wlansweep -json
-// writes and the CI kill-and-resume job diffs).
+// Report is the serializable matrix report: what `wlansweep -json`
+// and `ietfrepro -json` write, and what the CI kill-and-resume job
+// diffs. It lists every placed record in spec order.
 func (r *CampaignResult) Report(man Manifest) CampaignReport {
 	rep := CampaignReport{
 		Scenarios:  man.Matrix.Scenarios,
@@ -97,10 +102,10 @@ func (r *CampaignResult) Report(man Manifest) CampaignReport {
 	return rep
 }
 
-// ReportJSON returns the report's bytes exactly as `wlansweep
-// -campaign -json` writes them: indented JSON plus a trailing
-// newline. A dispatch coordinator's report.json and its GET
-// /api/v1/report serve the same bytes.
+// ReportJSON returns the report's bytes exactly as `wlansweep -json`
+// writes them: indented JSON plus a trailing newline. A dispatch
+// coordinator's report.json and its GET /api/v1/report serve the same
+// bytes.
 func (r *CampaignResult) ReportJSON(man Manifest) ([]byte, error) {
 	data, err := json.MarshalIndent(r.Report(man), "", "  ")
 	if err != nil {
@@ -109,7 +114,7 @@ func (r *CampaignResult) ReportJSON(man Manifest) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// CampaignReport is the JSON report shape.
+// CampaignReport is the one JSON report shape of a matrix run.
 type CampaignReport struct {
 	Scenarios  []string     `json:"scenarios"`
 	Seeds      []int64      `json:"seeds,omitempty"`
@@ -406,11 +411,15 @@ func ReadManifest(dir string) (Manifest, error) {
 }
 
 // validateRecord checks a journaled (or uploaded) record against the
-// expanded matrix: the index must exist and the identity fields must
-// match what the matrix expands to at that index.
+// expanded matrix: the index must exist, the identity fields must
+// match what the matrix expands to at that index, and the record must
+// be a completed campaign run's: hashed, with no error.
 func validateRecord(specs []Spec, rec RunRecord) error {
 	if rec.Index < 0 || rec.Index >= len(specs) {
 		return fmt.Errorf("experiment: record for run %d, matrix has %d runs", rec.Index, len(specs))
+	}
+	if rec.TraceHash == "" || rec.Error != "" {
+		return fmt.Errorf("experiment: record for run %d is not a completed campaign run (trace hash %q, error %q)", rec.Index, rec.TraceHash, rec.Error)
 	}
 	sp := specs[rec.Index]
 	if rec.Name != sp.Name || rec.Seed != sp.Seed || rec.Scale != sp.Scale {
@@ -497,13 +506,14 @@ func (r *CampaignResult) unplace(recs []RunRecord) {
 	}
 }
 
-// aggregate folds the done records in spec order — exactly the
-// uninterrupted Aggregate path.
+// aggregate folds the placed records in spec order — exactly the
+// Aggregate path. A record carrying an error counts in its group's
+// Errors.
 func (r *CampaignResult) aggregate() {
 	var agg aggregator
 	for i := range r.Specs {
 		if r.Done[i] {
-			agg.add(r.Specs[i], r.Records[i].Summary, nil)
+			agg.add(r.Specs[i], r.Records[i].Summary, r.Records[i].Error != "")
 		}
 	}
 	r.Aggregates = agg.result()
@@ -522,82 +532,4 @@ func readManifest(path string) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("%s: unsupported campaign version %d", path, man.Version)
 	}
 	return man, nil
-}
-
-// runCampaign runs camp's pending runs and returns the campaign state
-// (partial on error) with the worker pool's retention high-water
-// mark. Workers journal their own run; the fold places records in
-// spec order and stops dispatch at the first failed run.
-func runCampaign(ctx context.Context, camp *Campaign, opts RunSpecOpts) (*CampaignResult, int, error) {
-	res, specs, j := camp.Result, camp.Result.Specs, camp.j
-
-	// A range-restricted campaign (a dispatch worker's shard) only
-	// runs its leased indices; the journal and fold stay global.
-	var pending []int
-	for i := range specs {
-		if !res.Done[i] && opts.Range.Contains(i) {
-			pending = append(pending, i)
-		}
-	}
-
-	workers := opts.Workers
-	if opts.Injector != nil {
-		workers = 1 // reproducible crash instants
-	}
-	type cell struct {
-		rec RunRecord
-		err error
-	}
-	run := func(k int) cell {
-		rec, err := runCampaignCell(specs[pending[k]], opts.Metrics, pending[k], opts.Injector, j)
-		return cell{rec, err}
-	}
-	var firstErr error
-	fold := func(k int, c cell) bool {
-		i := pending[k]
-		if c.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("run %d (%s seed=%d scale=%g): %w", i, specs[i].Name, specs[i].Seed, specs[i].Scale, c.err)
-			}
-			return true
-		}
-		res.Records[i] = c.rec
-		res.Done[i] = true
-		return false
-	}
-	_, peak := runOrdered(ctx, len(pending), workers, run, fold)
-	if firstErr != nil {
-		return res, peak, firstErr
-	}
-
-	res.aggregate()
-	return res, peak, ctx.Err()
-}
-
-// runCampaignCell runs one pending cell from t=0 through the hashed
-// pipeline and journals its record. An injected crash
-// (faultinject.Crashed panic) becomes an error that aborts the
-// campaign with the on-disk state exactly as-at-crash — the
-// in-process equivalent of a SIGKILL at that instant, which is what
-// the kill-and-resume tests exercise. Real panics propagate.
-func runCampaignCell(spec Spec, metrics []string, idx int, inj *faultinject.Injector, j *journal) (rec RunRecord, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if c, ok := r.(faultinject.Crashed); ok {
-				err = c
-				return
-			}
-			panic(r)
-		}
-	}()
-	rr, hash := runOne(spec, metrics, true)
-	if rr.Err != nil {
-		return RunRecord{}, rr.Err
-	}
-	rec = RunRecord{Index: idx, Name: spec.Name, Seed: spec.Seed, Scale: spec.Scale, Summary: rr.Summary, TraceHash: hash}
-	if err := j.append(rec, inj); err != nil {
-		return RunRecord{}, err
-	}
-	inj.AfterRun(idx)
-	return rec, nil
 }

@@ -48,11 +48,12 @@ func TestRerunTraceHashIsDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				spec := Spec{Name: tc.name, Seed: 1, Scale: tc.scale, Scenario: sc}
-				recs[i], err = runCampaignCell(spec, nil, 0, nil, j)
+				c := runCell(spec, 0, nil, j, nil)
 				j.close()
-				if err != nil {
-					t.Fatal(err)
+				if c.rr.Err != nil {
+					t.Fatal(c.rr.Err)
 				}
+				recs[i] = c.rec
 			}
 			if recs[0].TraceHash == "" || recs[0].Summary.Frames == 0 {
 				t.Fatalf("empty run: %+v", recs[0])
@@ -333,23 +334,11 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCampaignMatchesEngine: campaign aggregates are bit-identical to
-// the plain engine path over the same matrix (the hashing stage must
-// not perturb analysis).
+// TestCampaignMatchesEngine: campaign records and aggregates are
+// bit-identical to the plain engine paths' over the same matrix (the
+// hashing stage must not perturb analysis).
 func TestCampaignMatchesEngine(t *testing.T) {
-	m := campaignMatrix()
-	specs, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Aggregate(collect(t, 1, specs))
-	got, err := campaign(context.Background(), RunSpecOpts{Matrix: m, Workers: 1, CampaignDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Aggregates, want) {
-		t.Fatalf("campaign aggregates differ from engine:\n%+v\nvs\n%+v", got.Aggregates, want)
-	}
+	checkModesAgree(t, executeEveryMode(t, campaignMatrix(), 1))
 }
 
 // TestResumeRejectsConflictingJournalRecords: two campaign processes

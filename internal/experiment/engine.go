@@ -309,13 +309,13 @@ func AggregateTable(title string, aggs []Aggregated) *report.Table {
 func Aggregate(results []RunResult) []Aggregated {
 	var agg aggregator
 	for _, r := range results {
-		agg.add(r.Spec, r.Summary, r.Err)
+		agg.add(r.Spec, r.Summary, r.Err != nil)
 	}
 	return agg.result()
 }
 
-// aggregator is the one summary fold behind Aggregate, reduce mode and
-// campaign aggregation: groups keyed by (name, scale) in first-seen
+// aggregator is the one summary fold behind Aggregate and Execute's
+// aggregates in every mode: groups keyed by (name, scale) in first-seen
 // order, one Welford accumulator per summaryFields entry. Adding runs
 // in spec order makes every mean and stddev bit reproducible.
 type aggregator struct {
@@ -329,9 +329,9 @@ type groupKey struct {
 	scale float64
 }
 
-// add folds one run: a failed run (err != nil) counts in its group's
-// Errors and contributes no samples.
-func (a *aggregator) add(spec Spec, sum Summary, err error) {
+// add folds one run: a failed run counts in its group's Errors and
+// contributes no samples.
+func (a *aggregator) add(spec Spec, sum Summary, failed bool) {
 	k := groupKey{spec.Name, spec.Scale}
 	gi, ok := a.index[k]
 	if !ok {
@@ -343,7 +343,7 @@ func (a *aggregator) add(spec Spec, sum Summary, err error) {
 		a.groups = append(a.groups, Aggregated{Scenario: k.name, Scale: k.scale})
 		a.accs = append(a.accs, make([]stats.Welford, len(summaryFields)))
 	}
-	if err != nil {
+	if failed {
 		a.groups[gi].Errors++
 		return
 	}

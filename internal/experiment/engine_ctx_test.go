@@ -118,7 +118,7 @@ func TestRunReduceContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggs := ex.Aggregates
+	aggs := ex.Campaign.Aggregates
 	if len(aggs) != 1 {
 		t.Fatalf("%d aggregate groups, want 1", len(aggs))
 	}
@@ -177,7 +177,7 @@ func TestRunContextUncanceled(t *testing.T) {
 		}
 	}
 	red := reduce(t, 2, specs)
-	aggs := red.Aggregates
+	aggs := red.Campaign.Aggregates
 	for _, err := range red.Errs {
 		if err != nil {
 			t.Fatalf("reduce run failed: %v", err)

@@ -28,10 +28,10 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"wlan80211/internal/capture"
+	"wlan80211/internal/workload"
 )
 
 // Sink receives one capture record. A record's Frame bytes may alias
@@ -108,21 +108,11 @@ func Names() []string {
 	return out
 }
 
-// CheckScale rejects a scale factor that is not finite and above 0:
-// a scenario's Scale keeps its full size for one at or below 0, and no
-// factory sizes a NaN or infinite one sensibly, so such a label would
-// not describe the run it names.
-func CheckScale(scale float64) error {
-	if !(scale > 0) || math.IsInf(scale, 1) {
-		return fmt.Errorf("experiment: scale %g is not a finite number above 0", scale)
-	}
-	return nil
-}
-
 // New builds the named scenario variant from the registry, at a scale
-// CheckScale accepts.
+// workload.CheckScale accepts: a matrix with an invalid scale fails to
+// expand, before any run or campaign directory exists.
 func New(name string, seed int64, scale float64) (Scenario, error) {
-	if err := CheckScale(scale); err != nil {
+	if err := workload.CheckScale(scale); err != nil {
 		return nil, err
 	}
 	for _, e := range registry {

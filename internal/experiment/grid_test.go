@@ -170,7 +170,7 @@ func TestRunReduceMatchesRun(t *testing.T) {
 	want := Aggregate(collect(t, 2, specsA))
 
 	ex := reduce(t, 3, specsB)
-	got := ex.Aggregates
+	got := ex.Campaign.Aggregates
 	for i, e := range ex.Errs {
 		if e != nil {
 			t.Fatalf("reduce run %d: %v", i, e)
@@ -200,7 +200,7 @@ func TestRunReduceCountsErrors(t *testing.T) {
 		{Name: "err", Scale: 1, Scenario: errScenario{}},
 	}
 	ex := reduce(t, 2, specs)
-	aggs, errs := ex.Aggregates, ex.Errs
+	aggs, errs := ex.Campaign.Aggregates, ex.Errs
 	if errs[0] == nil || errs[1] == nil {
 		t.Fatalf("errors not reported: %v", errs)
 	}

@@ -99,7 +99,8 @@ func TestPartitionFoldByteIdentical(t *testing.T) {
 }
 
 // TestFoldRecordsConflict: a record disagreeing with an already-folded
-// one for the same spec index must fail the fold, not silently win.
+// one for the same spec index must fail the fold, not silently win; so
+// must a record that names no matrix run, or no completed one.
 func TestFoldRecordsConflict(t *testing.T) {
 	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1}, Scales: []float64{0.1}}
 	man := Manifest{Version: 1, Matrix: m}
@@ -121,5 +122,14 @@ func TestFoldRecordsConflict(t *testing.T) {
 	wrong.Seed = 9
 	if _, err := FoldRecords(man, []RunRecord{wrong}); err == nil {
 		t.Fatal("identity mismatch accepted")
+	}
+	// Only a completed campaign run folds: a plain run's unhashed
+	// record or a failed run's must not enter a campaign.
+	unhashed, failed := a, a
+	unhashed.TraceHash, failed.Error = "", "boom"
+	for _, rec := range []RunRecord{unhashed, failed} {
+		if _, err := FoldRecords(man, []RunRecord{rec}); err == nil {
+			t.Fatalf("record %+v accepted", rec)
+		}
 	}
 }

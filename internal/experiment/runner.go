@@ -19,8 +19,9 @@ type RunMode string
 const (
 	// ModeCollect runs every spec and retains per-run results.
 	ModeCollect RunMode = "collect"
-	// ModeReduce folds summaries as runs complete, dropping each
-	// run's full analysis Result — O(groups+workers) memory.
+	// ModeReduce keeps only each run's record (its summary),
+	// dropping the full analysis Result once summarized, so at most
+	// the worker count of Results is alive at once.
 	ModeReduce RunMode = "reduce"
 	// ModeCampaign runs as a crash-resumable journaled campaign in
 	// CampaignDir.
@@ -87,28 +88,25 @@ type RunSpecOpts struct {
 	Injector *faultinject.Injector `json:"-"`
 }
 
-// Execution is what Runner.Execute produced. Fields are filled per
-// mode; Aggregates is always set on success (and on interruption, for
-// the runs that did complete).
+// Execution is what Runner.Execute produced.
 type Execution struct {
-	// Specs are the executed specs: the expanded matrix restricted to
-	// Range (ModeCollect/ModeReduce), or the full expansion
-	// (ModeCampaign, where Range restricts running, not folding).
-	Specs []Spec
-	// Results holds per-run results in spec order (ModeCollect only).
+	// Campaign holds every mode's per-run records, in global spec
+	// order, and the scenario+scale aggregates. In collect and reduce
+	// mode every spec of Range has a record, a failed or undispatched
+	// one carrying its error; a campaign places only the runs that
+	// completed, and its records alone carry a trace hash. On
+	// interruption the completed runs are still aggregated.
+	Campaign *CampaignResult
+	// Results holds per-run results in Range order (ModeCollect only).
 	Results []RunResult
-	// Errs holds per-spec errors in spec order, nil entries for
+	// Errs holds per-run errors in Range order, nil entries for
 	// successes; undispatched specs of an interrupted run carry the
 	// context error (ModeCollect and ModeReduce).
 	Errs []error
-	// Aggregates are the scenario+scale group reductions.
-	Aggregates []Aggregated
-	// Campaign is the campaign state (ModeCampaign only), including
-	// partial state when the run was interrupted.
-	Campaign *CampaignResult
 	// PeakPending is how many completed-but-not-yet-folded runs the
-	// worker pool held at once (≤ the worker count) — the retention
-	// reduce mode's memory claim rests on.
+	// worker pool held at once (≤ the worker count): the only
+	// retention besides each run's record, which reduce mode's memory
+	// claim rests on.
 	PeakPending int
 }
 
@@ -116,73 +114,117 @@ type Execution struct {
 type Runner struct{}
 
 // Execute runs one experiment described by opts and returns its
-// Execution. Every mode runs on one ordered worker pool and differs
-// only in what it keeps of each run: collect keeps the RunResult,
-// reduce drops the analysis Result once summarized, and a campaign
-// journals each run and places its record. On cooperative
-// cancellation no further runs are dispatched, in-flight runs finish,
-// and the completed runs are still aggregated and returned: collect
-// and reduce mark the undispatched specs with the context error, and
-// a campaign returns its partial state alongside it.
+// Execution. Every mode runs the pending specs through one fold on one
+// ordered worker pool and differs only in what it keeps of each run:
+// collect keeps the RunResult, reduce drops the analysis Result once
+// summarized, and a campaign hashes the trace and journals the record.
+// Collect and reduce record a failed run's error and go on; a campaign
+// stops dispatching at its first failed run and returns that error.
+// On cooperative cancellation no further runs are dispatched, in-flight
+// runs finish, and the completed runs are still aggregated and
+// returned: collect and reduce mark the undispatched specs with the
+// context error, and a campaign returns its partial state alongside
+// it.
 func (r *Runner) Execute(ctx context.Context, opts RunSpecOpts) (*Execution, error) {
 	mode := opts.Mode
 	if mode == "" {
 		mode = ModeCollect
 	}
-	if mode == ModeCampaign {
-		return executeCampaign(ctx, opts)
-	}
-	if mode != ModeCollect && mode != ModeReduce {
+	var (
+		res *CampaignResult
+		j   *journal // campaign mode only
+	)
+	switch mode {
+	case ModeCampaign:
+		c, err := openCampaign(opts)
+		if err != nil {
+			return nil, err
+		}
+		defer c.Close()
+		res, j = c.Result, c.j
+		opts.Metrics, opts.Range = c.Manifest.Metrics, c.Manifest.Range
+	case ModeCollect, ModeReduce:
+		specs := opts.Specs
+		if specs == nil {
+			var err error
+			if specs, err = opts.Matrix.Expand(); err != nil {
+				return nil, err
+			}
+		}
+		if err := opts.Range.validate(len(specs)); err != nil {
+			return nil, err
+		}
+		res, _ = foldRecords(specs, nil) // nothing to fold: cannot fail
+	default:
 		return nil, fmt.Errorf("experiment: unknown run mode %q", mode)
 	}
 
-	specs := opts.Specs
-	if specs == nil {
-		var err error
-		if specs, err = opts.Matrix.Expand(); err != nil {
-			return nil, err
+	// A range-restricted run (a dispatch worker's shard) only runs its
+	// indices; records and the fold stay global.
+	var pending []int
+	for i := range res.Specs {
+		if !res.Done[i] && opts.Range.Contains(i) {
+			pending = append(pending, i)
 		}
 	}
-	if err := opts.Range.validate(len(specs)); err != nil {
-		return nil, err
+	ex := &Execution{Campaign: res}
+	if j == nil {
+		ex.Errs = make([]error, len(pending))
 	}
-	if opts.Range != nil {
-		specs = specs[opts.Range.From:opts.Range.To]
-	}
-
-	ex := &Execution{Specs: specs, Errs: make([]error, len(specs))}
 	if mode == ModeCollect {
-		ex.Results = make([]RunResult, len(specs))
+		ex.Results = make([]RunResult, len(pending))
 	}
-	var agg aggregator
-	fold := func(i int, rr RunResult) bool {
-		ex.Errs[i] = rr.Err
-		agg.add(rr.Spec, rr.Summary, rr.Err)
+	workers := opts.Workers
+	if opts.Injector != nil {
+		workers = 1 // reproducible crash instants
+	}
+	run := func(k int) cell {
+		c := runCell(res.Specs[pending[k]], pending[k], opts.Metrics, j, opts.Injector)
+		if mode != ModeCollect {
+			c.rr.Result = nil // only the Summary survives
+		}
+		return c
+	}
+	var firstErr error
+	fold := func(k int, c cell) bool {
+		i := pending[k]
+		if j != nil && c.rr.Err != nil {
+			if sp := res.Specs[i]; firstErr == nil { // in-flight runs still fold after the stop
+				firstErr = fmt.Errorf("run %d (%s seed=%d scale=%g): %w", i, sp.Name, sp.Seed, sp.Scale, c.rr.Err)
+			}
+			return true
+		}
+		res.Records[i], res.Done[i] = c.rec, true
+		if ex.Errs != nil {
+			ex.Errs[k] = c.rr.Err
+		}
 		if ex.Results != nil {
-			ex.Results[i] = rr
+			ex.Results[k] = c.rr
 		}
 		return false
 	}
-	run := func(i int) RunResult {
-		rr, _ := runOne(specs[i], opts.Metrics, false)
-		if mode == ModeReduce {
-			rr.Result = nil // reduce-as-you-go: only the Summary survives
+	n, peak := runOrdered(ctx, len(pending), workers, run, fold)
+	if j == nil {
+		for k := n; k < len(pending); k++ {
+			i := pending[k]
+			fold(k, newCell(RunResult{Spec: res.Specs[i], Err: ctx.Err()}, i, ""))
 		}
-		return rr
 	}
-	n, peak := runOrdered(ctx, len(specs), opts.Workers, run, fold)
-	for j := n; j < len(specs); j++ {
-		fold(j, RunResult{Spec: specs[j], Err: ctx.Err()})
-	}
-	ex.Aggregates = agg.result()
+	res.aggregate()
 	ex.PeakPending = peak
+	switch {
+	case firstErr != nil:
+		return ex, firstErr
+	case j != nil:
+		return ex, ctx.Err()
+	}
 	return ex, nil
 }
 
-// executeCampaign is Execute's ModeCampaign arm: create-or-continue
+// openCampaign opens Execute's campaign directory: create-or-continue
 // (Resume=false, Matrix authoritative and checked against any existing
 // manifest) or resume (Resume=true, manifest authoritative).
-func executeCampaign(ctx context.Context, opts RunSpecOpts) (*Execution, error) {
+func openCampaign(opts RunSpecOpts) (*Campaign, error) {
 	if opts.CampaignDir == "" {
 		return nil, fmt.Errorf("experiment: ModeCampaign requires CampaignDir")
 	}
@@ -193,12 +235,51 @@ func executeCampaign(ctx context.Context, opts RunSpecOpts) (*Execution, error) 
 	if !opts.Resume {
 		man = &Manifest{Matrix: opts.Matrix, Metrics: opts.Metrics, Range: opts.Range}
 	}
-	c, err := OpenCampaign(opts.CampaignDir, man)
-	if err != nil {
-		return nil, err
+	return OpenCampaign(opts.CampaignDir, man)
+}
+
+// cell is one run's outcome as the worker pool hands it to the fold.
+type cell struct {
+	rr  RunResult
+	rec RunRecord
+}
+
+// newCell pairs a run's result with its record at spec index idx.
+func newCell(rr RunResult, idx int, hash string) cell {
+	sp := rr.Spec
+	rec := RunRecord{Index: idx, Name: sp.Name, Seed: sp.Seed, Scale: sp.Scale, Summary: rr.Summary, TraceHash: hash}
+	if rr.Err != nil {
+		rec.Error = rr.Err.Error()
 	}
-	defer c.Close()
-	opts.Metrics, opts.Range = c.Manifest.Metrics, c.Manifest.Range
-	res, peak, err := runCampaign(ctx, c, opts)
-	return &Execution{Specs: res.Specs, Aggregates: res.Aggregates, Campaign: res, PeakPending: peak}, err
+	return cell{rr, rec}
+}
+
+// runCell runs spec (index idx) from t=0. With a journal j (campaign
+// mode) the trace is hashed and a successful run's record journaled
+// before it returns; a journal error becomes the run's error. An
+// injected crash (faultinject.Crashed panic) becomes an error that
+// aborts the campaign with the on-disk state exactly as-at-crash — the
+// in-process equivalent of a SIGKILL at that instant, which is what
+// the kill-and-resume tests exercise. Real panics propagate.
+func runCell(spec Spec, idx int, metrics []string, j *journal, inj *faultinject.Injector) (c cell) {
+	defer func() {
+		if r := recover(); r != nil {
+			if crash, ok := r.(faultinject.Crashed); ok {
+				c.rr.Err = crash
+				return
+			}
+			panic(r)
+		}
+	}()
+	rr, hash := runOne(spec, metrics, j != nil)
+	c = newCell(rr, idx, hash)
+	if j == nil || rr.Err != nil {
+		return c
+	}
+	if err := j.append(c.rec, inj); err != nil {
+		c.rr.Err = err
+		return c
+	}
+	inj.AfterRun(idx)
+	return c
 }

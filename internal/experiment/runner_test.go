@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -37,26 +38,68 @@ func campaign(ctx context.Context, opts RunSpecOpts) (*CampaignResult, error) {
 	return ex.Campaign, err
 }
 
-// TestRunnerReduceMatchesCollect: the reduce path through Execute
-// folds to the same aggregates as the collect path.
-func TestRunnerReduceMatchesCollect(t *testing.T) {
-	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1, 2}, Scales: []float64{0.1}}
-	ex, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Mode: ModeReduce, Matrix: m, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, err := range ex.Errs {
+// executeEveryMode runs m in collect, reduce and campaign mode (in a
+// fresh directory) and fails on any run error.
+func executeEveryMode(t *testing.T, m Matrix, workers int) map[RunMode]*Execution {
+	t.Helper()
+	out := make(map[RunMode]*Execution)
+	for _, mode := range []RunMode{ModeCollect, ModeReduce, ModeCampaign} {
+		opts := RunSpecOpts{Mode: mode, Matrix: m, Workers: workers}
+		if mode == ModeCampaign {
+			opts.CampaignDir = t.TempDir()
+		}
+		ex, err := (&Runner{}).Execute(context.Background(), opts)
 		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
+			t.Fatalf("%s: %v", mode, err)
+		}
+		for i, rec := range ex.Campaign.Records {
+			if !ex.Campaign.Done[i] || rec.Error != "" {
+				t.Fatalf("%s: run %d not done: %+v", mode, i, rec)
+			}
+		}
+		out[mode] = ex
+	}
+	return out
+}
+
+// checkModesAgree: every mode folds the same per-run records — only a
+// campaign's carry a trace hash — and the same aggregates, which are
+// also what Aggregate makes of collect's Results.
+func checkModesAgree(t *testing.T, exs map[RunMode]*Execution) {
+	t.Helper()
+	col := exs[ModeCollect]
+	want := Aggregate(col.Results)
+	if len(col.Results) != len(col.Campaign.Records) {
+		t.Fatalf("collect: %d results, %d records", len(col.Results), len(col.Campaign.Records))
+	}
+	for i, r := range col.Results {
+		if rec := col.Campaign.Records[i]; rec.Summary != r.Summary || rec.Index != i || rec.Name != r.Spec.Name {
+			t.Fatalf("collect record %d = %+v, its result %s summary %+v", i, rec, r.Spec.Name, r.Summary)
 		}
 	}
-	col, err := (&Runner{}).Execute(context.Background(), RunSpecOpts{Mode: ModeCollect, Matrix: m, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	for mode, ex := range exs {
+		if !reflect.DeepEqual(ex.Campaign.Aggregates, want) {
+			t.Errorf("%s aggregates differ from collect's:\n%+v\nvs\n%+v", mode, ex.Campaign.Aggregates, want)
+		}
+		recs := slices.Clone(ex.Campaign.Records)
+		for i := range recs {
+			if hashed := recs[i].TraceHash != ""; hashed != (mode == ModeCampaign) {
+				t.Errorf("%s record %d trace hash %q", mode, i, recs[i].TraceHash)
+			}
+			recs[i].TraceHash = ""
+		}
+		if !reflect.DeepEqual(recs, col.Campaign.Records) {
+			t.Errorf("%s records differ from collect's:\n%+v\nvs\n%+v", mode, recs, col.Campaign.Records)
+		}
 	}
-	if !reflect.DeepEqual(ex.Aggregates, col.Aggregates) {
-		t.Fatal("reduce and collect aggregates diverge")
-	}
+}
+
+// TestRunnerReduceMatchesCollect: the reduce path through Execute
+// folds to the same records and aggregates as the collect path, and
+// as a campaign over the same matrix.
+func TestRunnerReduceMatchesCollect(t *testing.T) {
+	m := Matrix{Scenarios: []string{"day"}, Seeds: []int64{1, 2}, Scales: []float64{0.1}}
+	checkModesAgree(t, executeEveryMode(t, m, 2))
 }
 
 // TestRunnerRange: a range-restricted Execute runs exactly the

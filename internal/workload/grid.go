@@ -54,6 +54,10 @@ type Grid struct {
 	// (shadowing-free) radios engage the simulator's spatial culling,
 	// which is what makes 16×16 feasible.
 	Env *phy.Environment
+
+	// scaleErr is CheckScale's error for an invalid Scale factor;
+	// Build returns it.
+	scaleErr error
 }
 
 // DefaultGrid returns the 2×2 reference grid: four cells on three
@@ -129,7 +133,8 @@ func Grid256() Grid {
 // Scale shrinks or grows the grid's duration and population together,
 // matching Session.Scale's behaviour.
 func (g Grid) Scale(f float64) Grid {
-	if f <= 0 {
+	if err := CheckScale(f); err != nil {
+		g.scaleErr = err
 		return g
 	}
 	g.DurationSec = int(float64(g.DurationSec) * f)
@@ -162,6 +167,9 @@ func (g Grid) cellChannel(cell int) phy.Channel {
 // stations, roaming schedule, and sniffers. Call Run or RunStream to
 // execute it.
 func (g Grid) Build() (*Built, error) {
+	if g.scaleErr != nil {
+		return nil, g.scaleErr
+	}
 	if g.Rows < 1 || g.Cols < 1 {
 		return nil, fmt.Errorf("workload: grid needs ≥1×1 cells, got %d×%d", g.Rows, g.Cols)
 	}

@@ -41,6 +41,10 @@ type Sweep struct {
 	Channel phy.Channel
 	// Seed for determinism.
 	Seed int64
+
+	// scaleErr is CheckScale's error for an invalid Scale factor;
+	// Build returns it.
+	scaleErr error
 }
 
 // DefaultSweep returns the sweep used by the figure benches.
@@ -63,9 +67,11 @@ func (s Sweep) DurationSec() int { return s.Stations*s.StepSec + s.TailSec }
 
 // Scale shrinks or grows the sweep's population and full-load tail
 // together (the per-station load and activation cadence stay fixed,
-// so the utilization ramp keeps its slope).
+// so the utilization ramp keeps its slope). A factor CheckScale
+// rejects makes Build fail.
 func (s Sweep) Scale(f float64) Sweep {
-	if f <= 0 {
+	if err := CheckScale(f); err != nil {
+		s.scaleErr = err
 		return s
 	}
 	s.Stations = max(int(float64(s.Stations)*f+0.5), 2)
@@ -76,6 +82,9 @@ func (s Sweep) Scale(f float64) Sweep {
 // Build constructs the sweep's network, AP, sniffer, and activation
 // schedule without running it. Call Run or RunStream to execute.
 func (s Sweep) Build() (*Built, error) {
+	if s.scaleErr != nil {
+		return nil, s.scaleErr
+	}
 	if s.DurationSec() <= 0 {
 		return nil, fmt.Errorf("workload: sweep has no duration")
 	}
@@ -170,11 +179,9 @@ func MultiSweep(ladder []Sweep) []capture.Record {
 // DefaultLadder returns the sweep ladder the figure benches use.
 // scale below 1 shrinks every run for quicker benches; above 1 grows
 // the populations and tails (matching Session.Scale's behaviour, so
-// matrix rows labelled with a scale ran at that scale).
+// matrix rows labelled with a scale ran at that scale). A scale
+// CheckScale rejects makes every rung's Build fail.
 func DefaultLadder(scale float64) []Sweep {
-	if scale <= 0 {
-		scale = 1
-	}
 	shrink := func(s Sweep, stations int, tail int) Sweep {
 		s.Stations, s.TailSec = stations, tail
 		return s.Scale(scale)

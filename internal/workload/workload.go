@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"wlan80211/internal/capture"
 	"wlan80211/internal/phy"
@@ -54,6 +55,22 @@ type Session struct {
 	ShadowingSigmaDB float64
 	// Seed makes the scenario deterministic.
 	Seed int64
+
+	// scaleErr is CheckScale's error for an invalid Scale factor;
+	// Build returns it.
+	scaleErr error
+}
+
+// CheckScale rejects a scale factor that is not a finite number above
+// 0, the one scale rule of every shape: no size is sensible for such a
+// factor, so Session, Sweep and Grid keep their sizes under it and
+// their Build returns this error rather than run a size the factor's
+// label does not describe.
+func CheckScale(f float64) error {
+	if !(f > 0) || math.IsInf(f, 1) {
+		return fmt.Errorf("workload: scale %g is not a finite number above 0", f)
+	}
+	return nil
 }
 
 // SnifferSpec places one sniffer.
@@ -113,8 +130,10 @@ func PlenarySession() Session {
 }
 
 // Scale shrinks or grows a session's duration and population together.
+// A factor CheckScale rejects makes Build fail.
 func (s Session) Scale(f float64) Session {
-	if f <= 0 {
+	if err := CheckScale(f); err != nil {
+		s.scaleErr = err
 		return s
 	}
 	s.DurationSec = int(float64(s.DurationSec) * f)
@@ -146,6 +165,9 @@ type Built struct {
 // Build constructs the network, APs, sniffers, and user-churn
 // schedule. Call Run to execute it.
 func (s Session) Build() (*Built, error) {
+	if s.scaleErr != nil {
+		return nil, s.scaleErr
+	}
 	if s.DurationSec <= 0 {
 		return nil, fmt.Errorf("workload: session %q has no duration", s.Name)
 	}

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"wlan80211/internal/capture"
@@ -28,9 +31,45 @@ func TestScale(t *testing.T) {
 	if tiny.DurationSec < 10 || tiny.PeakUsers < 4 {
 		t.Errorf("floors: %d/%d", tiny.DurationSec, tiny.PeakUsers)
 	}
-	// Non-positive scale is identity.
+	// A non-positive scale changes no size (Build then fails; see
+	// TestInvalidScaleFailsBuild).
 	if same := s.Scale(0); same.DurationSec != s.DurationSec {
 		t.Error("zero scale must be identity")
+	}
+}
+
+// TestInvalidScaleFailsBuild: every shape scaled by a factor that is
+// not a finite number above 0 fails to build, naming the factor,
+// instead of running at full or minimal size under that label — and a
+// later valid factor does not clear it.
+func TestInvalidScaleFailsBuild(t *testing.T) {
+	for _, f := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		builds := map[string]func() (*Built, error){
+			"day":     DaySession().Scale(f).Build,
+			"plenary": PlenarySession().Scale(f).Scale(0.1).Build,
+			"sweep":   DefaultSweep().Scale(f).Build,
+			"grid":    DefaultGrid().Scale(f).Build,
+			"grid256": Grid256().Scale(f).Build,
+			"ladder":  func() (*Built, error) { return BuildLadder(DefaultLadder(f)) },
+		}
+		for name, build := range builds {
+			b, err := build()
+			if err == nil || b != nil {
+				t.Errorf("%s scaled by %v built (%v), want an error", name, f, err)
+				continue
+			}
+			if want := fmt.Sprintf("scale %v is not", f); !strings.Contains(err.Error(), want) {
+				t.Errorf("%s scaled by %v: error %q does not name the factor", name, f, err)
+			}
+		}
+		if CheckScale(f) == nil {
+			t.Errorf("CheckScale accepted %v", f)
+		}
+	}
+	for _, f := range []float64{0.01, 1, 2} {
+		if err := CheckScale(f); err != nil {
+			t.Errorf("CheckScale(%v): %v", f, err)
+		}
 	}
 }
 
