@@ -200,7 +200,7 @@ func runMatrix(ctx context.Context, opts experiment.RunSpecOpts, jsonOut string)
 		fmt.Fprintf(os.Stderr, "wlansweep: interrupted: %d of %d runs canceled, reporting the %d completed\n",
 			canceled, len(res.Specs), len(res.Specs)-canceled)
 	}
-	done := -canceled
+	done := 0
 	for _, d := range res.Done {
 		if d {
 			done++

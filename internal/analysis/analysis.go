@@ -56,7 +56,10 @@ type Analyzer struct {
 	// work, with its own metric instances, fed only that channel's
 	// records.
 	shards map[phy.Channel]*decoder
-	res    *Result
+	// byChannel holds the shards of channels 0..len-1 too, so the
+	// per-record lookup is an array index on every 2.4 GHz channel.
+	byChannel [16]*decoder
+	res       *Result
 
 	// Live counters behind Snapshot: readable from any goroutine
 	// while Feed runs on another.
@@ -113,7 +116,12 @@ func New(opts Options) (*Analyzer, error) {
 
 // shardFor returns (creating on first use) the channel's decoder.
 func (a *Analyzer) shardFor(ch phy.Channel) *decoder {
-	if s, ok := a.shards[ch]; ok {
+	inArray := uint(ch) < uint(len(a.byChannel))
+	if inArray {
+		if s := a.byChannel[ch]; s != nil {
+			return s
+		}
+	} else if s, ok := a.shards[ch]; ok {
 		return s
 	}
 	metrics := make([]Metric, 0, len(a.defs)+len(a.opts.Extra))
@@ -125,6 +133,9 @@ func (a *Analyzer) shardFor(ch phy.Channel) *decoder {
 	}
 	s := newDecoder(metrics)
 	a.shards[ch] = s
+	if inArray {
+		a.byChannel[ch] = s
+	}
 	a.snapChannels.Add(1)
 	return s
 }
@@ -145,7 +156,7 @@ func (a *Analyzer) Feed(rec capture.Record) {
 			break
 		}
 	}
-	if !s.feed(rec) {
+	if !s.feed(&rec) {
 		a.snapErrors.Add(1)
 	}
 }

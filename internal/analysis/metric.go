@@ -18,7 +18,10 @@ type Metric interface {
 	// OnFrame observes one decoded, annotated record. The event
 	// pointer and the frame ev.Parsed.Frame points to are reused
 	// between frames: both are valid only during the call, and a
-	// stage that retains the frame must copy it.
+	// stage that retains the frame must copy it. The event's address
+	// IDs (TAID, RAID, MissingID) are dense per channel shard and
+	// valid for the whole run, so a stage may key retained per-address
+	// state by them; the addresses stay on the parsed frame.
 	OnFrame(ev *FrameEvent)
 	// OnSecond closes second sec (frames observed since the previous
 	// OnSecond belong to it).

@@ -284,74 +284,136 @@ func (m *delayMetric) Finalize(r *Result) {
 // them, and collects the per-window client addresses behind the user
 // count (Figure 4). Discovery and counting happen in the same pass:
 // frames are counted for every address and the report filters to the
-// final AP set, which is only complete once all shards merge.
+// final AP set, which is only complete once all shards merge. State is
+// kept by the decoder's AddrIDs; Finalize turns it into the
+// address-keyed sets the Result merges. Slot 0 of each slice takes the
+// counts of "no address" and is never reported.
 type apsMetric struct {
-	known   map[dot11.Addr]bool
-	frames  map[dot11.Addr]int64
-	unrec   map[dot11.Addr]int64
-	windows map[int64]map[dot11.Addr]bool
+	ids    *addrTable // the shard's address table; nil until a frame parses
+	ap     []bool     // by ID: a beacon transmitter or FromDS BSSID
+	frames []int64    // by ID: frames sent, or received as unicast
+	unrec  []int64    // by ID: unrecorded frames attributed (Sec 4.4)
+
+	// wins lists the 30 s user windows in first-seen order, each with
+	// the IDs counted in it; lastWin[id] is 1 + the index in wins of
+	// the window id was last counted in, so a repeat costs one compare.
+	// A record out of time order can count an ID in a window twice;
+	// Finalize deduplicates. cur indexes the window last used and
+	// winIdx maps a window to its index.
+	wins    []userWindow
+	lastWin []int32
+	cur     int
+	winIdx  map[int64]int
+}
+
+// userWindow is one Figure 4b window's client IDs.
+type userWindow struct {
+	w   int64
+	ids []AddrID
 }
 
 func (m *apsMetric) OnFrame(ev *FrameEvent) {
 	if ev.Kind == KindInvalid {
 		return
 	}
-	if m.known == nil {
-		m.known = make(map[dot11.Addr]bool)
-		m.frames = make(map[dot11.Addr]int64)
-		m.unrec = make(map[dot11.Addr]int64)
-		m.windows = make(map[int64]map[dot11.Addr]bool)
+	m.ids = ev.ids
+	if n := len(m.ids.addrs); n > len(m.frames) {
+		m.grow(n)
 	}
 	// AP discovery: beacon transmitters and FromDS BSSIDs.
-	switch f := ev.Parsed.Frame.(type) {
-	case *dot11.Beacon:
-		m.known[f.SA] = true
-	case *dot11.Data:
-		if f.FC.FromDS && !f.FC.ToDS {
-			m.known[f.Addr2] = true
+	switch ev.Kind {
+	case KindBeacon:
+		m.ap[ev.TAID] = true
+	case KindData:
+		if fc := ev.Parsed.FC; fc.FromDS && !fc.ToDS {
+			m.ap[ev.TAID] = true
 		}
 	}
 	// Traffic attribution (transmitter plus unicast receiver).
-	if ta, ok := dot11.TransmitterOf(ev.Parsed.Frame); ok {
-		m.frames[ta]++
-	}
-	if ra := dot11.ReceiverOf(ev.Parsed.Frame); !ra.IsGroup() {
-		m.frames[ra]++
+	m.frames[ev.TAID]++
+	if !m.ids.group(ev.RAID) {
+		m.frames[ev.RAID]++
 	}
 	// Unrecorded-frame attribution (Sec 4.4).
-	if ev.Missing != MissingNone {
-		m.unrec[ev.MissingAddr]++
-	}
+	m.unrec[ev.MissingID]++
 	// User counting: client addresses of data exchanges per 30 s
 	// window (AP addresses are filtered out at finish time, once the
 	// AP set is complete).
-	if d, ok := ev.Parsed.Frame.(*dot11.Data); ok {
-		w := int64(ev.Rec.Time / phy.MicrosPerSecond / UserWindowSeconds)
-		m.addUser(w, d.Addr2)
-		m.addUser(w, d.Addr1)
+	if ev.Kind == KindData {
+		i := m.window(int64(ev.Rec.Time / phy.MicrosPerSecond / UserWindowSeconds))
+		m.addUser(i, ev.TAID)
+		m.addUser(i, ev.RAID)
 	}
 }
 
-func (m *apsMetric) addUser(w int64, a dot11.Addr) {
-	if a.IsGroup() {
+// grow extends the per-ID slices to n IDs.
+func (m *apsMetric) grow(n int) {
+	k := n - len(m.frames)
+	m.ap = append(m.ap, make([]bool, k)...)
+	m.frames = append(m.frames, make([]int64, k)...)
+	m.unrec = append(m.unrec, make([]int64, k)...)
+	m.lastWin = append(m.lastWin, make([]int32, k)...)
+}
+
+// window returns the index in wins of window w, opening it if new.
+// Records arrive in time order, so w is almost always the window last
+// used; the map serves window changes and late records.
+func (m *apsMetric) window(w int64) int {
+	if len(m.wins) > 0 && m.wins[m.cur].w == w {
+		return m.cur
+	}
+	i, ok := m.winIdx[w]
+	if !ok {
+		if m.winIdx == nil {
+			m.winIdx = make(map[int64]int)
+		}
+		i = len(m.wins)
+		m.wins = append(m.wins, userWindow{w: w})
+		m.winIdx[w] = i
+	}
+	m.cur = i
+	return i
+}
+
+func (m *apsMetric) addUser(i int, id AddrID) {
+	if m.lastWin[id] == int32(i+1) || m.ids.group(id) {
 		return
 	}
-	set, ok := m.windows[w]
-	if !ok {
-		set = make(map[dot11.Addr]bool)
-		m.windows[w] = set
-	}
-	set[a] = true
+	m.lastWin[id] = int32(i + 1)
+	m.wins[i].ids = append(m.wins[i].ids, id)
 }
 
 func (m *apsMetric) OnSecond(sec int64) {}
 
 func (m *apsMetric) Finalize(r *Result) {
-	if m.known == nil {
+	if m.ids == nil {
 		return
 	}
-	r.APs.merge(m.known, m.frames, m.unrec)
-	r.mergeUserWindows(m.windows)
+	known := make(map[dot11.Addr]bool)
+	frames := make(map[dot11.Addr]int64, len(m.frames))
+	unrec := make(map[dot11.Addr]int64)
+	for id := 1; id < len(m.frames); id++ {
+		a := m.ids.addrs[id]
+		if m.ap[id] {
+			known[a] = true
+		}
+		if n := m.frames[id]; n > 0 {
+			frames[a] = n
+		}
+		if n := m.unrec[id]; n > 0 {
+			unrec[a] = n
+		}
+	}
+	r.APs.merge(known, frames, unrec)
+	windows := make(map[int64]map[dot11.Addr]bool, len(m.wins))
+	for _, w := range m.wins {
+		set := make(map[dot11.Addr]bool, len(w.ids))
+		for _, id := range w.ids {
+			set[m.ids.addrs[id]] = true
+		}
+		windows[w.w] = set
+	}
+	r.mergeUserWindows(windows)
 }
 
 // unrecordedMetric totals the atomicity-based unrecorded-frame

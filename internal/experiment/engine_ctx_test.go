@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -108,8 +109,8 @@ func TestRunContextCancel(t *testing.T) {
 }
 
 // TestRunReduceContextCancel is the same property on the
-// reduce-as-you-go path: canceled specs land in Errs and count in
-// Aggregated.Errors, completed runs still fold.
+// reduce-as-you-go path: canceled specs land in Errs but get no record,
+// so Aggregated counts only the completed runs, which still fold.
 func TestRunReduceContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -131,8 +132,13 @@ func TestRunReduceContextCancel(t *testing.T) {
 		}
 	}
 	checkCancelSuffix(t, done, ex.Errs)
-	if aggs[0].Errors != canceled {
-		t.Fatalf("Aggregated.Errors = %d, canceled specs = %d", aggs[0].Errors, canceled)
+	if aggs[0].Errors != 0 {
+		t.Fatalf("Aggregated.Errors = %d: %d canceled specs were counted as failed runs", aggs[0].Errors, canceled)
+	}
+	for i, d := range ex.Campaign.Done {
+		if d != done[i] {
+			t.Fatalf("spec %d: Done %v, completed %v", i, d, done[i])
+		}
 	}
 	if aggs[0].Runs != len(specs)-canceled {
 		t.Fatalf("Aggregated.Runs = %d, want %d", aggs[0].Runs, len(specs)-canceled)
@@ -160,6 +166,62 @@ func TestCampaignContextCancel(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Index != 0 {
 		t.Fatalf("journal holds %+v, want only run 0", recs)
+	}
+}
+
+// TestInterruptedReportsMatch runs one matrix plain (reduce mode) and
+// as a campaign under a context canceled before dispatch and under one
+// canceled inside the first run: each pair of reports is byte-equal
+// once the campaign's trace hashes are removed, so neither lists an
+// undispatched run.
+func TestInterruptedReportsMatch(t *testing.T) {
+	m := Matrix{Scenarios: []string{"fake"}, Seeds: []int64{1, 2, 3, 4, 5, 6}}
+	for _, tc := range []struct {
+		name    string
+		inRun   bool // cancel inside seed 1's run, not before dispatch
+		wantRun int
+	}{{"before-dispatch", false, 0}, {"first-run", true, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			report := func(opts RunSpecOpts, man func() Manifest) []byte {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if tc.inRun {
+					fakeFirstRunHook = cancel
+					defer func() { fakeFirstRunHook = func() {} }()
+				} else {
+					cancel()
+				}
+				opts.Matrix, opts.Workers = m, 1
+				ex, err := (&Runner{}).Execute(ctx, opts)
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatal(err)
+				}
+				res := ex.Campaign
+				if n := len(res.Report(man()).Runs); n != tc.wantRun {
+					t.Fatalf("%s report lists %d runs, want %d", opts.Mode, n, tc.wantRun)
+				}
+				for i := range res.Records {
+					res.Records[i].TraceHash = ""
+				}
+				data, err := res.ReportJSON(man())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			plain := report(RunSpecOpts{Mode: ModeReduce}, func() Manifest { return Manifest{Matrix: m} })
+			dir := t.TempDir()
+			camp := report(RunSpecOpts{Mode: ModeCampaign, CampaignDir: dir}, func() Manifest {
+				man, err := ReadManifest(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return man
+			})
+			if !bytes.Equal(plain, camp) {
+				t.Errorf("interrupted plain report differs from the campaign's without trace hashes:\n%s\nvs\n%s", plain, camp)
+			}
+		})
 	}
 }
 

@@ -91,11 +91,12 @@ type RunSpecOpts struct {
 // Execution is what Runner.Execute produced.
 type Execution struct {
 	// Campaign holds every mode's per-run records, in global spec
-	// order, and the scenario+scale aggregates. In collect and reduce
-	// mode every spec of Range has a record, a failed or undispatched
-	// one carrying its error; a campaign places only the runs that
-	// completed, and its records alone carry a trace hash. On
-	// interruption the completed runs are still aggregated.
+	// order, and the scenario+scale aggregates. Only runs that ran
+	// have a record: in collect and reduce mode a failed run's carries
+	// its error, a campaign places only the runs that completed, and
+	// its records alone carry a trace hash. An interrupted run's
+	// undispatched specs have none, and the completed runs are still
+	// aggregated.
 	Campaign *CampaignResult
 	// Results holds per-run results in Range order (ModeCollect only).
 	Results []RunResult
@@ -123,8 +124,10 @@ type Runner struct{}
 // On cooperative cancellation no further runs are dispatched, in-flight
 // runs finish, and the completed runs are still aggregated and
 // returned: collect and reduce mark the undispatched specs with the
-// context error, and a campaign returns its partial state alongside
-// it.
+// context error in Errs, and a campaign returns its partial state
+// alongside it. In every mode an undispatched spec gets no record and
+// no Done mark, so one interrupted matrix reports the same runs plain
+// or as a campaign.
 func (r *Runner) Execute(ctx context.Context, opts RunSpecOpts) (*Execution, error) {
 	mode := opts.Mode
 	if mode == "" {
@@ -204,10 +207,15 @@ func (r *Runner) Execute(ctx context.Context, opts RunSpecOpts) (*Execution, err
 		return false
 	}
 	n, peak := runOrdered(ctx, len(pending), workers, run, fold)
-	if j == nil {
-		for k := n; k < len(pending); k++ {
-			i := pending[k]
-			fold(k, newCell(RunResult{Spec: res.Specs[i], Err: ctx.Err()}, i, ""))
+	// Undispatched specs carry the context error in Errs (and Results)
+	// but get no record: a report lists only the runs that ran, as a
+	// campaign's does.
+	for k := n; k < len(pending); k++ {
+		if ex.Errs != nil {
+			ex.Errs[k] = ctx.Err()
+		}
+		if ex.Results != nil {
+			ex.Results[k] = RunResult{Spec: res.Specs[pending[k]], Err: ctx.Err()}
 		}
 	}
 	res.aggregate()
