@@ -150,11 +150,10 @@ func (a *Analyzer) Feed(rec capture.Record) {
 	}
 	s := a.shardFor(rec.Channel)
 	a.snapFrames.Add(1)
-	for {
-		old := a.snapLast.Load()
-		if int64(rec.Time) <= old || a.snapLast.CompareAndSwap(old, int64(rec.Time)) {
-			break
-		}
+	// Feed is snapLast's one writer, so a load and a store keep it the
+	// newest time fed; only Snapshot reads it concurrently.
+	if t := int64(rec.Time); t > a.snapLast.Load() {
+		a.snapLast.Store(t)
 	}
 	if !s.feed(&rec) {
 		a.snapErrors.Add(1)

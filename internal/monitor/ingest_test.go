@@ -123,6 +123,16 @@ func twoRecordBody() []byte {
 	return wireBody(recs)
 }
 
+// indented re-encodes body with the whitespace json.MarshalIndent
+// writes.
+func indented(body []byte) []byte {
+	var b bytes.Buffer
+	if err := json.Indent(&b, body, "", "  "); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
 // ingestCases are bodies at the edges of the accepted language, seeds
 // of FuzzIngestDecode.
 var ingestCases = map[string]string{
@@ -206,6 +216,19 @@ var ingestCases = map[string]string{
 	"bad-literal":        `{"records":[nul]}`,
 	"bad-escape-key":     `{"re\qcords":[]}`,
 	"short-u-escape":     `{"records":[{"frame_hex":"\u00"}]}`,
+
+	// The plain-* bodies sit one token either side of the plain form
+	// decodePlain takes in one pass.
+	"plain-reordered":     `{"records":[{"frame_hex":"d400","orig_len":60,"noise_dbm":-95,"signal_dbm":-50,"channel":6,"rate":110,"time_us":5}]}`,
+	"plain-indented":      string(indented(twoRecordBody())),
+	"plain-repeated-rate": `{"records":[{"rate":10,"channel":1,"rate":20,"frame_hex":"00"}]}`,
+	"plain-upper-key":     `{"records":[{"rate":10,"Channel":1,"frame_hex":"00"}]}`,
+	"plain-unknown-key":   `{"records":[{"rate":10,"channel":1,"sniffer":1,"frame_hex":"00"}]}`,
+	"plain-null-field":    `{"records":[{"rate":10,"channel":null,"frame_hex":"00"}]}`,
+	"plain-rate-65536":    `{"records":[{"time_us":1,"rate":65536,"channel":1,"frame_hex":"00"}]}`,
+	"plain-escaped-hex":   `{"records":[{"rate":10,"channel":1,"frame_hex":"d4\u00300"}]}`,
+	"plain-trailing":      `{"records":[{"rate":10,"channel":1,"frame_hex":"00"}]} {"records":[]}x`,
+	"plain-third-bad-hex": `{"records":[{"rate":10,"frame_hex":"00"},{"rate":10,"frame_hex":"0102"},{"rate":10,"frame_hex":"0g"}]}`,
 }
 
 // TestDecodeIngestEdges pins the outcomes the wire format's rules
@@ -229,6 +252,12 @@ func TestDecodeIngestEdges(t *testing.T) {
 	if !errors.As(err, &fe) || fe.Record != 1 || fe.Field != "frame_hex" || fe.Value != "zz-not-hex" {
 		t.Fatalf("bad frame_hex: %v", err)
 	}
+	plain := map[string]bool{"plain-reordered": true, "plain-indented": true, "plain-trailing": true}
+	for name, body := range ingestCases {
+		if _, ok := decodePlain([]byte(body)); ok != plain[name] && strings.HasPrefix(name, "plain-") {
+			t.Errorf("%s: decodePlain ok=%v, want %v", name, ok, plain[name])
+		}
+	}
 }
 
 // TestDecodeIngestFrames: frames do not alias the body, and each is
@@ -249,24 +278,25 @@ func TestDecodeIngestFrames(t *testing.T) {
 }
 
 // TestDecodeIngestAllocs: a body's decode costs a fixed number of
-// allocations, whatever its record count: the records slice and the
-// frame arena.
+// allocations, whatever its record count or whitespace: the records
+// slice and the frame arena.
 func TestDecodeIngestAllocs(t *testing.T) {
-	allocs := func(n int) float64 {
+	allocs := func(n int, encode func([]capture.Record) []byte) float64 {
 		var recs []capture.Record
 		for len(recs) < n {
 			recs, _ = dataAck(recs, phy.Micros(len(recs))*1000, 200, phy.Rate11Mbps, uint16(len(recs)), false)
 		}
-		body := wireBody(recs[:n])
+		body := encode(recs[:n])
 		return testing.AllocsPerRun(20, func() {
 			if got, err := decodeIngest(body); err != nil || len(got) != n {
 				t.Fatalf("decode: %d records, %v", len(got), err)
 			}
 		})
 	}
-	a128, a1024 := allocs(128), allocs(1024)
-	if a128 != 2 || a1024 != 2 {
-		t.Fatalf("decoding 128 records: %v allocations, 1024 records: %v; want 2 each", a128, a1024)
+	indentBody := func(recs []capture.Record) []byte { return indented(wireBody(recs)) }
+	a128, a1024, aIndent := allocs(128, wireBody), allocs(1024, wireBody), allocs(128, indentBody)
+	if a128 != 2 || a1024 != 2 || aIndent != 2 {
+		t.Fatalf("decoding 128 records: %v allocations, 1024 records: %v, 128 indented: %v; want 2 each", a128, a1024, aIndent)
 	}
 }
 

@@ -167,19 +167,6 @@ func (m *medium) interfFor(n int) []float64 {
 	return m.interfScratch[:n]
 }
 
-// busy reports whether any transmission (other than n's own) is
-// currently sensed by node n. The deterministic (unshadowed) path
-// loss decides sensing, so the hidden-terminal population is stable
-// across a run; the relation comes precomputed from the link matrix.
-func (m *medium) busy(n *Node) bool {
-	for _, tx := range m.active {
-		if tx.from != n && tx.row.senses(n) {
-			return true
-		}
-	}
-	return false
-}
-
 // transmit puts a frame on the air from node n. The frame is copied
 // into transmission-owned storage (for the MAC types of the DCF hot
 // path), so the caller may reuse f immediately. It returns the

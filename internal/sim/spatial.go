@@ -453,14 +453,6 @@ func searchID(ids []int32, id int32) int {
 	return lo
 }
 
-// senses reports whether o's carrier sense detects this row's
-// transmitter. Culled entries never sense: their link is below the
-// carrier-sense floor.
-func (r *linkRow) senses(o *Node) bool {
-	l, ok := r.linkTo(o)
-	return ok && l.sense
-}
-
 // mwTo returns the row's received power in milliwatts at o, for
 // interference sums. A culled pair still contributes its sub-floor
 // power (the exact sum includes every overlapped transmitter), so a
