@@ -2,6 +2,7 @@ package dot11
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -187,6 +188,30 @@ func TestBeaconRoundTrip(t *testing.T) {
 	if got.SSID != "ietf62" || got.Channel != 6 || got.Timestamp != 123456789 ||
 		got.BeaconInterval != BeaconIntervalTU || got.BSSID != addr(9) {
 		t.Errorf("beacon mismatch: %+v", got)
+	}
+}
+
+// TestBeaconSetReuses checks that Set on a used Beacon yields the frame
+// NewBeacon builds, byte for byte, with the body laid out as fixed
+// fields then SSID, rates and DS elements, and reuses the body storage.
+func TestBeaconSetReuses(t *testing.T) {
+	b := NewBeacon(addr(3), "a-longer-ssid", 11, 7, 4095)
+	b.Set(addr(9), "ietf62", 6, 123456789, 42)
+	want := NewBeacon(addr(9), "ietf62", 6, 123456789, 42)
+	if got, w := b.AppendTo(nil), want.AppendTo(nil); !bytes.Equal(got, w) {
+		t.Fatalf("reused beacon\n%x\nwant\n%x", got, w)
+	}
+	body := binary.LittleEndian.AppendUint64(nil, 123456789)
+	body = binary.LittleEndian.AppendUint16(body, BeaconIntervalTU)
+	body = binary.LittleEndian.AppendUint16(body, 0x0001)
+	body = AppendElement(body, ElemSSID, []byte("ietf62"))
+	body = AppendElement(body, ElemSupportedRates, []byte{0x82, 0x84, 0x8b, 0x96})
+	body = AppendElement(body, ElemDSParameter, []byte{6})
+	if !bytes.Equal(want.Body, body) {
+		t.Fatalf("beacon body\n%x\nwant\n%x", want.Body, body)
+	}
+	if n := testing.AllocsPerRun(100, func() { b.Set(addr(9), "ietf62", 6, 1, 2) }); n != 0 {
+		t.Errorf("Set on a used beacon allocates %v times", n)
 	}
 }
 

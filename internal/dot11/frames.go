@@ -52,11 +52,14 @@ func (f *RTS) AppendTo(b []byte) []byte {
 }
 
 // DecodeFromBytes implements Frame.
-func (f *RTS) DecodeFromBytes(data []byte) error {
+func (f *RTS) DecodeFromBytes(data []byte) error { return f.decode(frameControlOf(data), data) }
+
+// decode is DecodeFromBytes given data's frame-control word.
+func (f *RTS) decode(fc FrameControl, data []byte) error {
 	if len(data) < 16 {
 		return ErrTruncated
 	}
-	f.FC = FrameControlFromUint16(binary.LittleEndian.Uint16(data))
+	f.FC = fc
 	if f.FC.Type != TypeCtrl || f.FC.Subtype != SubtypeRTS {
 		return ErrWrongType
 	}
@@ -92,11 +95,14 @@ func (f *CTS) AppendTo(b []byte) []byte {
 }
 
 // DecodeFromBytes implements Frame.
-func (f *CTS) DecodeFromBytes(data []byte) error {
+func (f *CTS) DecodeFromBytes(data []byte) error { return f.decode(frameControlOf(data), data) }
+
+// decode is DecodeFromBytes given data's frame-control word.
+func (f *CTS) decode(fc FrameControl, data []byte) error {
 	if len(data) < 10 {
 		return ErrTruncated
 	}
-	f.FC = FrameControlFromUint16(binary.LittleEndian.Uint16(data))
+	f.FC = fc
 	if f.FC.Type != TypeCtrl || f.FC.Subtype != SubtypeCTS {
 		return ErrWrongType
 	}
@@ -131,11 +137,14 @@ func (f *ACK) AppendTo(b []byte) []byte {
 }
 
 // DecodeFromBytes implements Frame.
-func (f *ACK) DecodeFromBytes(data []byte) error {
+func (f *ACK) DecodeFromBytes(data []byte) error { return f.decode(frameControlOf(data), data) }
+
+// decode is DecodeFromBytes given data's frame-control word.
+func (f *ACK) decode(fc FrameControl, data []byte) error {
 	if len(data) < 10 {
 		return ErrTruncated
 	}
-	f.FC = FrameControlFromUint16(binary.LittleEndian.Uint16(data))
+	f.FC = fc
 	if f.FC.Type != TypeCtrl || f.FC.Subtype != SubtypeACK {
 		return ErrWrongType
 	}
@@ -214,11 +223,14 @@ func (f *Data) AppendTo(b []byte) []byte {
 }
 
 // DecodeFromBytes implements Frame. The body slice aliases data.
-func (f *Data) DecodeFromBytes(data []byte) error {
+func (f *Data) DecodeFromBytes(data []byte) error { return f.decode(frameControlOf(data), data) }
+
+// decode is DecodeFromBytes given data's frame-control word.
+func (f *Data) decode(fc FrameControl, data []byte) error {
 	if len(data) < DataHeaderLen {
 		return ErrTruncated
 	}
-	f.FC = FrameControlFromUint16(binary.LittleEndian.Uint16(data))
+	f.FC = fc
 	if f.FC.Type != TypeData {
 		return ErrWrongType
 	}

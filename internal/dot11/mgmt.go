@@ -40,10 +40,15 @@ func (f *Management) AppendTo(b []byte) []byte {
 
 // DecodeFromBytes implements Frame. Body aliases data.
 func (f *Management) DecodeFromBytes(data []byte) error {
+	return f.decode(frameControlOf(data), data)
+}
+
+// decode is DecodeFromBytes given data's frame-control word.
+func (f *Management) decode(fc FrameControl, data []byte) error {
 	if len(data) < MgmtHeaderLen {
 		return ErrTruncated
 	}
-	f.FC = FrameControlFromUint16(binary.LittleEndian.Uint16(data))
+	f.FC = fc
 	if f.FC.Type != TypeMgmt {
 		return ErrWrongType
 	}
@@ -112,7 +117,22 @@ const BeaconIntervalTU = 100
 
 // NewBeacon builds a beacon for the given BSS.
 func NewBeacon(bssid Addr, ssid string, channel uint8, timestamp uint64, seq uint16) *Beacon {
-	b := &Beacon{
+	b := new(Beacon)
+	b.Set(bssid, ssid, channel, timestamp, seq)
+	return b
+}
+
+// Set makes f the beacon NewBeacon builds from the same arguments. It
+// encodes the body into f.Body's storage when that is large enough, so
+// a transmitter that reuses one Beacon per emission does not allocate;
+// f.Body must not alias bytes the caller still reads, as it does after
+// DecodeFromBytes.
+func (f *Beacon) Set(bssid Addr, ssid string, channel uint8, timestamp uint64, seq uint16) {
+	body := f.Body[:0]
+	if n := 12 + 2 + len(ssid) + 2 + 4 + 3; cap(body) < n {
+		body = make([]byte, 0, n)
+	}
+	*f = Beacon{
 		Management: Management{
 			FC:    FrameControl{Type: TypeMgmt, Subtype: SubtypeBeacon},
 			DA:    Broadcast,
@@ -126,24 +146,21 @@ func NewBeacon(bssid Addr, ssid string, channel uint8, timestamp uint64, seq uin
 		SSID:           ssid,
 		Channel:        channel,
 	}
-	b.Body = b.encodeBody()
-	return b
-}
-
-func (f *Beacon) encodeBody() []byte {
-	body := make([]byte, 0, 12+2+len(f.SSID)+2+4+3)
 	body = binary.LittleEndian.AppendUint64(body, f.Timestamp)
 	body = binary.LittleEndian.AppendUint16(body, f.BeaconInterval)
 	body = binary.LittleEndian.AppendUint16(body, f.Capability)
-	body = AppendElement(body, ElemSSID, []byte(f.SSID))
-	body = AppendElement(body, ElemSupportedRates, []byte{0x82, 0x84, 0x8b, 0x96}) // 1,2,5.5,11 basic
-	body = AppendElement(body, ElemDSParameter, []byte{f.Channel})
-	return body
+	body = append(body, ElemSSID, uint8(len(ssid)))
+	body = append(body, ssid...)
+	body = append(body, ElemSupportedRates, 4, 0x82, 0x84, 0x8b, 0x96) // 1,2,5.5,11 basic
+	f.Body = append(body, ElemDSParameter, 1, channel)
 }
 
 // DecodeFromBytes parses a beacon from a full management frame.
-func (f *Beacon) DecodeFromBytes(data []byte) error {
-	if err := f.Management.DecodeFromBytes(data); err != nil {
+func (f *Beacon) DecodeFromBytes(data []byte) error { return f.decode(frameControlOf(data), data) }
+
+// decode is DecodeFromBytes given data's frame-control word.
+func (f *Beacon) decode(fc FrameControl, data []byte) error {
+	if err := f.Management.decode(fc, data); err != nil {
 		return err
 	}
 	if f.FC.Subtype != SubtypeBeacon {

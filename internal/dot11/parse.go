@@ -24,7 +24,8 @@ type Parser struct {
 }
 
 // Parse decodes an 802.11 MAC frame (without FCS) by dispatching on
-// the frame-control word. Snap-length truncated frames parse as long
+// the frame-control word, decoded once here and passed to the frame's
+// decode. Snap-length truncated frames parse as long
 // as the fixed header survives (the paper captured only 250 bytes per
 // frame; Sec 4.2).
 func (p *Parser) Parse(data []byte) (Parsed, error) {
@@ -36,33 +37,45 @@ func (p *Parser) Parse(data []byte) (Parsed, error) {
 		return Parsed{}, ErrBadVersion
 	}
 	var f Frame
+	var err error
 	switch fc.Type {
 	case TypeCtrl:
 		switch fc.Subtype {
 		case SubtypeRTS:
-			f = &p.rts
+			f, err = &p.rts, p.rts.decode(fc, data)
 		case SubtypeCTS:
-			f = &p.cts
+			f, err = &p.cts, p.cts.decode(fc, data)
 		case SubtypeACK:
-			f = &p.ack
+			f, err = &p.ack, p.ack.decode(fc, data)
 		default:
 			return Parsed{}, ErrWrongType
 		}
 	case TypeData:
-		f = &p.data
+		f, err = &p.data, p.data.decode(fc, data)
 	case TypeMgmt:
 		if fc.Subtype == SubtypeBeacon {
-			f = &p.beacon
+			f, err = &p.beacon, p.beacon.decode(fc, data)
 		} else {
-			f = &p.mgmt
+			f, err = &p.mgmt, p.mgmt.decode(fc, data)
 		}
 	default:
 		return Parsed{}, ErrWrongType
 	}
-	if err := f.DecodeFromBytes(data); err != nil {
+	if err != nil {
 		return Parsed{}, err
 	}
 	return Parsed{FC: fc, Frame: f}, nil
+}
+
+// frameControlOf decodes data's frame-control word for a frame's
+// DecodeFromBytes, which passes it to the frame's decode; data shorter
+// than the word yields the zero word, which every decode then rejects
+// as truncated (every frame is longer than two bytes).
+func frameControlOf(data []byte) FrameControl {
+	if len(data) < 2 {
+		return FrameControl{}
+	}
+	return FrameControlFromUint16(binary.LittleEndian.Uint16(data))
 }
 
 // Parse decodes one frame with a fresh Parser, so the returned frame

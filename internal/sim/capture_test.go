@@ -63,12 +63,17 @@ func TestFarTableBracketContainsCulledMW(t *testing.T) {
 // its exact SINR falls between one ulp and 1e-6 dB of each rate's
 // capture threshold, on both sides, under near (stored) and culled
 // interferers, and requires the bracket-settled decision to equal the
-// decision on the exact seqno-ordered sum. Clear-cut signals must be
-// settled by the bracket in both directions and the near-threshold
-// ones must reach the exact fallback, so neither path goes untested.
+// decision on the exact seqno-ordered sum. The transmitter stands half
+// a cull radius from the receiver, so the coarse tier bounds the far
+// interferers more loosely than their per-pair brackets do. Clear-cut
+// signals must be settled by a bracket in both directions, some only
+// by the fine tier, and the near-threshold ones must reach the exact
+// fallback, so no path goes untested. Two sub-cases repeat the checks
+// after moves that leave the near interferer's row not current: one
+// with a pending patch toward the receiver, one stale.
 func TestSettleCaptureMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var pass, collide, fallback int
+	var pass, collide, fine, fallback int
 	for _, exp := range []float64{2.0, 3.3, 3.7, 4.0} {
 		cfg := DefaultConfig()
 		cfg.Env.ShadowingSigmaDB = 0
@@ -76,27 +81,33 @@ func TestSettleCaptureMatchesExact(t *testing.T) {
 		net := New(cfg)
 		r := net.cullRadius(cfg.DefaultTxPowerDBm)
 		rx := net.AddAP("rx", Position{}, phy.Channel1)
+		sender := net.AddAP("tx", Position{X: r / 2}, phy.Channel1)
 		// One near interferer (stored in its row) and several beyond
 		// the 3×3-cell neighborhood its row stores (recomputed from
-		// the row's position).
-		var overlapped []*transmission
-		near := 0
+		// the row's position). Rows are taken once every node is
+		// placed, so they start current.
+		var interferers []*Node
 		for i, k := range []float64{0.2, 3.1, 3.9, 5.5, 9.5} {
 			a := rng.Float64() * 2 * math.Pi
-			o := net.AddAP(fmt.Sprintf("i%d", i), Position{X: k * r * math.Cos(a), Y: k * r * math.Sin(a)}, phy.Channel1)
+			interferers = append(interferers, net.AddAP(fmt.Sprintf("i%d", i), Position{X: k * r * math.Cos(a), Y: k * r * math.Sin(a)}, phy.Channel1))
+		}
+		var overlapped []*transmission
+		for i, o := range interferers {
 			row := net.rowFor(o)
-			if _, ok := row.linkTo(rx); ok {
-				near++
+			if _, ok := row.linkTo(rx); ok != (i == 0) {
+				t.Fatalf("exp %v: interferer %d stored in its row: %v, want only the first", exp, i, ok)
+			}
+			if !net.rowCurrent(row) {
+				t.Fatalf("exp %v: interferer %d's row not current", exp, i)
 			}
 			overlapped = append(overlapped, &transmission{row: row})
 		}
-		if near != 1 {
-			t.Fatalf("exp %v: %d interferers stored in their rows, want 1 near and the rest culled", exp, near)
-		}
+		nearNode := interferers[0]
 		m := net.mediumFor(phy.Channel1)
 		noise := net.noiseMW
-		for sub := 1; sub <= len(overlapped); sub++ {
-			tx := &transmission{overlapped: overlapped[:sub]}
+		txRow := net.rowFor(sender)
+		check := func(what string, overlapped []*transmission) {
+			tx := &transmission{row: txRow, overlapped: overlapped}
 			exact := 0.0
 			for _, it := range tx.overlapped {
 				exact += net.mwTo(it.row, rx)
@@ -127,17 +138,19 @@ func TestSettleCaptureMatchesExact(t *testing.T) {
 				for _, s := range signals {
 					want := exact > 0 && s-iDBm < thr
 					interf := m.interfFor(len(net.nodes))
-					before := net.capture.exact
-					m.settleCapture(tx, []spCand{{o: rx, l: link{dBm: s}}}, interf)
+					before := net.capture
+					m.settleCapture(tx, []spCand{{o: rx, l: link{dBm: s, mw: dbmToMW(s)}}}, interf)
 					v := interf[rx.ID]
 					got := v > 0 && s-mwToDBm(v+noise) < thr
 					if got != want {
-						t.Fatalf("exp %v rate %v %d interferers signal %v: settled collide=%v, exact sum says %v (exact SINR %v, thr %v, settled %v)",
-							exp, rt, sub, s, got, want, s-iDBm, thr, v)
+						t.Fatalf("exp %v %s rate %v %d interferers signal %v: settled collide=%v, exact sum says %v (exact SINR %v, thr %v, settled %v)",
+							exp, what, rt, len(overlapped), s, got, want, s-iDBm, thr, v)
 					}
 					switch {
-					case net.capture.exact > before:
+					case net.capture.exact > before.exact:
 						fallback++
+					case net.capture.fine > before.fine:
+						fine++
 					case v == 0:
 						pass++
 					default:
@@ -146,10 +159,132 @@ func TestSettleCaptureMatchesExact(t *testing.T) {
 				}
 			}
 		}
+		for sub := 1; sub <= len(overlapped); sub++ {
+			check("near+culled", overlapped[:sub])
+			if sub > 1 {
+				check("culled", overlapped[1:sub])
+			}
+		}
+		near := overlapped[0].row
+		// A step of the receiver within its cell queues a patch on the
+		// near interferer's row: the exact sum keeps the stored link.
+		net.MoveNode(rx, Position{X: 0.05 * r, Y: 0.05 * r})
+		if len(near.patches) == 0 || near.stale {
+			t.Fatalf("exp %v: near row not patched after the receiver's move", exp)
+		}
+		check("patched", overlapped)
+		// A step of the interferer itself leaves its own row stale: the
+		// exact sum keeps the pinned position and the stored links.
+		p := nearNode.Pos
+		net.MoveNode(nearNode, Position{X: p.X + 0.05*r, Y: p.Y - 0.05*r})
+		if !near.stale {
+			t.Fatalf("exp %v: near row not stale after its owner's move", exp)
+		}
+		check("stale", overlapped)
 	}
-	if pass == 0 || collide == 0 || fallback == 0 {
-		t.Fatalf("paths not all exercised: bracket pass %d, bracket collide %d, exact fallback %d", pass, collide, fallback)
+	if pass == 0 || collide == 0 || fine == 0 || fallback == 0 {
+		t.Fatalf("paths not all exercised: coarse pass %d, coarse collide %d, fine %d, exact fallback %d", pass, collide, fine, fallback)
 	}
+}
+
+// FuzzSettleCaptureMatchesExact decodes a small culled network from
+// the input — up to 16 nodes at arbitrary positions and transmit
+// powers, one transmitter, 1–8 overlapped interferers and the rest as
+// receivers — then applies up to four moves or power changes after
+// the rows are taken, as happens to the rows in-flight transmissions
+// pin: a short step leaves the rows around the mover patched, a long
+// one or a step of the interferer itself leaves rows stale, and a
+// power change leaves a row behind its owner's power. For signals at,
+// a few ulps around, and clear of each receiver's exact threshold, the
+// settled decision must equal the one on the exact seqno-ordered sum.
+// The corpus in testdata/fuzz replays on every go test run; fuzz
+// further with
+// go test -run '^$' -fuzz FuzzSettleCaptureMatchesExact ./internal/sim/
+func FuzzSettleCaptureMatchesExact(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		cfg := DefaultConfig()
+		cfg.Env.ShadowingSigmaDB = 0
+		cfg.Env.PathLossExponent = []float64{2.0, 3.3, 3.7, 4.0}[next()%4]
+		net := New(cfg)
+		r := net.cullRadius(cfg.DefaultTxPowerDBm)
+		// Positions are bytes over a span of 1–16 cull radii.
+		step := r * float64(1+next()%16) / 255
+		pos := func() Position { return Position{X: float64(next()) * step, Y: float64(next()) * step} }
+		nodes := make([]*Node, 3+next()%14)
+		for i := range nodes {
+			nodes[i] = net.AddAP(fmt.Sprintf("n%d", i), pos(), phy.Channel1)
+			nodes[i].TxPower += float64(int(next()%13) - 6)
+		}
+		k := 1 + int(next())%min(8, len(nodes)-2)
+		sender, rxs := nodes[0], nodes[1+k:]
+		tx := &transmission{row: net.rowFor(sender)}
+		for _, o := range nodes[1 : 1+k] {
+			tx.overlapped = append(tx.overlapped, &transmission{row: net.rowFor(o)})
+		}
+		for op := 0; op < 4; op++ {
+			o := nodes[int(next())%len(nodes)]
+			switch next() % 4 {
+			case 1: // a short step: patches, or stale rows at a cell edge
+				d := func() float64 { return (float64(next()) - 127.5) * step / 64 }
+				net.MoveNode(o, Position{X: o.Pos.X + d(), Y: o.Pos.Y + d()})
+			case 2: // anywhere in the span
+				net.MoveNode(o, pos())
+			case 3: // a transmit power change the rows have not followed
+				o.TxPower += float64(int(next()%7) - 3)
+			}
+		}
+		rates := append(phy.Rates[:], phy.GRates[:]...)
+		tx.rate = rates[int(next())%len(rates)]
+		thr := CaptureThresholdFor(tx.rate, cfg.CaptureThresholdDB)
+		noise := net.noiseMW
+		exact := make([]float64, len(rxs))
+		for j, o := range rxs {
+			for _, it := range tx.overlapped {
+				exact[j] += net.mwTo(it.row, o)
+			}
+		}
+		// Signals at, a few ulps around, and clear of each receiver's
+		// exact threshold.
+		signals := make([][]float64, len(rxs))
+		for j := range rxs {
+			base := thr + mwToDBm(exact[j]+noise)
+			signals[j] = []float64{base}
+			for _, off := range []float64{1e-12, 1e-10, 1e-9, 3e-9, 1e-7, 1e-3, 0.5, 10} {
+				signals[j] = append(signals[j], base+off, base-off)
+			}
+			up, down := base, base
+			for k := 0; k < 3; k++ {
+				up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+				signals[j] = append(signals[j], up, down)
+			}
+		}
+		m := net.mediumFor(phy.Channel1)
+		elig := make([]spCand, len(rxs))
+		for v := range signals[0] {
+			for j, o := range rxs {
+				s := signals[j][v]
+				elig[j] = spCand{o: o, l: link{dBm: s, mw: dbmToMW(s)}}
+			}
+			interf := m.interfFor(len(net.nodes))
+			m.settleCapture(tx, elig, interf)
+			for j, c := range elig {
+				want := exact[j] > 0 && c.l.dBm-mwToDBm(exact[j]+noise) < thr
+				v := interf[c.o.ID]
+				if got := v > 0 && c.l.dBm-mwToDBm(v+noise) < thr; got != want {
+					t.Fatalf("receiver %d signal %v rate %v: settled collide=%v (%v), exact sum %v says %v; capture %+v",
+						c.o.ID, c.l.dBm, tx.rate, got, v, exact[j], want, net.capture)
+				}
+			}
+		}
+	})
 }
 
 // TestSpatialCampusMatchesDense is the campus-density twin of
@@ -204,12 +339,12 @@ func TestSpatialCampusMatchesDense(t *testing.T) {
 	if spStats != dnStats {
 		t.Fatalf("stats diverge:\nsparse: %+v\ndense:  %+v", spStats, dnStats)
 	}
-	if sp.capture.bracket == 0 || sp.capture.exact == 0 {
-		t.Fatalf("capture tests settled by bracket %d, by exact sum %d: want both > 0",
-			sp.capture.bracket, sp.capture.exact)
+	if c := sp.capture; c.coarse == 0 || c.fine == 0 || c.exact == 0 {
+		t.Fatalf("capture tests settled by coarse bracket %d, fine bracket %d, exact sum %d: want all > 0",
+			c.coarse, c.fine, c.exact)
 	}
-	t.Logf("%d of %d overlapping pairs culled; capture tests: %d settled by bracket, %d by exact sum",
-		culled, pairs, sp.capture.bracket, sp.capture.exact)
+	t.Logf("%d of %d overlapping pairs culled; capture tests: %d settled by coarse bracket, %d by fine, %d by exact sum",
+		culled, pairs, sp.capture.coarse, sp.capture.fine, sp.capture.exact)
 }
 
 // overlapReach counts (transmitter, overlapping transmitter) pairs and

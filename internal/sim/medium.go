@@ -96,8 +96,12 @@ func (n *Network) getTx() *transmission {
 }
 
 // putTx returns a transmission to the pool, dropping references so
-// frames and nodes become collectable.
+// frames and nodes become collectable, and its beacon, if it carried
+// one, to the beacon pool.
 func (n *Network) putTx(tx *transmission) {
+	if b, ok := tx.parsed.(*dot11.Beacon); ok {
+		n.beaconFree = append(n.beaconFree, b)
+	}
 	tx.from = nil
 	tx.med = nil
 	tx.row = nil
@@ -107,6 +111,16 @@ func (n *Network) putTx(tx *transmission) {
 	tx.done = false
 	tx.dataStore.Body = nil
 	n.txFree = append(n.txFree, tx)
+}
+
+// getBeacon takes a beacon from the pool (or allocates one).
+func (n *Network) getBeacon() *dot11.Beacon {
+	if k := len(n.beaconFree); k > 0 {
+		b := n.beaconFree[k-1]
+		n.beaconFree = n.beaconFree[:k-1]
+		return b
+	}
+	return new(dot11.Beacon)
 }
 
 func newMedium(n *Network, c phy.Channel) *medium {
@@ -192,7 +206,7 @@ func (m *medium) transmit(n *Node, f dot11.Frame, r phy.Rate) phy.Micros {
 		tx.rtsStore = *ff
 		tx.parsed = &tx.rtsStore
 	default:
-		tx.parsed = f // mgmt/beacon: caller-owned, released at recycle
+		tx.parsed = f // beacon: pooled on the Network, returned at recycle
 	}
 	tx.frame = tx.parsed.AppendTo(tx.frame[:0])
 	tx.rate = r
@@ -412,6 +426,12 @@ func (m *medium) complete(tx *transmission) {
 // threshold by far more than the few-ulp error of the dB conversion.
 const captureGuardDB = 1e-9
 
+// coarseSlack widens the coarse tier's distance bounds by a share of
+// D+rmax against rounding in the positions' differences and square
+// roots: a few ulps of D+rmax, so the bound holds without leaning on
+// farTable's own guard (which would absorb that rounding too).
+const coarseSlack = 1e-9
+
 // settleCapture fills interf for a culled completion's eligible
 // receivers so that deliverable's SINR test reaches the decision the
 // exact interference sum would. The exact sum adds, in seqno order,
@@ -419,14 +439,29 @@ const captureGuardDB = 1e-9
 // the sub-floor power recomputed from the row's pinned transmitter
 // position. Recomputing costs a Hypot, Log10 and Pow per culled pair,
 // and on a campus most pairs are culled. So each receiver first gets
-// a bracket: stored terms enter both ends exactly, culled terms enter
-// as farTable bounds from the squared distance. Both sums are widened
-// by the float-summation error bound, so the exact float sum lies
-// inside. A receiver whose SINR clears the threshold at the upper end
-// gets 0, the no-overlap value, and one that misses it at the lower
-// end gets +Inf, a certain collision; both with captureGuardDB to
-// spare. Only the rest fall back to the exact sum.
+// a bracket [lo, hi] on the exact sum, in up to three tiers:
+//
+//   - Coarse: a current interferer row (see rowCurrent) stores exactly
+//     what culledMW gives at today's positions, so its term at every
+//     receiver is bounded by geometry alone. With the transmitter's
+//     pinned position as center and rmax the farthest eligible
+//     receiver from it, an interferer at distance D lies between
+//     D−rmax and D+rmax from every receiver (triangle inequality), and
+//     when D−rmax exceeds the cell edge it enters every receiver's
+//     bracket as one farTable pair at those two distances. Every other
+//     interferer enters per pair: from geometry alone if its row is
+//     current, else as bracketTo gives it.
+//   - Fine: a receiver the coarse bracket leaves undecided sums every
+//     interferer per pair, stored terms exactly (bracketTo).
+//   - Exact: whatever is still undecided takes the exact sum.
+//
+// All bracket sums are widened by the float-summation error bound, so
+// the exact float sum lies inside. A receiver whose SINR clears the
+// threshold at the upper end gets 0, the no-overlap value, and one
+// that misses it at the lower end gets +Inf, a certain collision; both
+// with captureGuardDB to spare, compared in linear power.
 func (m *medium) settleCapture(tx *transmission, elig []spCand, interf []float64) {
+	net := m.net
 	if cap(m.bracketScratch) < len(elig) {
 		m.bracketScratch = make([][2]float64, len(elig))
 	}
@@ -434,49 +469,117 @@ func (m *medium) settleCapture(tx *transmission, elig []spCand, interf []float64
 	for j := range br {
 		br[j] = [2]float64{}
 	}
+	ctr := tx.row.ownerPos
+	r2 := 0.0
+	for _, c := range elig {
+		r2 = max(r2, dist2(ctr, c.o.Pos))
+	}
+	rmax := math.Sqrt(r2)
+	var clo, chi float64
 	for _, it := range tx.overlapped {
 		row := it.row
-		far := m.net.rowFar(row)
-		bits := row.bits
-		for j, c := range elig {
-			// Most pairs are culled: one bit test, then the bracket.
-			if bitSet(bits, c.o.ID) {
-				l := row.stored(int32(c.o.ID))
-				br[j][0] += l.mw
-				br[j][1] += l.mw
-				continue
+		far := net.rowFar(row)
+		if !net.rowCurrent(row) {
+			for j, c := range elig {
+				lo, hi := row.bracketTo(c.o)
+				br[j][0] += lo
+				br[j][1] += hi
 			}
-			dx, dy := row.ownerPos.X-c.o.Pos.X, row.ownerPos.Y-c.o.Pos.Y
-			lo, hi := far.bracket(dx*dx + dy*dy)
+			continue
+		}
+		d := math.Sqrt(dist2(row.ownerPos, ctr))
+		s := coarseSlack * (d + rmax)
+		if near := d - rmax - s; near > net.grid.cell {
+			farthest := d + rmax + s
+			lo, _ := far.bracket(farthest * farthest)
+			_, hi := far.bracket(near * near)
+			clo += lo
+			chi += hi
+			continue
+		}
+		for j, c := range elig {
+			lo, hi := far.bracket(dist2(row.ownerPos, c.o.Pos))
 			br[j][0] += lo
 			br[j][1] += hi
 		}
 	}
-	// A float sum of k nonnegative terms is within a relative
-	// (k-1)·2⁻⁵³/(1-(k-1)·2⁻⁵³) of the real sum; 4(k+1)·2⁻⁵³ covers
-	// that for the exact sum and the bracket sums, plus the widening
-	// multiply's rounding.
+	// A float sum of k nonnegative terms, in any order, is within a
+	// relative (k-1)·2⁻⁵³/(1-(k-1)·2⁻⁵³) of the real sum; 4(k+1)·2⁻⁵³
+	// covers that for the exact sum and the bracket sums, plus the
+	// widening multiply's rounding.
 	slack := float64(len(tx.overlapped)+1) * 0x1p-51
-	noise := m.net.noiseMW
-	thr := CaptureThresholdFor(tx.rate, m.net.cfg.CaptureThresholdDB)
+	ct := captureTest{net.captureRatio(tx.rate), net.noiseMW, slack}
 	for j, c := range elig {
-		lo, hi := br[j][0]*(1-slack), br[j][1]*(1+slack)
-		switch {
-		case c.l.dBm-mwToDBm(hi+noise) >= thr+captureGuardDB:
-			interf[c.o.ID] = 0
-			m.net.capture.bracket++
-		case lo > 0 && c.l.dBm-mwToDBm(lo+noise) < thr-captureGuardDB:
-			interf[c.o.ID] = math.Inf(1)
-			m.net.capture.bracket++
-		default:
-			sum := 0.0
-			for _, it := range tx.overlapped {
-				sum += m.net.mwTo(it.row, c.o)
-			}
-			interf[c.o.ID] = sum
-			m.net.capture.exact++
+		if v, ok := ct.settle(c.l.mw, br[j][0]+clo, br[j][1]+chi); ok {
+			interf[c.o.ID] = v
+			net.capture.coarse++
+			continue
+		}
+		var lo, hi float64
+		for _, it := range tx.overlapped {
+			l, h := it.row.bracketTo(c.o)
+			lo += l
+			hi += h
+		}
+		if v, ok := ct.settle(c.l.mw, lo, hi); ok {
+			interf[c.o.ID] = v
+			net.capture.fine++
+			continue
+		}
+		sum := 0.0
+		for _, it := range tx.overlapped {
+			sum += net.mwTo(it.row, c.o)
+		}
+		interf[c.o.ID] = sum
+		net.capture.exact++
+	}
+}
+
+// captureRatio holds capture threshold thr's guarded decision ratios
+// in linear power: a signal of mw milliwatts clears thr against
+// interference plus noise x, with captureGuardDB to spare, when
+// mw ≥ ok·x, and misses it when mw < fail·x.
+type captureRatio struct{ thr, ok, fail float64 }
+
+// captureRatio returns rate r's decision ratios, computed once per
+// distinct threshold. Each ratio is widened by a relative 1e-12, far
+// more than pow10's few-ulp error and far less than the guard.
+func (n *Network) captureRatio(r phy.Rate) captureRatio {
+	thr := CaptureThresholdFor(r, n.cfg.CaptureThresholdDB)
+	for _, c := range n.capRatios {
+		if c.thr == thr {
+			return c
 		}
 	}
+	c := captureRatio{
+		thr:  thr,
+		ok:   pow10((thr+captureGuardDB)/10) * (1 + 1e-12),
+		fail: pow10((thr-captureGuardDB)/10) * (1 - 1e-12),
+	}
+	n.capRatios = append(n.capRatios, c)
+	return c
+}
+
+// captureTest decides one completion's capture tests from interference
+// brackets.
+type captureTest struct {
+	captureRatio
+	noise, slack float64
+}
+
+// settle decides a signal of mw milliwatts against an interference
+// bracket [lo, hi] before widening: 0 when it clears the threshold even
+// at hi, +Inf when it misses it even at lo, and ok false when the
+// bracket straddles the guard band.
+func (t captureTest) settle(mw, lo, hi float64) (v float64, ok bool) {
+	lo, hi = lo*(1-t.slack), hi*(1+t.slack)
+	switch {
+	case mw >= t.ok*(hi+t.noise):
+		return 0, true
+	case lo > 0 && mw < t.fail*(lo+t.noise):
+		return math.Inf(1), true
+	}
+	return 0, false
 }
 
 // deliverable decides whether receiver o successfully decodes tx and

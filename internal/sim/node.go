@@ -23,7 +23,6 @@ type frameKind int
 const (
 	frameData frameKind = iota
 	frameBeacon
-	frameMgmt
 )
 
 // queuedFrame is one MSDU (or management frame) awaiting DCF access.
@@ -36,14 +35,14 @@ type queuedFrame struct {
 	enqueued phy.Micros
 	seq      uint16
 	retries  int
-	// mgmt/beacon payload
-	mgmt *dot11.Management
+	// beacon payload, recycled at putTx
+	beacon *dot11.Beacon
 }
 
 // wireLen returns the over-the-air frame length including FCS.
 func (f *queuedFrame) wireLen() int {
-	if f.mgmt != nil {
-		return f.mgmt.WireLen()
+	if f.beacon != nil {
+		return f.beacon.WireLen()
 	}
 	return dot11.DataHeaderLen + f.size + 4
 }
@@ -415,12 +414,10 @@ func (n *Node) transmitHead() {
 	}
 	f := n.head()
 	switch f.kind {
-	case frameBeacon, frameMgmt:
+	case frameBeacon:
 		n.transmitting = true
-		if f.kind == frameBeacon {
-			n.net.Stats.BeaconsSent++
-		}
-		n.medium.transmit(n, f.mgmt, phy.ControlRate)
+		n.net.Stats.BeaconsSent++
+		n.medium.transmit(n, f.beacon, phy.ControlRate)
 		return
 	}
 	if f.useRTS {
@@ -553,7 +550,7 @@ func (n *Node) transmissionDone(tx *transmission) {
 // backing array stays bounded by the queue limit.
 func (n *Node) popHead() {
 	if n.queueLen() > 0 {
-		n.queue[n.qhead] = queuedFrame{} // drop mgmt refs
+		n.queue[n.qhead] = queuedFrame{} // drop beacon refs
 		n.qhead++
 		if n.qhead == len(n.queue) {
 			n.queue = n.queue[:0]

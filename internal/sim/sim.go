@@ -238,16 +238,23 @@ type Network struct {
 	// highest any row was built at), so addLocal can tell in O(1) that
 	// the grid's cells cover every row's cull radius.
 	maxRowPower float64
-	// capture counts how culled completions settled capture tests:
-	// from the interference bracket alone, or by the exact sum. Tests
-	// read it to show both paths ran; it is not a NetStats counter.
-	capture struct{ bracket, exact uint64 }
+	// capture counts how culled completions settled capture tests: by
+	// the coarse bracket, the fine bracket, or the exact sum (see
+	// settleCapture). Tests read it to show every tier ran; it is not a
+	// NetStats counter.
+	capture struct{ coarse, fine, exact uint64 }
+	// capRatios caches each capture threshold's linear decision ratios
+	// (see captureRatio).
+	capRatios []captureRatio
 	// rows counts link-row maintenance (see RowCounters).
 	rows RowCounters
 
 	// Transmission pool (see medium.go).
 	txFree []*transmission
 	txSeq  uint64
+	// beaconFree recycles beacon frames: putTx returns the one a
+	// transmission carried, which its queue no longer holds.
+	beaconFree []*dot11.Beacon
 
 	// Counters for tests and reports.
 	Stats NetStats
@@ -459,8 +466,9 @@ func (n *Network) scheduleBeacons(ap *Node) {
 	var emit func()
 	emit = func() {
 		if ap.associatedNet() {
-			b := dot11.NewBeacon(ap.Addr, "ietf62", uint8(ap.Channel), uint64(n.Now()), ap.nextSeq())
-			ap.enqueueFrame(queuedFrame{kind: frameBeacon, mgmt: &b.Management})
+			b := n.getBeacon()
+			b.Set(ap.Addr, "ietf62", uint8(ap.Channel), uint64(n.Now()), ap.nextSeq())
+			ap.enqueueFrame(queuedFrame{kind: frameBeacon, beacon: b})
 		}
 		n.q.After(interval, emit)
 	}

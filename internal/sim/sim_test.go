@@ -126,6 +126,22 @@ func TestBeaconsEmitted(t *testing.T) {
 	}
 }
 
+// TestBeaconsDoNotAllocate checks that steady-state beacon emission
+// reuses pooled frames: once each AP's first beacons have gone out,
+// further seconds of beaconing allocate nothing.
+func TestBeaconsDoNotAllocate(t *testing.T) {
+	net, _, _ := testNet(7, 0, rate.NewFixedFactory(phy.Rate11Mbps))
+	net.AddAP("ap1", Position{X: 12, Y: 10}, phy.Channel1)
+	net.RunFor(phy.MicrosPerSecond)
+	sent := net.Stats.BeaconsSent
+	if n := testing.AllocsPerRun(5, func() { net.RunFor(phy.MicrosPerSecond) }); n != 0 {
+		t.Errorf("a second of beacons allocates %v times", n)
+	}
+	if net.Stats.BeaconsSent-sent < 5*2*8 {
+		t.Errorf("only %d beacons in the measured seconds", net.Stats.BeaconsSent-sent)
+	}
+}
+
 func TestRetryFlagSetOnRetransmission(t *testing.T) {
 	// Two stations far from each other but both near the AP: hidden
 	// terminals. Their frames collide at the AP, forcing retries.

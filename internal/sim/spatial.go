@@ -259,6 +259,16 @@ func (n *Network) queuePatch(row *linkRow, id int32) {
 	row.patches = append(row.patches, id)
 }
 
+// rowCurrent reports whether every link row stores is what linkFromTo
+// would compute at today's positions and the row's power: no global
+// invalidation, no move of its owner (stale) and no move of a node it
+// stores (patches) since it was filled. A pair the row culled is
+// recomputed from the same positions, so a current row's every term is
+// culledMW(row.power, |ownerPos − o.Pos|) whether stored or not.
+func (n *Network) rowCurrent(row *linkRow) bool {
+	return row.epoch == n.posEpoch && !row.stale && len(row.patches) == 0
+}
+
 // patchRow recomputes row's stored links toward its queued patches —
 // the same linkFromTo call a rebuild makes, so the values match one.
 // A patched node the row does not store (a culled mid-run add) falls
@@ -462,6 +472,25 @@ func (n *Network) mwTo(r *linkRow, o *Node) float64 {
 		return l.mw
 	}
 	return culledMW(&n.cfg.Env, r.power, r.ownerPos.Distance(o.Pos))
+}
+
+// bracketTo bounds the row's term in an exact interference sum at o: a
+// stored link's power exactly, a culled pair's from the row's farTable,
+// which rowFar has set. Most pairs are culled: one bit test, then the
+// bracket.
+func (r *linkRow) bracketTo(o *Node) (lo, hi float64) {
+	if bitSet(r.bits, o.ID) {
+		l := r.stored(int32(o.ID))
+		return l.mw, l.mw
+	}
+	return r.far.bracket(dist2(r.ownerPos, o.Pos))
+}
+
+// dist2 returns the squared distance between a and b as the farTable
+// brackets take it.
+func dist2(a, b Position) float64 {
+	dx, dy := a.X-b.X, a.Y-b.Y
+	return dx*dx + dy*dy
 }
 
 // culledMW is the received power in milliwatts of a transmitter at
