@@ -242,20 +242,21 @@ func (m *medium) transmit(n *Node, f dot11.Frame, r phy.Rate) phy.Micros {
 	// Carrier-sense notification: nodes that sense this transmitter
 	// see the medium go busy. A culling network visits only the
 	// in-range neighborhood, in the same attachment order the full walk
-	// takes — every culled node has sense=false, so the full walk would
-	// skip it anyway. A network that culls nothing walks every attached
-	// node, whose row entry sits at its ID.
+	// takes — no culled node senses the transmitter, so the full walk
+	// would skip it anyway. A network that culls nothing walks every
+	// attached node, whose row entry sits at its ID.
+	env := &m.net.cfg.Env
 	if m.net.sparse {
 		m.senseScratch = append(m.senseScratch[:0], m.cachedCands(tx.row, n)...)
 		for _, c := range m.senseScratch {
-			if c.l.sense {
+			if env.Senses(c.l.dBm) {
 				c.o.mediumBusyDelta(+1)
 			}
 		}
 	} else {
 		ls := tx.row.ls
 		for _, o := range m.nodes {
-			if o != n && ls[o.ID].sense {
+			if o != n && env.Senses(ls[o.ID].dBm) {
 				o.mediumBusyDelta(+1)
 			}
 		}
@@ -300,10 +301,12 @@ func (m *medium) complete(tx *transmission) {
 
 	// Carrier-sense release, then delivery. A culling network gathers
 	// the in-range neighborhood once (attachment order, matching the
-	// full walk): a culled node has sense=false and snr<=0, so the full
-	// walk would traverse it with zero effect — and zero RNG draws,
-	// since culling implies no shadowing. A network that culls nothing
-	// walks every attached node: each one draws a shadowing variate.
+	// full walk): a culled node is neither sensed nor above the noise
+	// floor, so the full walk would traverse it with zero effect — and
+	// zero RNG draws, since culling implies no shadowing. A network
+	// that culls nothing walks every attached node: each one draws a
+	// shadowing variate.
+	env := &m.net.cfg.Env
 	if m.net.sparse {
 		m.candScratch = append(m.candScratch[:0], m.cachedCands(tx.row, tx.from)...)
 		cands := m.candScratch
@@ -316,7 +319,6 @@ func (m *medium) complete(tx *transmission) {
 			// Sense-only-range neighbors and b-only receivers of OFDM
 			// frames are most of a campus neighborhood, so this filter,
 			// not the batching, is what keeps the pre-pass cheap.
-			env := &m.net.cfg.Env
 			ofdm := tx.rate.OFDM()
 			elig := m.eligScratch[:0]
 			interf = m.interfFor(len(m.net.nodes))
@@ -336,7 +338,7 @@ func (m *medium) complete(tx *transmission) {
 			m.eligScratch = elig[:0]
 		}
 		for _, c := range cands {
-			if c.l.sense {
+			if env.Senses(c.l.dBm) {
 				c.o.mediumBusyDelta(-1)
 			}
 		}
@@ -360,7 +362,7 @@ func (m *medium) complete(tx *transmission) {
 		}
 		ls := tx.row.ls
 		for _, o := range m.nodes {
-			if o != tx.from && ls[o.ID].sense {
+			if o != tx.from && env.Senses(ls[o.ID].dBm) {
 				o.mediumBusyDelta(-1)
 			}
 		}
@@ -625,9 +627,14 @@ func (m *medium) deliverable(o *Node, tx *transmission, l link, deaf uint64, int
 	// complete(). A frame survives overlap only if its SINR clears the
 	// rate-dependent capture threshold: slower modulations tolerate
 	// more interference (the resilience that makes rate fallback
-	// attractive, Sec 3).
+	// attractive, Sec 3). A certain collision that settleCapture
+	// settled as +Inf needs no log: its SINR is -Inf.
 	if interf != nil {
 		if interfMW := interf[o.ID]; interfMW > 0 {
+			if math.IsInf(interfMW, 1) {
+				m.net.Stats.Collisions++
+				return snr, false
+			}
 			sinr := rxPower - mwToDBm(interfMW+m.net.noiseMW)
 			if sinr < CaptureThresholdFor(tx.rate, m.net.cfg.CaptureThresholdDB) {
 				m.net.Stats.Collisions++

@@ -214,3 +214,51 @@ func TestActiveSwapDelete(t *testing.T) {
 		t.Errorf("active set not drained: %d", len(m.active))
 	}
 }
+
+// TestMidFlightAddJoinsDueRow adds a node while an in-flight
+// transmission holds its sender's row and that row is due for a
+// rebuild: the sender moved, or changed power, mid-flight. The
+// transmission reads its row as it stands, so the add must extend it
+// as it extends a current row: the newcomer's link is stored and
+// sensed, so the carrier-sense release visits it, and at the
+// completion the newcomer decodes the frame addressed to it (it ACKs).
+func TestMidFlightAddJoinsDueRow(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		due  func(net *Network, a *Node)
+	}{
+		{"moved", func(net *Network, a *Node) { net.MoveNode(a, Position{X: 1, Y: 0}) }},
+		{"power", func(net *Network, a *Node) { a.TxPower = 10 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// a sends to the node added next; x lands 5 m from a, and b,
+			// 55 m from x, transmits after the add, sensed by x but far
+			// too weak to break capture there.
+			net, m, nodes := mediumTestNet(1, Position{X: 0, Y: 0}, Position{X: 60, Y: 0})
+			a, b := nodes[0], nodes[1]
+			xAddr := dot11.AddrFromUint64(uint64(len(net.nodes)) + 0x100)
+			end := m.transmit(a, dot11.NewData(xAddr, a.Addr, a.Addr, 1, make([]byte, 1000)), phy.Rate1Mbps)
+			row := net.links[a.ID]
+			net.Schedule(100, func() {
+				c.due(net, a)
+				if row.power == a.TxPower && row.epoch == net.posEpoch && !row.stale {
+					t.Fatal("the sender's row is not due: the fixture no longer tests a due row")
+				}
+			})
+			var x *Node
+			net.Schedule(200, func() { x = net.newNode("x", Position{X: 5, Y: 0}, phy.Channel1) })
+			net.Schedule(300, func() { m.transmit(b, dot11.NewData(b.Addr, b.Addr, b.Addr, 2, make([]byte, 1000)), phy.Rate1Mbps) })
+			net.RunUntil(end - 1)
+			if x.Addr != xAddr || x.busyCount != 1 {
+				t.Fatalf("before the completion: newcomer %v (want %v), busy count %d (want 1)", x.Addr, xAddr, x.busyCount)
+			}
+			if l, ok := row.linkTo(x); !ok || !net.cfg.Env.Senses(l.dBm) {
+				t.Fatalf("the add left the newcomer out of the held row (stored %v) or unsensed", ok)
+			}
+			net.RunUntil(end)
+			if net.Stats.ACKSent != 1 || net.Stats.Collisions != 0 {
+				t.Fatalf("newcomer decoded %d frames addressed to it, %d collisions; want 1, 0", net.Stats.ACKSent, net.Stats.Collisions)
+			}
+		})
+	}
+}

@@ -141,14 +141,13 @@ type TxRef struct {
 
 // link is one precomputed directed radio link: the deterministic
 // (unshadowed) received power of transmitter→receiver in both dBm and
-// milliwatts, the resulting SNR, and whether the receiver's carrier
-// sense detects the transmitter. Shadowing draws stay per-delivery so
-// the RNG stream is unchanged from computing path loss on the fly.
+// milliwatts. The SNR and the carrier-sense test are functions of dBm
+// (Environment.SNRdB, Environment.Senses), evaluated where they are
+// read. Shadowing draws stay per-delivery so the RNG stream is
+// unchanged from computing path loss on the fly.
 type link struct {
-	dBm   float64
-	mw    float64
-	snr   float64
-	sense bool
+	dBm float64
+	mw  float64
 }
 
 // linkRow is one transmitter's row of the link matrix, tagged with the
@@ -160,6 +159,7 @@ type link struct {
 // nodes whose stored links must be recomputed, both set by MoveNode
 // (see moveLocal) and applied lazily by rowFor, so a row pinned by an
 // in-flight transmission keeps the contents it was transmitted with.
+// A row starts stale: it is filled at its first use, not at the add.
 //
 // The parallel ids/ls slices hold the links the row stores, in
 // ascending ID order: the nodes of the owner's cell neighborhood at
@@ -182,6 +182,7 @@ type linkRow struct {
 	// on a row carry the generation they were computed at so a change
 	// invalidates them without a scan (and pinned rows, which are never
 	// changed while held, keep hitting their own generation's entries).
+	// A row at gen 0 has never been filled.
 	gen  uint32
 	ids  []int32
 	ls   []link
@@ -279,13 +280,14 @@ type NetStats struct {
 // RowCounters counts link-row maintenance: full row builds,
 // single-link move patches, patches that found no stored link and
 // rebuilt the row instead, moves applied locally versus by the global
-// position-epoch bump, and node adds that extended only the rows
-// around the newcomer versus every row. Tests read it to show
-// that moves and adds stay local; it is diagnostic, not a NetStats
-// counter, and no report or journal carries it.
+// position-epoch bump, node adds that extended only the rows around
+// the newcomer versus every built row, and the links those adds
+// computed (Extends). Tests read it to show that moves and adds stay
+// local and that rows are filled only when used; it is diagnostic, not
+// a NetStats counter, and no report or journal carries it.
 type RowCounters struct {
 	FullBuilds, Patches, Fallbacks, LocalMoves, GlobalMoves uint64
-	LocalAdds, GlobalAdds                                   uint64
+	LocalAdds, GlobalAdds, Extends                          uint64
 }
 
 // RowCounters returns the link-row maintenance counts so far.
@@ -359,9 +361,16 @@ func (n *Network) mediumFor(c phy.Channel) *medium {
 // linkFromTo computes one directed link entry at the given transmit
 // power.
 func (n *Network) linkFromTo(power float64, from, to *Node) link {
+	dBm := n.cfg.Env.RxPowerDBm(power, from.Pos.Distance(to.Pos), nil)
+	return link{dBm: dBm, mw: pow10(dBm / 10)}
+}
+
+// relevant reports whether a link clears a floor: the receiver senses
+// the transmitter or decodes above the noise floor. A link that clears
+// neither is one the medium skips with no side effect.
+func (n *Network) relevant(l link) bool {
 	env := &n.cfg.Env
-	dBm := env.RxPowerDBm(power, from.Pos.Distance(to.Pos), nil)
-	return link{dBm: dBm, mw: pow10(dBm / 10), snr: env.SNRdB(dBm), sense: env.Senses(dBm)}
+	return env.Senses(l.dBm) || env.SNRdB(l.dBm) > 0
 }
 
 // rowFor returns node's link-matrix row, rebuilding it if the node's
@@ -419,8 +428,8 @@ func (n *Network) newNode(name string, pos Position, ch phy.Channel) *Node {
 	node.initCallbacks()
 	n.nodes = append(n.nodes, node)
 	n.byAddr[node.Addr] = node
-	// Extend every existing transmitter's row toward the new node, at
-	// the power that row was computed at (lazy rebuild handles drift).
+	// Extend the existing transmitters' rows toward the new node, at
+	// the power each row was computed at (lazy rebuild handles drift).
 	// A culling network's row stores the link only when it clears a
 	// floor: a below-both-floors entry is one the medium would skip
 	// with zero side effects, and an interference lookup that misses
@@ -429,8 +438,7 @@ func (n *Network) newNode(name string, pos Position, ch phy.Channel) *Node {
 	// free row would, and stored links stay O(N·k). Which rows can store
 	// the link is a spatial question: while the add leaves the grid's
 	// shape as it is, only the rows of the nodes in the newcomer's 3×3
-	// block (addLocal), so building N nodes costs O(N·k) link
-	// computations. Otherwise every row computes the link, O(N) per add.
+	// block (addLocal). Otherwise every row computes the link.
 	if n.addLocal(node) {
 		n.rows.LocalAdds++
 	} else {
@@ -439,10 +447,11 @@ func (n *Network) newNode(name string, pos Position, ch phy.Channel) *Node {
 			n.extendRow(row, n.nodes[i], node)
 		}
 	}
-	// Build the new node's own row.
-	row := &linkRow{power: node.TxPower}
-	n.buildSparseRow(row, node)
-	n.links = append(n.links, row)
+	// The new node's own row is filled at its first use (rowFor). The
+	// grid is refilled here as that fill would, so the next add finds
+	// it current and can stay local.
+	n.spatialIndex(node.TxPower)
+	n.links = append(n.links, &linkRow{power: node.TxPower, stale: true})
 	n.mediumFor(ch).attach(node)
 	return node
 }
@@ -450,8 +459,14 @@ func (n *Network) newNode(name string, pos Position, ch phy.Channel) *Node {
 // extendRow appends owner's row's link toward node, a newcomer with
 // the highest ID. A culling network's row stores it only if it clears
 // a floor (see newNode); one that culls nothing stores every link.
+// A row never filled is left alone: it is stale until rowFor fills it,
+// and nothing reads it before that (no transmission holds it).
 func (n *Network) extendRow(row *linkRow, owner, node *Node) {
-	if l := n.linkFromTo(row.power, owner, node); l.sense || l.snr > 0 || !n.sparse {
+	if row.gen == 0 {
+		return
+	}
+	n.rows.Extends++
+	if l := n.linkFromTo(row.power, owner, node); n.relevant(l) || !n.sparse {
 		row.ids = append(row.ids, int32(node.ID))
 		row.ls = append(row.ls, l)
 		row.setBit(node.ID)

@@ -29,8 +29,9 @@ import (
 // inside the box, at a power the cells cover, onto a grid filled at the
 // current epoch, appends the newcomer to its bucket and extends only
 // the rows of the nodes in its 3×3 block (addLocal); any other add
-// computes the link from every row and refills the grid. Each row
-// keeps a membership bitmap of the IDs it stores, so a culled pair
+// computes the link from every row and refills the grid. Either way a
+// row never filled is skipped: rows are filled at their first use
+// (rowFor), not at the add (extendRow). Each row keeps a membership bitmap of the IDs it stores, so a culled pair
 // costs one bit test, not a search.
 //
 // Culling engages when the radio is fully deterministic
@@ -578,12 +579,12 @@ func (t *farTable) bracket(d2 float64) (lo, hi float64) {
 
 // snrTo returns the row's SNR toward o, recomputing the out-of-range
 // value from the row's pinned transmitter position when the row culled
-// it — callers see the same number an unculled row stores.
+// it — callers see the same number an unculled row yields.
 func (n *Network) snrTo(r *linkRow, o *Node) float64 {
-	if l, ok := r.linkTo(o); ok {
-		return l.snr
-	}
 	env := &n.cfg.Env
+	if l, ok := r.linkTo(o); ok {
+		return env.SNRdB(l.dBm)
+	}
 	return env.SNRdB(env.RxPowerDBm(r.power, r.ownerPos.Distance(o.Pos), nil))
 }
 
@@ -605,7 +606,7 @@ func (m *medium) gatherCands(dst []spCand, row *linkRow, skip *Node) []spCand {
 		if o == skip || o.medium != m {
 			continue
 		}
-		if l := row.ls[i]; l.sense || l.snr > 0 {
+		if l := row.ls[i]; m.net.relevant(l) {
 			dst = append(dst, spCand{o, l})
 		}
 	}

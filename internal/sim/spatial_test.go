@@ -74,8 +74,8 @@ func auditRows(t *testing.T, sp, dn *Network) (culled int) {
 						t.Fatalf("pair %d→%d culled by the twin that culls nothing", i, j)
 					}
 					culled++
-					if want.sense || want.snr > 0 {
-						t.Fatalf("pair %d→%d culled but relevant: sense=%v snr=%v", i, j, want.sense, want.snr)
+					if net.relevant(want) {
+						t.Fatalf("pair %d→%d culled but relevant: %+v", i, j, want)
 					}
 					continue
 				}
@@ -306,35 +306,58 @@ func idsFrom(row *linkRow, id int) []int32 {
 	return row.ids[i:]
 }
 
-// addTwin adds a station at p to both twins and checks every culled
-// row against the O(N) reference loop: each existing row keeps its
-// links, computes its link toward the newcomer at the row's power and
-// appends it iff it clears a floor. Every row of the twin that culls
-// nothing appends it. It reports whether the add took the local path.
+// addTwin adds a station at p to both twins and checks every row
+// against the O(N) reference loop. A row filled before the add keeps
+// its links, computes its link toward the newcomer at the row's power
+// and appends it iff it clears a floor; every such row of the twin
+// that culls nothing appends it. A row never filled stays unfilled,
+// and once rowFor has run it must equal a fresh buildSparseRow. It
+// reports whether the add took the local path.
 func addTwin(t *testing.T, sp, dn *Network, name string, p Position) (local bool) {
 	t.Helper()
 	type stored struct {
-		ids []int32
-		ls  []link
+		ids    []int32
+		ls     []link
+		filled bool
 	}
-	want := make([]stored, len(sp.links))
-	for i, row := range sp.links {
-		want[i] = stored{slices.Clone(row.ids), slices.Clone(row.ls)}
+	snap := func(net *Network) []stored {
+		want := make([]stored, len(net.links))
+		for i, row := range net.links {
+			want[i] = stored{slices.Clone(row.ids), slices.Clone(row.ls), row.gen > 0}
+		}
+		return want
 	}
+	spWant, dnWant := snap(sp), snap(dn)
 	adds := sp.rows.LocalAdds
-	node := sp.AddStation(name, p, sp.nodes[0], rate.NewFixedFactory(phy.Rate11Mbps))
+	sp.AddStation(name, p, sp.nodes[0], rate.NewFixedFactory(phy.Rate11Mbps))
 	dn.AddStation(name, p, dn.nodes[0], rate.NewFixedFactory(phy.Rate11Mbps))
-	for i, w := range want {
-		row := sp.links[i]
-		if l := sp.linkFromTo(row.power, sp.nodes[i], node); l.sense || l.snr > 0 {
-			w.ids = append(w.ids, int32(node.ID))
-			w.ls = append(w.ls, l)
-		}
-		if !slices.Equal(row.ids, w.ids) || !slices.Equal(row.ls, w.ls) {
-			t.Fatalf("add of %s: row %d stores %v, the O(N) loop stores %v", name, i, row.ids, w.ids)
-		}
-		if drow := dn.links[i]; drow.ids[len(drow.ids)-1] != int32(node.ID) {
-			t.Fatalf("add of %s: unculled row %d did not append it", name, i)
+	for _, twin := range []struct {
+		net  *Network
+		want []stored
+	}{{sp, spWant}, {dn, dnWant}} {
+		net := twin.net
+		node := net.nodes[len(net.nodes)-1]
+		for i, w := range twin.want {
+			row, owner := net.links[i], net.nodes[i]
+			if !w.filled {
+				if row.gen != 0 || len(row.ids) != 0 {
+					t.Fatalf("add of %s: unfilled row %d was written (gen %d, %d links)", name, i, row.gen, len(row.ids))
+				}
+				net.rowFor(owner)
+				fresh := &linkRow{power: owner.TxPower}
+				net.buildSparseRow(fresh, owner)
+				if !slices.Equal(row.ids, fresh.ids) || !slices.Equal(row.ls, fresh.ls) || !slices.Equal(row.bits, fresh.bits) {
+					t.Fatalf("add of %s: first-filled row %d stores %v, a fresh build stores %v", name, i, row.ids, fresh.ids)
+				}
+				continue
+			}
+			if l := net.linkFromTo(row.power, owner, node); net.relevant(l) || !net.sparse {
+				w.ids = append(w.ids, int32(node.ID))
+				w.ls = append(w.ls, l)
+			}
+			if !slices.Equal(row.ids, w.ids) || !slices.Equal(row.ls, w.ls) {
+				t.Fatalf("add of %s: row %d stores %v, the O(N) loop stores %v", name, i, row.ids, w.ids)
+			}
 		}
 	}
 	return sp.rows.LocalAdds == adds+1

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"wlan80211/internal/phy"
@@ -33,9 +34,15 @@ func TestGrid256SparseRowLengths(t *testing.T) {
 // building grid256 must extend only the rows around each newcomer for
 // all but the adds that grow the grid's box. Goldens cannot catch a
 // regression here, because the global path stores the same links, only
-// in O(N) per add.
+// in O(N) per add. It also guards build-at-first-use: nothing reads a
+// link row before the run, so Build fills, patches and extends none
+// (no link is computed), and allocates under 4 MB (9.5 MB when every
+// add filled its node's row).
 func TestGrid256AddsStayLocal(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b, err := Grid256().Build()
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +51,14 @@ func TestGrid256AddsStayLocal(t *testing.T) {
 	if rc.LocalAdds+rc.GlobalAdds != nodes || rc.LocalAdds < 1200 {
 		t.Fatalf("%d of %d adds local, %d global; want ≥1200 local", rc.LocalAdds, nodes, rc.GlobalAdds)
 	}
-	t.Logf("%d nodes: %d local adds, %d global", nodes, rc.LocalAdds, rc.GlobalAdds)
+	if rc.FullBuilds != 0 || rc.Patches != 0 || rc.Extends != 0 {
+		t.Fatalf("Build computed links: %+v", rc)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc > 4<<20 {
+		t.Fatalf("Build allocated %.1f MB, want ≤ 4 MB", float64(alloc)/(1<<20))
+	}
+	t.Logf("%d nodes: %d local adds, %d global; Build allocated %.2f MB", nodes, rc.LocalAdds, rc.GlobalAdds, float64(alloc)/(1<<20))
 }
 
 // TestGrid256StationCount pins the scenario's headline population:
